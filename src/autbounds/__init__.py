@@ -16,7 +16,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     degree_stats,
-    generate_named,
     is_connected,
     parse_edgelist,
     parse_graph6,
@@ -25,14 +24,12 @@ from .graphs import (
     star_graph,
     write_graph6,
 )
-from .automorphisms import AutResult, aut_order, aut_order_naive, orbit_size
+from .automorphisms import AutResult, aut_order, aut_order_naive
 from .trees import (
     GreedyTree,
     SpanningTree,
     all_spanning_trees,
     best_greedy_tree,
-    bfs_tree,
-    dfs_tree,
     embedding_upper_fs,
     greedy_spanning_tree,
     spanning_tree_count,
@@ -43,11 +40,9 @@ from .trees import (
 )
 from .embeddings import (
     EmbeddingCount,
-    Theorem1Witness,
     count_embeddings,
     count_labeled_embeddings,
     count_subgraph_copies,
-    verify_theorem1,
 )
 from .structure import (
     PathCoverResult,

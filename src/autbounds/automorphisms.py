@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .graphs import Graph, SizeLimitError, bits
+from .graphs import Graph, SizeLimitError, _root, _union, bits
 
 NAIVE_VERTEX_LIMIT = 8
 
@@ -121,21 +121,12 @@ def _search(rows_a, rows_b, cells_a, cells_b):
 
 def _orbits_from_generators(n, gens):
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for p in gens:
         for v in range(n):
-            ra, rb = find(v), find(p[v])
-            if ra != rb:
-                parent[ra] = rb
+            _union(parent, v, p[v])
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_root(parent, v), []).append(v)
     return tuple(sorted((tuple(sorted(grp)) for grp in groups.values()), key=min))
 
 
@@ -184,13 +175,6 @@ def aut_order_naive(g: Graph) -> int:
         else:
             count += 1
     return count
-
-
-def orbit_size(g: Graph, v: int) -> int:
-    """Size of v's orbit under the full automorphism group."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return len(aut_order(g).orbit_of(v))
 
 
 def _find_isomorphism(g1: Graph, g2: Graph):

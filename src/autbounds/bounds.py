@@ -13,14 +13,15 @@ reason so a report over an awkward graph still renders every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 import mpmath
 
 from .graphs import Graph, DegreeStats, degree_stats, is_connected, write_graph6
-from .automorphisms import aut_order
+from .automorphisms import AutResult, aut_order
 from .trees import (
     GreedyTree,
     SpanningTree,
@@ -38,21 +39,6 @@ from .structure import (
 
 WORKING_PRECISION_BITS = 120
 LOG2_COMPARISON_SLACK = 1e-9
-
-BOUND_IDS = (
-    "thm1_tree",
-    "eq1_nashwilliams",
-    "eq2_tree_product",
-    "eq3_pathcover",
-    "eq4_degree_exponent",
-    "eq5_special_class",
-    "eq6_starfree",
-    "eq7_hamiltonian",
-    "eq8_hampath_edges",
-    "thm3_orbit",
-    "thm3_plain",
-    "corollary",
-)
 
 
 @dataclass(frozen=True)
@@ -225,7 +211,6 @@ def eval_eq8(g: Graph, ham: bool) -> BoundValue:
     if not ham:
         return _gated("eq8_hampath_edges", "no Hamiltonian path", ctx)
     via_p1 = eval_eq3(g, 1)
-    assert via_p1.applicable
     return BoundValue("eq8_hampath_edges", True, None,
                       via_p1.exact_value, via_p1.log2_value, ctx)
 
@@ -265,7 +250,6 @@ def eval_corollary(stats: DegreeStats, n: int, mode: str = "corrected") -> Bound
         return _gated("corollary", "requires n >= max degree + 1", {"mode": mode})
     r = (n - delta - 1) // (delta - 1)
     alpha = n - r * (delta - 1) if mode == "verbatim" else n - delta - 1 - r * (delta - 1)
-    assert alpha >= 0
     value = n * factorial(alpha) * factorial(delta) * factorial(delta - 1) ** r
     return _exact("corollary", value, {"mode": mode, "r": r, "alpha": alpha})
 
@@ -284,6 +268,109 @@ def eval_thm1_tree(g: Graph, t: SpanningTree) -> BoundValue:
     ctx["route"] = "fs_fa_product"
     value = embedding_upper_fs(g) * tree_aut_upper(t)
     return _exact("thm1_tree", value, ctx)
+
+
+# ---------------------------------------------------------------------------
+# The registry: one ordered table of the catalogue.  Each evaluator draws on
+# a report's _Inputs; a prerequisite that is unavailable gates the row.
+# ---------------------------------------------------------------------------
+
+class _Gate(Exception):
+    """A prerequisite of a bound is unavailable; the message is the reason."""
+
+
+class _Inputs:
+    """The graph and options of one report plus the prerequisites the
+    evaluators share, each computed on first use and at most once."""
+
+    def __init__(self, g: Graph, options: ReportOptions, aut_res: AutResult | None):
+        self.g, self.options, self.aut_res = g, options, aut_res
+        self.connected = is_connected(g)
+
+    @property
+    def host(self) -> Graph:
+        """The graph; every formula needs it connected, so this gate comes first."""
+        if not self.connected:
+            raise _Gate("graph is disconnected")
+        return self.g
+
+    @cached_property
+    def stats(self) -> DegreeStats:
+        return degree_stats(self.host)
+
+    @cached_property
+    def greedy(self) -> GreedyTree:
+        return greedy_spanning_tree(self.host, 0)
+
+    def _structural(self) -> Graph:
+        if self.host.n > STRUCTURE_VERTEX_LIMIT:
+            raise _Gate(f"exact structural analysis capped at n <= {STRUCTURE_VERTEX_LIMIT}")
+        return self.g
+
+    @cached_property
+    def p(self) -> int:
+        return path_cover_number(self._structural()).p
+
+    @cached_property
+    def m(self) -> int:
+        return max(3, star_free_parameter(self._structural()).m_min)
+
+    @cached_property
+    def thm3_trees(self) -> tuple[GreedyTree, ...]:
+        """The greedy tree from 0, or with exhaustive_start the best greedy
+        tree from every start vertex."""
+        if not self.options.exhaustive_start:
+            return (self.greedy,)
+        return tuple(best_greedy_tree(self.host, v0)[0] for v0 in range(self.g.n))
+
+
+def _rows(r: _Inputs, bound_id: str, evaluate) -> list[BoundValue]:
+    """The rows evaluate(r) gives, or one gated row if a prerequisite is missing."""
+    try:
+        rows = evaluate(r)
+    except _Gate as gate:
+        return [_gated(bound_id, str(gate))]
+    return rows if isinstance(rows, list) else [rows]
+
+
+def _thm3(r: _Inputs, with_orbit: bool) -> BoundValue:
+    """eval_thm3 minimised over the candidate trees (the first minimum wins)."""
+    g = r.host
+    if with_orbit and r.aut_res is None:
+        raise _Gate("orbit size needs the exact automorphism oracle")
+    best = None
+    for gt in r.thm3_trees:
+        bv = eval_thm3(g, gt, len(r.aut_res.orbit_of(gt.root)) if with_orbit else None)
+        if best is None or bv.exact_value < best.exact_value:
+            best = bv
+    return replace(best, context=dict(best.context, exhaustive=r.options.exhaustive_start))
+
+
+def _corollary(r: _Inputs) -> BoundValue | list[BoundValue]:
+    """One row in the chosen mode; "both" gives a corollary_<mode> row per mode."""
+    mode = r.options.corollary_mode
+    if mode != "both":
+        return eval_corollary(r.stats, r.g.n, mode)
+    return [replace(bv, bound_id=f"corollary_{m}") for m in ("corrected", "verbatim")
+            for bv in _rows(r, "corollary", lambda r, m=m: eval_corollary(r.stats, r.g.n, m))]
+
+
+# id -> (CLI alias or None, evaluator); the order is the report's row order.
+REGISTRY = {
+    "thm1_tree": ("thm1", lambda r: eval_thm1_tree(r.host, r.greedy.tree)),
+    "eq1_nashwilliams": ("eq1", lambda r: eval_eq1(r.stats, r.g.n)),
+    "eq2_tree_product": ("eq2", lambda r: eval_eq2(r.host, r.greedy.tree)),
+    "eq3_pathcover": ("eq3", lambda r: eval_eq3(r.host, r.p)),
+    "eq4_degree_exponent": ("eq4", lambda r: eval_eq4(r.host, r.stats)),
+    "eq5_special_class": ("eq5", lambda r: eval_eq5(r.host, r.options.class5_asserted)),
+    "eq6_starfree": ("eq6", lambda r: eval_eq6(r.host, r.m)),
+    "eq7_hamiltonian": ("eq7", lambda r: eval_eq7(r.host, r.p == 1)),
+    "eq8_hampath_edges": ("eq8", lambda r: eval_eq8(r.host, r.p == 1)),
+    "thm3_orbit": ("thm3", lambda r: _thm3(r, with_orbit=True)),
+    "thm3_plain": (None, lambda r: _thm3(r, with_orbit=False)),
+    "corollary": (None, _corollary),
+}
+BOUND_IDS = tuple(REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -346,88 +433,20 @@ class BoundReport:
         return bad
 
 
-def _requested(options: ReportOptions) -> list[str]:
-    return list(options.bounds) if options.bounds is not None else list(BOUND_IDS)
-
-
 def compose_report(g: Graph, options: ReportOptions = ReportOptions()) -> BoundReport:
     """Evaluate every requested bound on g, gated by applicability, and attach
     per-bound log2 tightness gaps against the exact order."""
-    requested = _requested(options)
-    connected = is_connected(g)
-    stats = degree_stats(g)
-    notes: list[str] = []
-
     aut_res = aut_order(g) if options.exact_aut else None
+    r = _Inputs(g, options, aut_res)
+    notes: list[str] = []
     if not options.exact_aut:
         notes.append("exact automorphism order suppressed by options; gaps omitted")
-    if not connected:
+    if not r.connected:
         notes.append("graph is disconnected: every bound requires a connected host")
 
-    gt = tree = None
-    if connected:
-        gt = greedy_spanning_tree(g, 0)
-        tree = gt.tree
-
-    structural_ok = g.n <= STRUCTURE_VERTEX_LIMIT
-    p = ham = None
-    if connected and structural_ok:
-        needs_p = any(b in requested for b in ("eq3_pathcover", "eq7_hamiltonian",
-                                               "eq8_hampath_edges"))
-        if needs_p:
-            p = path_cover_number(g).p
-            ham = p == 1
-    m_used = None
-    if connected and structural_ok and "eq6_starfree" in requested:
-        m_used = max(3, star_free_parameter(g).m_min)
-
-    size_reason = f"exact structural analysis capped at n <= {STRUCTURE_VERTEX_LIMIT}"
-
-    def disconnected(bound_id):
-        return _gated(bound_id, "graph is disconnected")
-
     out: list[BoundValue] = []
-    for bid in requested:
-        if not connected:
-            if bid == "corollary" and options.corollary_mode == "both":
-                out.append(_gated("corollary_corrected", "graph is disconnected"))
-                out.append(_gated("corollary_verbatim", "graph is disconnected"))
-            else:
-                out.append(disconnected(bid))
-            continue
-        if bid == "thm1_tree":
-            out.append(eval_thm1_tree(g, tree))
-        elif bid == "eq1_nashwilliams":
-            out.append(eval_eq1(stats, g.n))
-        elif bid == "eq2_tree_product":
-            out.append(eval_eq2(g, tree))
-        elif bid == "eq3_pathcover":
-            out.append(eval_eq3(g, p) if p is not None else _gated(bid, size_reason))
-        elif bid == "eq4_degree_exponent":
-            out.append(eval_eq4(g, stats))
-        elif bid == "eq5_special_class":
-            out.append(eval_eq5(g, options.class5_asserted))
-        elif bid == "eq6_starfree":
-            out.append(eval_eq6(g, m_used) if m_used is not None else _gated(bid, size_reason))
-        elif bid == "eq7_hamiltonian":
-            out.append(eval_eq7(g, ham) if ham is not None else _gated(bid, size_reason))
-        elif bid == "eq8_hampath_edges":
-            out.append(eval_eq8(g, ham) if ham is not None else _gated(bid, size_reason))
-        elif bid == "thm3_orbit":
-            out.append(_thm3_entry(g, gt, aut_res, options, with_orbit=True))
-        elif bid == "thm3_plain":
-            out.append(_thm3_entry(g, gt, aut_res, options, with_orbit=False))
-        elif bid == "corollary":
-            modes = (("corrected", "verbatim") if options.corollary_mode == "both"
-                     else (options.corollary_mode,))
-            for mode in modes:
-                bv = eval_corollary(stats, g.n, mode)
-                if options.corollary_mode == "both":
-                    bv = BoundValue(f"corollary_{mode}", bv.applicable, bv.reason,
-                                    bv.exact_value, bv.log2_value, bv.context)
-                out.append(bv)
-        else:  # pragma: no cover - ReportOptions already validated
-            raise ValueError(f"unknown bound id {bid}")
+    for bid in BOUND_IDS if options.bounds is None else options.bounds:
+        out.extend(_rows(r, bid, REGISTRY[bid][1]))
 
     gaps: dict[str, float] = {}
     if aut_res is not None:
@@ -441,7 +460,7 @@ def compose_report(g: Graph, options: ReportOptions = ReportOptions()) -> BoundR
         graph_id=write_graph6(g),
         n=g.n,
         e=g.e,
-        connected=connected,
+        connected=r.connected,
         aut_exact=aut_res.order if aut_res else None,
         orbits=aut_res.orbits if aut_res else None,
         bounds=out,
@@ -449,22 +468,3 @@ def compose_report(g: Graph, options: ReportOptions = ReportOptions()) -> BoundR
         notes=notes,
     )
 
-
-def _thm3_entry(g, gt, aut_res, options, with_orbit: bool) -> BoundValue:
-    if with_orbit and aut_res is None:
-        return _gated("thm3_orbit", "orbit size needs the exact automorphism oracle")
-    if not options.exhaustive_start:
-        n1 = len(aut_res.orbit_of(gt.root)) if with_orbit else None
-        bv = eval_thm3(g, gt, n1)
-        ctx = dict(bv.context, exhaustive=False)
-        return BoundValue(bv.bound_id, True, None, bv.exact_value, bv.log2_value, ctx)
-    # Exhaustive mode: minimise over every start vertex and leaf choice.
-    best = None
-    for v0 in range(g.n):
-        cand_gt, _ = best_greedy_tree(g, v0)
-        n1 = len(aut_res.orbit_of(v0)) if with_orbit else None
-        bv = eval_thm3(g, cand_gt, n1)
-        if best is None or bv.exact_value < best.exact_value:
-            best = bv
-    ctx = dict(best.context, exhaustive=True)
-    return BoundValue(best.bound_id, True, None, best.exact_value, best.log2_value, ctx)

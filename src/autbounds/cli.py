@@ -15,7 +15,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BOUND_IDS, BoundReport, BoundValue, ReportOptions, compose_report
+from .bounds import (
+    BOUND_IDS,
+    REGISTRY,
+    BoundReport,
+    BoundValue,
+    ReportOptions,
+    compose_report,
+)
 from .graphs import GraphParseError, SizeLimitError, parse_edgelist, parse_graph6
 from .verify import SUITES, DEFAULT_SEED, run_suites
 
@@ -28,18 +35,7 @@ EXIT_INPUT = 2
 EXIT_SIZE = 3
 
 # Short aliases accepted by --bounds alongside the full identifiers.
-BOUND_ALIASES = {
-    "thm1": "thm1_tree",
-    "eq1": "eq1_nashwilliams",
-    "eq2": "eq2_tree_product",
-    "eq3": "eq3_pathcover",
-    "eq4": "eq4_degree_exponent",
-    "eq5": "eq5_special_class",
-    "eq6": "eq6_starfree",
-    "eq7": "eq7_hamiltonian",
-    "eq8": "eq8_hampath_edges",
-    "thm3": "thm3_orbit",
-}
+BOUND_ALIASES = {alias: bid for bid, (alias, _) in REGISTRY.items() if alias}
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_report_flags(p):
         p.add_argument("--bounds", type=_parse_bounds, default=None, metavar="IDS",
-                       help="comma-separated bound ids (aliases eq1..eq8, thm1, thm3 accepted)")
+                       help="comma-separated bound ids or aliases: "
+                            + ", ".join(BOUND_ALIASES))
         p.add_argument("--exact-aut", action=argparse.BooleanOptionalAction, default=True,
                        help="compute the exact automorphism order (default on)")
         p.add_argument("--exhaustive-start", action="store_true",
@@ -305,6 +302,12 @@ def cmd_verify(args) -> int:
     if args.nmax > 7:
         print(f"exhaustive suites are capped at nmax <= 7, got {args.nmax}", file=sys.stderr)
         return EXIT_SIZE
+    if args.nmax < 1:
+        print(f"--nmax must be at least 1, got {args.nmax}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.random_trials < 0:
+        print(f"--random-trials must be at least 0, got {args.random_trials}", file=sys.stderr)
+        return EXIT_INPUT
     external = None
     if args.corpus is not None:
         try:

@@ -1,5 +1,5 @@
 """Brute-force counting of labeled copies and subgraph copies of a spanning
-subgraph, plus the direct embedding-bound check.
+subgraph.
 
 Two genuinely independent routes feed the identity
 ``labeled == copies * aut_f``: labeled copies come from bijection
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, SizeLimitError, bits
-from .automorphisms import aut_order, aut_order_naive
+from .automorphisms import aut_order_naive
 
 EMBED_VERTEX_LIMIT = 8
 
@@ -23,14 +23,6 @@ class EmbeddingCount:
     labeled: int     # vertex bijections mapping every edge of f to an edge of g
     copies: int      # distinct edge subsets of g isomorphic to f
     aut_f: int
-
-
-@dataclass(frozen=True)
-class Theorem1Witness:
-    holds: bool
-    tight: bool
-    aut_g: int
-    count: EmbeddingCount
 
 
 def _check_pair(f: Graph, g: Graph):
@@ -156,13 +148,3 @@ def count_embeddings(f: Graph, g: Graph) -> EmbeddingCount:
             f"counting identity violated: labeled={labeled}, copies={copies}, aut={aut_f}")
     return EmbeddingCount(labeled, copies, aut_f)
 
-
-def verify_theorem1(g: Graph, f: Graph) -> Theorem1Witness:
-    """Check aut(g) <= labeled copies of the spanning subgraph f in g."""
-    _check_pair(f, g)
-    for u, v in f.edges():
-        if not g.has_edge(u, v):
-            raise ValueError(f"edge {(u, v)} of f is not an edge of g")
-    aut_g = aut_order(g).order
-    ec = count_embeddings(f, g)
-    return Theorem1Witness(aut_g <= ec.labeled, aut_g == ec.labeled, aut_g, ec)

@@ -136,6 +136,23 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
+def _root(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the sets of a and b; False if they were already one set."""
+    ra, rb = _root(parent, a), _root(parent, b)
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec.  Format: printable bytes offset by 63; the vertex count first
 # (one byte for n <= 62, '~' + 3 bytes for n <= 258047, '~~' + 6 bytes above),
@@ -324,23 +341,3 @@ def petersen_graph() -> Graph:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, edges)
-
-
-_FAMILIES = {
-    "complete": (complete_graph, 1),
-    "complete_bipartite": (complete_bipartite_graph, 2),
-    "cycle": (cycle_graph, 1),
-    "path": (path_graph, 1),
-    "star": (star_graph, 1),
-    "petersen": (petersen_graph, 0),
-}
-
-
-def generate_named(family: str, *params: int) -> Graph:
-    """Canonical labeled instance of a named family (complete, cycle, ...)."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    builder, arity = _FAMILIES[family]
-    if len(params) != arity:
-        raise ValueError(f"{family} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)

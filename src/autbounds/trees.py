@@ -4,7 +4,8 @@ the product-of-degrees estimates used by the embedding bounds.
 The greedy construction starts from the full edge star of a chosen root and
 repeatedly expands an eligible leaf (one with at least one host edge leaving
 the current tree) by all of its outward edges, until no leaf reaches outside.
-On a connected host that always spans, which is asserted at runtime.
+The covered set is then closed under adjacency, so on a connected host the
+tree spans; SpanningTree's edge count check would reject it otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb, factorial
 
-from .graphs import Graph, SizeLimitError, bits, is_connected
+from .graphs import Graph, SizeLimitError, _union, bits, is_connected
 
 ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts unless capped
 
@@ -40,20 +41,11 @@ class SpanningTree:
         if len(self.edges) != n - 1:
             raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} edges")
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"bad edge {(u, v)}")
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            if not _union(parent, u, v):
                 raise ValueError(f"edge {(u, v)} closes a cycle")
-            parent[ru] = rv
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -105,100 +97,72 @@ class GreedyTree:
         return tuple(len(se) for se in self.step_edges[1:])
 
 
-def greedy_spanning_tree(g: Graph, v0: int, tie_break: str = "lowest") -> GreedyTree:
-    """Grow the greedy tree from v0, expanding one eligible leaf per step.
-
-    ``tie_break`` picks among eligible leaves: "lowest" (default) or
-    "highest" vertex index.  Every choice yields a valid greedy tree.
-    """
+def _check_start(g: Graph, v0: int) -> None:
     if not 0 <= v0 < g.n:
         raise ValueError(f"start vertex {v0} out of range")
     if not is_connected(g):
         raise ValueError("greedy spanning tree needs a connected host graph")
-    if tie_break not in ("lowest", "highest"):
-        raise ValueError(f"unknown tie_break policy {tie_break!r}")
-    pick = min if tie_break == "lowest" else max
 
+
+def _grow(g: Graph, v0: int, choose) -> GreedyTree:
+    """Run the greedy construction from v0.  ``choose(covered, unexpanded)``
+    names the eligible leaf to expand next, or None once there is none."""
     rows = g.rows
-    full = (1 << g.n) - 1
     covered = (1 << v0) | rows[v0]
     unexpanded = rows[v0]  # tree leaves that may still have outward edges
     sequence = [v0]
     step_edges = [frozenset(_norm_edge(v0, w) for w in bits(rows[v0]))]
-    edges = set(step_edges[0])
-    while True:
-        eligible = [v for v in bits(unexpanded) if rows[v] & ~covered]
-        if not eligible:
-            break
-        v = pick(eligible)
+    while (v := choose(covered, unexpanded)) is not None:
         new = rows[v] & ~covered
-        step = frozenset(_norm_edge(v, w) for w in bits(new))
-        edges |= step
-        step_edges.append(step)
+        step_edges.append(frozenset(_norm_edge(v, w) for w in bits(new)))
         sequence.append(v)
         covered |= new
         unexpanded = (unexpanded & ~(1 << v)) | new
-    assert covered == full, "connected host must be spanned"
-    tree = SpanningTree(g.n, frozenset(edges))
+    tree = SpanningTree(g.n, frozenset().union(*step_edges))
     return GreedyTree(tree, tuple(sequence), tuple(step_edges))
+
+
+def greedy_spanning_tree(g: Graph, v0: int) -> GreedyTree:
+    """Grow the greedy tree from v0, expanding the lowest eligible leaf at
+    each step."""
+    _check_start(g, v0)
+    rows = g.rows
+    return _grow(g, v0, lambda covered, unexpanded: next(
+        (v for v in bits(unexpanded) if rows[v] & ~covered), None))
 
 
 def best_greedy_tree(g: Graph, v0: int) -> tuple[GreedyTree, int]:
     """Greedy tree from v0 minimising the product of (step size)! over all
     eligible-leaf choice sequences.  Returns (tree, that product)."""
-    if not 0 <= v0 < g.n:
-        raise ValueError(f"start vertex {v0} out of range")
-    if not is_connected(g):
-        raise ValueError("greedy spanning tree needs a connected host graph")
+    _check_start(g, v0)
     rows = g.rows
-    full = (1 << g.n) - 1
     memo: dict[tuple[int, int], tuple[int, int | None]] = {}
 
     def rec(covered: int, unexpanded: int) -> tuple[int, int | None]:
         key = (covered, unexpanded)
         if key in memo:
             return memo[key]
-        eligible = [v for v in bits(unexpanded) if rows[v] & ~covered]
-        if not eligible:
-            assert covered == full, "connected host must be spanned"
-            result = (1, None)
-        else:
-            best_val, best_v = None, None
-            for v in eligible:
-                new = rows[v] & ~covered
-                sub, _ = rec(covered | new, (unexpanded & ~(1 << v)) | new)
-                val = factorial(new.bit_count()) * sub
-                if best_val is None or val < best_val:
-                    best_val, best_v = val, v
-            result = (best_val, best_v)
-        memo[key] = result
-        return result
+        best_val, best_v = 1, None
+        for v in bits(unexpanded):
+            new = rows[v] & ~covered
+            if not new:
+                continue
+            sub, _ = rec(covered | new, (unexpanded & ~(1 << v)) | new)
+            val = factorial(new.bit_count()) * sub
+            if best_v is None or val < best_val:
+                best_val, best_v = val, v
+        memo[key] = (best_val, best_v)
+        return best_val, best_v
 
-    covered = (1 << v0) | rows[v0]
-    unexpanded = rows[v0]
-    product, _ = rec(covered, unexpanded)
-
-    # Replay the winning choices to materialise the tree.
-    sequence = [v0]
-    step_edges = [frozenset(_norm_edge(v0, w) for w in bits(rows[v0]))]
-    edges = set(step_edges[0])
-    while True:
-        _, choice = memo[(covered, unexpanded)]
-        if choice is None:
-            break
-        new = rows[choice] & ~covered
-        step = frozenset(_norm_edge(choice, w) for w in bits(new))
-        edges |= step
-        step_edges.append(step)
-        sequence.append(choice)
-        covered |= new
-        unexpanded = (unexpanded & ~(1 << choice)) | new
-    gt = GreedyTree(SpanningTree(g.n, frozenset(edges)), tuple(sequence), tuple(step_edges))
-    return gt, product
+    product, _ = rec((1 << v0) | rows[v0], rows[v0])
+    return _grow(g, v0, lambda covered, unexpanded: memo[covered, unexpanded][1]), product
 
 
 def verify_greedy_tree(g: Graph, gt: GreedyTree) -> None:
-    """Raise ValueError unless gt is a valid greedy construction record on g."""
+    """Raise ValueError unless gt is a valid greedy construction record on g.
+
+    Written independently of _grow on purpose: greedy_sweep trusts it to
+    check the builder, so it must not share the builder's code."""
     n = g.n
     if gt.tree.host_n != n:
         raise ValueError("tree host size differs from graph")
@@ -236,44 +200,6 @@ def verify_greedy_tree(g: Graph, gt: GreedyTree) -> None:
     # Every vertex except the root enters through exactly one step edge.
     if 1 + g.degree(v0) + sum(gt.step_sizes()) != n:
         raise ValueError("step sizes violate the degree-sum identity")
-
-
-def bfs_tree(g: Graph, root: int) -> SpanningTree:
-    """Breadth-first spanning tree with increasing-index neighbour order."""
-    if not is_connected(g):
-        raise ValueError("spanning tree needs a connected host graph")
-    seen = 1 << root
-    frontier = [root]
-    edges = []
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in bits(g.rows[v] & ~seen):
-                seen |= 1 << w
-                edges.append(_norm_edge(v, w))
-                nxt.append(w)
-        frontier = nxt
-    return SpanningTree(g.n, frozenset(edges))
-
-
-def dfs_tree(g: Graph, root: int) -> SpanningTree:
-    """Depth-first spanning tree with increasing-index neighbour order."""
-    if not is_connected(g):
-        raise ValueError("spanning tree needs a connected host graph")
-    seen = 1 << root
-    edges = []
-    stack = [(root, iter(bits(g.rows[root])))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if not (seen >> w) & 1:
-                seen |= 1 << w
-                edges.append(_norm_edge(v, w))
-                stack.append((w, iter(bits(g.rows[w]))))
-                break
-        else:
-            stack.pop()
-    return SpanningTree(g.n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +327,7 @@ def all_spanning_trees(g: Graph, cap: int | None = None) -> tuple[list[SpanningT
     trees: list[SpanningTree] = []
     for subset in combinations(g.edges(), n - 1):
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if not acyclic:
+        if not all(_union(parent, u, v) for u, v in subset):
             continue
         trees.append(SpanningTree(n, frozenset(subset)))
         if cap is not None and len(trees) >= cap:

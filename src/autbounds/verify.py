@@ -103,7 +103,7 @@ def greedy_sweep(nmax: int = 7, external: list[Graph] | None = None) -> SuiteRes
                 try:
                     gt = greedy_spanning_tree(g, v0)
                     verify_greedy_tree(g, gt)
-                except (ValueError, AssertionError) as exc:
+                except ValueError as exc:
                     res.violations.append(f"{gid}: start {v0}: {exc}")
                     continue
                 if g.n >= 3 and tree_aut_exact(gt.tree) > tree_aut_upper(gt.tree):
@@ -199,8 +199,7 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
     for _, graphs in _corpus(nmax, external).items():
         for g in graphs:
             gid = write_graph6(g)
-            trees, truncated = all_spanning_trees(g)
-            assert not truncated
+            trees, _ = all_spanning_trees(g)  # never truncated without a cap
             if spanning_tree_count(g) != len(trees):
                 res.violations.append(
                     f"{gid}: determinant {spanning_tree_count(g)} != enumerated {len(trees)}")

@@ -275,6 +275,29 @@ def test_report_bounds_filter():
     assert [bv.bound_id for bv in rep.bounds] == ["eq1_nashwilliams", "thm3_orbit"]
 
 
+def test_report_prerequisites_lazy_and_once(monkeypatch):
+    import autbounds.bounds as bounds_mod
+    calls = []
+    names = ("greedy_spanning_tree", "path_cover_number", "star_free_parameter")
+    for name in names:
+        real = getattr(bounds_mod, name)
+        monkeypatch.setattr(bounds_mod, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    rep = compose_report(petersen_graph(), ReportOptions(bounds=("eq1_nashwilliams",)))
+    assert rep.bound("eq1_nashwilliams").exact_value == 3840
+    assert calls == []
+    compose_report(petersen_graph(), ReportOptions(corollary_mode="both"))
+    assert sorted(calls) == sorted(names)
+
+
+def test_report_structural_size_gate():
+    rep = compose_report(cycle_graph(22), ReportOptions(exact_aut=False))
+    reason = "exact structural analysis capped at n <= 20"
+    for bid in ("eq3_pathcover", "eq6_starfree", "eq7_hamiltonian", "eq8_hampath_edges"):
+        assert rep.bound(bid).reason == reason
+    assert rep.bound("thm3_plain").applicable
+
+
 def test_report_unknown_bound_rejected():
     with pytest.raises(ValueError, match="unknown bound"):
         ReportOptions(bounds=("eq1_nashwilliams", "eq99"))
@@ -294,6 +317,11 @@ def test_report_disconnected():
     assert all(not bv.applicable for bv in rep.bounds)
     assert all(bv.reason == "graph is disconnected" for bv in rep.bounds)
     assert rep.gaps == {}
+    rep = compose_report(Graph.from_edges(4, [(0, 1), (2, 3)]),
+                         ReportOptions(corollary_mode="both", exact_aut=False))
+    assert [bv.bound_id for bv in rep.bounds][-2:] == ["corollary_corrected",
+                                                        "corollary_verbatim"]
+    assert {bv.reason for bv in rep.bounds} == {"graph is disconnected"}
 
 
 def test_report_without_oracle():

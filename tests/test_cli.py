@@ -148,6 +148,27 @@ def test_verify_nmax_refusal(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("nmax", ["0", "-2"])
+def test_verify_vacuous_nmax_exit_2(nmax, capsys):
+    code, out, err = run_cli(["verify", "--nmax", nmax], capsys)
+    assert code == 2
+    assert "PASS" not in out and "--nmax must be at least 1" in err
+
+
+def test_verify_negative_trials_exit_2(capsys):
+    code, out, err = run_cli(["verify", "--random-trials", "-5"], capsys)
+    assert code == 2
+    assert "PASS" not in out and "--random-trials must be at least 0" in err
+
+
+def test_bound_aliases_come_from_the_registry():
+    from autbounds.cli import BOUND_ALIASES
+    assert sorted(BOUND_ALIASES) == sorted(
+        ["thm1", "thm3"] + [f"eq{i}" for i in range(1, 9)])
+    assert BOUND_ALIASES["eq8"] == "eq8_hampath_edges"
+    assert BOUND_ALIASES["thm3"] == "thm3_orbit"
+
+
 def test_verify_deterministic(capsys):
     args = ["verify", "--nmax", "4", "--random-trials", "3", "--suites", "soundness,oracle"]
     code1, out1, _ = run_cli(args, capsys)

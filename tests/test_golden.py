@@ -1,0 +1,46 @@
+"""Golden output: `autbounds batch` over a fixed graph file must reproduce
+committed SHA-256 digests byte for byte.
+
+The file holds every graph on 1..6 vertices (disconnected ones included),
+the Petersen graph, and C_22, which is past the structural size cap.  A
+digest that moves means an output byte changed; that is a behaviour change,
+never a refactor.
+"""
+
+import hashlib
+
+import pytest
+
+from autbounds.cli import main
+from autbounds.corpus import all_graphs
+from autbounds.graphs import cycle_graph, petersen_graph, write_graph6
+
+GOLDEN = [
+    (["--output", "json", "--corollary-mode", "both"],
+     "06a594288a12f295407fd4845d3f5c8439187c2f981e2b70c9072ab6ffe0d329"),
+    (["--output", "json", "--corollary-mode", "both", "--exhaustive-start"],
+     "46d9e25ae58fcd66475283be57bec08a3b27e8644cfc32bb65300740721e1c19"),
+    (["--output", "json", "--no-exact-aut",
+      "--bounds", "eq8,corollary,thm3,thm3_plain,eq3,eq6"],
+     "f72fabe74115781e1aa7a603a8b309a16ec40150017f2e4a8e825286bd274549"),
+    (["--output", "csv", "--corollary-mode", "verbatim", "--assert-class5"],
+     "0f0dffd23774fb52c2efc73fc0d895bd3f1abe9cae6d8c9bd979643e91b2a3a2"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_file(tmp_path_factory):
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs += [petersen_graph(), cycle_graph(22)]
+    assert len(graphs) == 210
+    path = tmp_path_factory.mktemp("golden") / "graphs.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
+    return str(path)
+
+
+@pytest.mark.parametrize("flags,digest", GOLDEN, ids=["json-both", "exhaustive",
+                                                      "no-aut-subset", "csv-verbatim"])
+def test_batch_output_matches_golden_digest(golden_file, flags, digest, capsys):
+    assert main(["batch", golden_file, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

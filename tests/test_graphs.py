@@ -11,7 +11,6 @@ from autbounds.graphs import (
     complete_graph,
     cycle_graph,
     degree_stats,
-    generate_named,
     is_connected,
     parse_edgelist,
     parse_graph6,
@@ -149,10 +148,11 @@ def test_is_connected():
 
 
 def test_generate_named():
-    assert generate_named("complete", 4) == complete_graph(4)
-    kb = generate_named("complete_bipartite", 2, 3)
+    k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    assert complete_graph(4) == k4
+    kb = complete_bipartite_graph(2, 3)
     assert kb.n == 5 and kb.e == 6
-    pet = generate_named("petersen")
+    pet = petersen_graph()
     assert pet.n == 10 and pet.e == 15
     assert set(pet.degrees) == {3}
     assert is_connected(pet)
@@ -160,13 +160,9 @@ def test_generate_named():
 
 def test_generate_named_rejects():
     with pytest.raises(ValueError):
-        generate_named("complete", 0)
+        complete_graph(0)
     with pytest.raises(ValueError):
-        generate_named("cycle", 2)
-    with pytest.raises(ValueError):
-        generate_named("mystery", 3)
-    with pytest.raises(ValueError):
-        generate_named("petersen", 5)
+        cycle_graph(2)
 
 
 def test_complete_family_invariants():

@@ -17,8 +17,6 @@ from autbounds.trees import (
     SpanningTree,
     all_spanning_trees,
     best_greedy_tree,
-    bfs_tree,
-    dfs_tree,
     embedding_upper_fs,
     greedy_spanning_tree,
     spanning_tree_count,
@@ -73,17 +71,6 @@ def test_greedy_rejects_disconnected():
         greedy_spanning_tree(Graph.from_edges(4, [(0, 1), (2, 3)]), 0)
 
 
-def test_greedy_tie_break_policies():
-    c5 = cycle_graph(5)
-    low = greedy_spanning_tree(c5, 0, "lowest")
-    high = greedy_spanning_tree(c5, 0, "highest")
-    assert low.tree != high.tree
-    verify_greedy_tree(c5, low)
-    verify_greedy_tree(c5, high)
-    with pytest.raises(ValueError):
-        greedy_spanning_tree(c5, 0, "random")
-
-
 def test_greedy_invariants_small_sweep(corpus6):
     for n in range(1, 6):
         for g in corpus6[n]:
@@ -98,16 +85,6 @@ def test_best_greedy_tree_minimises():
     gt, prod = best_greedy_tree(k33, 0)
     verify_greedy_tree(k33, gt)
     assert prod == 2  # one expansion adding 2 edges
-
-
-def test_bfs_dfs_shapes():
-    c4 = cycle_graph(4)
-    b = bfs_tree(c4, 0)
-    assert b.degree(0) == 2 and sorted(b.degrees) == [1, 1, 2, 2]
-    d = dfs_tree(c4, 0)
-    assert sorted(d.degrees) == [1, 1, 2, 2]
-    assert d.edges == frozenset({(0, 1), (1, 2), (2, 3)})  # Hamiltonian path
-    assert bfs_tree(complete_graph(4), 0).edges == frozenset({(0, 1), (0, 2), (0, 3)})
 
 
 def test_tree_aut_exact_examples():
@@ -202,8 +179,7 @@ def test_matrix_tree_random(g):
 @given(connected_graphs_st(max_n=7), st.data())
 def test_greedy_invariants_random(g, data):
     v0 = data.draw(st.integers(0, g.n - 1))
-    policy = data.draw(st.sampled_from(["lowest", "highest"]))
-    gt = greedy_spanning_tree(g, v0, policy)
+    gt = greedy_spanning_tree(g, v0)
     verify_greedy_tree(g, gt)
     best, prod = best_greedy_tree(g, v0)
     verify_greedy_tree(g, best)
