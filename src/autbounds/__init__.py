@@ -47,7 +47,6 @@ from .embeddings import (
 from .structure import (
     PathCoverResult,
     StarFreeParam,
-    has_hamiltonian_path,
     path_cover_number,
     star_free_parameter,
 )

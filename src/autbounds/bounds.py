@@ -110,10 +110,7 @@ def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
         return _gated("eq2_tree_product",
                       "tree-degree estimate degenerates below n = 3", ctx)
     stats = degree_stats(g)
-    prod = 1
-    for d in t.degrees:
-        prod *= factorial(d - 1)
-    value = Fraction(t.delta_max, stats.delta_max) * stats.d_avg ** g.n * prod
+    value = Fraction(tree_aut_upper(t), stats.delta_max) * stats.d_avg ** g.n
     return _exact("eq2_tree_product", value, ctx)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: analyze single graphs, batch-process graph6 files,
 and run the verification suites.
 
-Exit codes: 0 ok, 1 verification violation, 2 input error, 3 size refusal.
+Exit codes: 0 ok, 1 verification violation, 2 input error, 3 size refusal,
+4 internal error (a ValueError that is not about the input, i.e. a bug).
 Exact values serialise as decimal strings ("24", "64/27") so downstream
 consumers never overflow; log2 values are plain floats that re-parse
 bit-exactly.
@@ -23,6 +24,7 @@ from .bounds import (
     ReportOptions,
     compose_report,
 )
+from .corpus import GENERATION_LIMIT
 from .graphs import GraphParseError, SizeLimitError, parse_edgelist, parse_graph6
 from .verify import SUITES, DEFAULT_SEED, run_suites
 
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
+EXIT_INTERNAL = 4
 
 # Short aliases accepted by --bounds alongside the full identifiers.
 BOUND_ALIASES = {alias: bid for bid, (alias, _) in REGISTRY.items() if alias}
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification suites")
     v.add_argument("--nmax", type=int, default=6,
-                   help="exhaustive corpus limit (at most 7)")
+                   help=f"exhaustive corpus limit (at most {GENERATION_LIMIT})")
     v.add_argument("--suites", type=_parse_suites, default=tuple(sorted(SUITES)),
                    help="comma-separated subset of: " + ", ".join(sorted(SUITES)))
     v.add_argument("--random-trials", type=int, default=50,
@@ -285,7 +288,7 @@ def cmd_batch(input_path: str, opts: AnalyzeOptions) -> int:
                 raise SizeLimitError(
                     f"n={g.n} above oracle limit {opts.oracle_limit}")
             report = compose_report(g, opts.report)
-        except (GraphParseError, SizeLimitError, ValueError) as exc:
+        except (GraphParseError, SizeLimitError) as exc:
             print(f"line {lineno}: skipped: {exc}", file=sys.stderr)
             continue
         if opts.output == "json":
@@ -299,8 +302,9 @@ def cmd_batch(input_path: str, opts: AnalyzeOptions) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.nmax > 7:
-        print(f"exhaustive suites are capped at nmax <= 7, got {args.nmax}", file=sys.stderr)
+    if args.nmax > GENERATION_LIMIT:
+        print(f"exhaustive suites are capped at nmax <= {GENERATION_LIMIT}, got {args.nmax}",
+              file=sys.stderr)
         return EXIT_SIZE
     if args.nmax < 1:
         print(f"--nmax must be at least 1, got {args.nmax}", file=sys.stderr)
@@ -343,12 +347,12 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size refusal: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (GraphParseError, OSError) as exc:
+    except (GraphParseError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

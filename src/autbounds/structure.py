@@ -1,10 +1,10 @@
-"""Structural parameters behind the conditional bounds: exact minimum
-vertex-disjoint path cover, Hamiltonian-path existence, and the smallest m
-for which the graph contains no induced star with m leaves.
+"""Structural parameters behind the conditional bounds: the exact minimum
+vertex-disjoint path cover (a Hamiltonian path exists iff it is 1), and the
+smallest m for which the graph contains no induced star with m leaves.
 
-The path cover runs a two-stage bitmask DP: first, for every vertex subset,
-the possible endpoints of a single path covering it; then a set-cover DP over
-disjoint path-shaped subsets.  Exact and exponential, hence the hard cap.
+The path cover is one Held-Karp-style DP over vertex subsets, O(2^n * n)
+steps and two tables of 2^n entries.  Exact and exponential, hence the hard
+cap.
 """
 
 from __future__ import annotations
@@ -44,69 +44,48 @@ def _check_size(g: Graph):
             f"exact bitmask DP is capped at n <= {STRUCTURE_VERTEX_LIMIT}, got n={g.n}")
 
 
-def _path_endpoints(g: Graph) -> list[int]:
-    """end[mask] = bitmask of vertices at which some path covering exactly
-    ``mask`` can end; single vertices count as trivial paths."""
-    n = g.n
-    rows = g.rows
-    end = [0] * (1 << n)
-    for v in range(n):
-        end[1 << v] = 1 << v
-    for mask in range(1, 1 << n):
-        em = end[mask]
-        if not em:
-            continue
-        for v in bits(em):
-            for w in bits(rows[v] & ~mask):
-                end[mask | (1 << w)] |= 1 << w
-    return end
-
-
-def _extract_path(g: Graph, end: list[int], mask: int) -> tuple[int, ...]:
-    v = next(bits(end[mask]))
-    path = [v]
-    mask ^= 1 << v
-    while mask:
-        v = next(w for w in bits(end[mask]) if g.has_edge(w, path[-1]))
-        path.append(v)
-        mask ^= 1 << v
-    return tuple(path)
-
-
 def path_cover_number(g: Graph) -> PathCoverResult:
-    """Exact minimum vertex-disjoint path cover with a verifying witness."""
+    """Exact minimum vertex-disjoint path cover with a verifying witness.
+
+    One pass over vertex subsets in increasing order keeps cover[mask], the
+    fewest paths covering mask, and ends[mask], every vertex that ends a path
+    in some cover of that size.  Dropping the end v of a path leaves mask ^ v
+    covered by as many paths if v had a neighbour in ends[mask ^ v], and by
+    one fewer otherwise.  Larger covers never need keeping: a minimum cover
+    plus one fresh path does at least as well.  The witness is read back from
+    the same two tables.
+    """
     _check_size(g)
-    n = g.n
+    n, rows = g.n, g.rows
     full = (1 << n) - 1
-    end = _path_endpoints(g)
-    INF = n + 1
-    cover = [INF] * (full + 1)
-    choice = [0] * (full + 1)
-    cover[0] = 0
+    nbrs = {1 << v: rows[v] for v in range(n)}  # keyed by bit: no index lookups
+    cover = [0] * (full + 1)
+    ends = [0] * (full + 1)
     for mask in range(1, full + 1):
-        low = mask & -mask
-        sub = mask
-        while sub:
-            if (sub & low) and end[sub]:
-                c = cover[mask ^ sub] + 1
-                if c < cover[mask]:
-                    cover[mask] = c
-                    choice[mask] = sub
-            sub = (sub - 1) & mask
-    paths = []
-    mask = full
+        best, tips, rest = n + 1, 0, mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prev = mask ^ low
+            c = cover[prev] if nbrs[low] & ends[prev] else cover[prev] + 1
+            if c < best:
+                best, tips = c, low
+            elif c == best:
+                tips |= low
+        cover[mask] = best
+        ends[mask] = tips
+    paths, path, mask, tips = [], [], full, ends[full]
     while mask:
-        sub = choice[mask]
-        paths.append(_extract_path(g, end, sub))
-        mask ^= sub
+        v = next(bits(tips))
+        path.append(v)
+        prev = mask ^ (1 << v)
+        if cover[prev] == cover[mask]:
+            tips = rows[v] & ends[prev]
+        else:
+            paths.append(tuple(path))
+            path, tips = [], ends[prev]
+        mask = prev
     return PathCoverResult(cover[full], tuple(paths))
-
-
-def has_hamiltonian_path(g: Graph) -> bool:
-    """True iff a single path visits every vertex; agrees with p == 1."""
-    _check_size(g)
-    end = _path_endpoints(g)
-    return end[(1 << g.n) - 1] != 0
 
 
 def _max_independent_set(rows, mask: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .graphs import Graph, SizeLimitError, _union, bits, is_connected
 
@@ -261,28 +261,29 @@ def _rooted_code_aut(root: int, banned: int, adj) -> tuple[tuple, int]:
     return tuple(k[0] for k in kids), aut
 
 
-def tree_aut_exact(t: SpanningTree) -> int:
-    """Exact automorphism count of the tree as an abstract graph."""
+def _centroid_codes(t: SpanningTree) -> list[tuple[tuple, int]]:
+    """Code and automorphism count rooted at the centroid, or at each of the
+    two centroids with the other one's half cut off."""
     adj = t.adjacency()
     cents = _centroids(t.host_n, adj)
     if len(cents) == 1:
-        return _rooted_code_aut(cents[0], -1, adj)[1]
+        return [_rooted_code_aut(cents[0], -1, adj)]
     c1, c2 = cents
-    code1, aut1 = _rooted_code_aut(c1, c2, adj)
-    code2, aut2 = _rooted_code_aut(c2, c1, adj)
-    return aut1 * aut2 * (2 if code1 == code2 else 1)
+    return [_rooted_code_aut(c1, c2, adj), _rooted_code_aut(c2, c1, adj)]
+
+
+def tree_aut_exact(t: SpanningTree) -> int:
+    """Exact automorphism count of the tree as an abstract graph."""
+    halves = _centroid_codes(t)
+    aut = prod(sub_aut for _, sub_aut in halves)
+    # Two isomorphic halves can also be swapped across the central edge.
+    return 2 * aut if len(halves) == 2 and halves[0][0] == halves[1][0] else aut
 
 
 def tree_certificate(t: SpanningTree):
     """Hashable canonical form: equal certificates iff isomorphic trees."""
-    adj = t.adjacency()
-    cents = _centroids(t.host_n, adj)
-    if len(cents) == 1:
-        return (1, _rooted_code_aut(cents[0], -1, adj)[0])
-    c1, c2 = cents
-    code1 = _rooted_code_aut(c1, c2, adj)[0]
-    code2 = _rooted_code_aut(c2, c1, adj)[0]
-    return (2, tuple(sorted((code1, code2))))
+    codes = [code for code, _ in _centroid_codes(t)]
+    return (len(codes), codes[0] if len(codes) == 1 else tuple(sorted(codes)))
 
 
 def tree_aut_upper(t: SpanningTree) -> int:
@@ -294,10 +295,7 @@ def tree_aut_upper(t: SpanningTree) -> int:
     """
     if t.host_n < 2:
         raise ValueError("degree-product bound needs at least two vertices")
-    prod = 1
-    for d in t.degrees:
-        prod *= factorial(d - 1)
-    return t.delta_max * prod
+    return t.delta_max * prod(factorial(d - 1) for d in t.degrees)
 
 
 def embedding_upper_fs(g: Graph) -> Fraction:

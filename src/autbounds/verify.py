@@ -22,6 +22,7 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
     degree_stats,
+    is_connected,
     write_graph6,
 )
 from .trees import (
@@ -199,6 +200,10 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
     for _, graphs in _corpus(nmax, external).items():
         for g in graphs:
             gid = write_graph6(g)
+            if not is_connected(g):
+                res.checked += 1
+                res.violations.append(f"{gid}: disconnected, so it has no spanning tree")
+                continue
             trees, _ = all_spanning_trees(g)  # never truncated without a cap
             if spanning_tree_count(g) != len(trees):
                 res.violations.append(

@@ -1,8 +1,8 @@
 """Shared strategies and naive oracles for the test suite.
 
 The oracles here deliberately stay brute force and independent of the
-package's algorithms: orbits come from enumerating all n! permutations, and
-random graphs are drawn bit by bit.
+package's algorithms: orbits and path covers come from enumerating all n!
+permutations, and random graphs are drawn bit by bit.
 """
 
 from itertools import permutations
@@ -28,6 +28,15 @@ def naive_orbits(g: Graph):
         seen.update(orb)
         orbits.append(tuple(orb))
     return tuple(orbits)
+
+
+def brute_path_cover(g: Graph) -> int:
+    """Minimum vertex-disjoint path cover by enumerating all vertex orders
+    (n <= 7).  Cutting an order at its non-adjacent consecutive pairs gives a
+    cover with 1 + that many paths, and concatenating the paths of any cover
+    gives an order with at most that many cuts."""
+    return min(1 + sum(not g.has_edge(a, b) for a, b in zip(order, order[1:]))
+               for order in permutations(range(g.n)))
 
 
 def graph_from_bits(n: int, bitcode: int) -> Graph:

@@ -136,6 +136,26 @@ def test_batch_unreadable_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_batch_non_ascii_exit_2(tmp_path, capsys):
+    p = tmp_path / "batch.g6"
+    p.write_bytes("C~\n\u00e9\n".encode("utf-8"))
+    code, out, err = run_cli(["batch", str(p)], capsys)
+    assert code == 2 and out == "" and "input error" in err
+
+
+def test_batch_internal_fault_exit_4(tmp_path, capsys, monkeypatch):
+    # A ValueError from inside the report is a bug, not a bad input line.
+    def broken(g, opts):
+        raise ValueError("tree does not span the host graph")
+
+    monkeypatch.setattr("autbounds.cli.compose_report", broken)
+    p = tmp_path / "batch.g6"
+    p.write_text("Bw\nC~\n")
+    code, out, err = run_cli(["batch", str(p)], capsys)
+    assert code == 4
+    assert "skipped" not in err and "internal error" in err
+
+
 def test_verify_small_pass(capsys):
     code, out, _ = run_cli(["verify", "--nmax", "4", "--random-trials", "2"], capsys)
     assert code == 0
@@ -144,8 +164,9 @@ def test_verify_small_pass(capsys):
 
 
 def test_verify_nmax_refusal(capsys):
-    code, _, err = run_cli(["verify", "--nmax", "9"], capsys)
-    assert code == 3
+    from autbounds.corpus import GENERATION_LIMIT
+    code, _, err = run_cli(["verify", "--nmax", str(GENERATION_LIMIT + 1)], capsys)
+    assert code == 3 and f"nmax <= {GENERATION_LIMIT}" in err
 
 
 @pytest.mark.parametrize("nmax", ["0", "-2"])
@@ -187,6 +208,20 @@ def test_verify_external_corpus(tmp_path, capsys):
     p.write_text("C~\nCl\n")
     code, out, _ = run_cli(["verify", "--suites", "soundness", "--corpus", str(p)], capsys)
     assert code == 0 and "2 checks" in out
+
+
+def test_verify_external_corpus_disconnected(tmp_path, capsys):
+    # K_4 plus a disconnected 4-vertex graph: every suite still prints, and
+    # the disconnected graph is one theorem1 violation, not an aborted run.
+    p = tmp_path / "corpus.g6"
+    p.write_text("C~\nCC\n")
+    code, out, err = run_cli(["verify", "--suites", "soundness,theorem1",
+                              "--corpus", str(p)], capsys)
+    assert code == 1 and err == ""
+    assert "[soundness] PASS" in out and "[greedy-construction] FAIL" in out
+    theorem1 = next(ln for ln in out.splitlines() if ln.startswith("[theorem1-embeddings]"))
+    assert "FAIL" in theorem1 and theorem1.endswith(" 1 violations")
+    assert "counterexample: CC: disconnected" in out
 
 
 def test_analyze_exhaustive_start_flag(capsys, monkeypatch):

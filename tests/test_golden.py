@@ -3,17 +3,20 @@ committed SHA-256 digests byte for byte.
 
 The file holds every graph on 1..6 vertices (disconnected ones included),
 the Petersen graph, and C_22, which is past the structural size cap.  A
-digest that moves means an output byte changed; that is a behaviour change,
-never a refactor.
+second file of sixteen seeded connected graphs on 7..14 vertices pins the
+path cover number p through the eq3/eq7/eq8 rows: half are sparse, with
+p >= 2, and half are dense, with p == 1.  A digest that moves means an
+output byte changed; that is a behaviour change, never a refactor.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from autbounds.cli import main
 from autbounds.corpus import all_graphs
-from autbounds.graphs import cycle_graph, petersen_graph, write_graph6
+from autbounds.graphs import Graph, cycle_graph, petersen_graph, write_graph6
 
 GOLDEN = [
     (["--output", "json", "--corollary-mode", "both"],
@@ -27,15 +30,37 @@ GOLDEN = [
      "0f0dffd23774fb52c2efc73fc0d895bd3f1abe9cae6d8c9bd979643e91b2a3a2"),
 ]
 
+PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
+PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
+
+
+def _write(path, graphs):
+    path.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
+    return str(path)
+
+
+def path_cover_graphs():
+    """Two seeded connected graphs per n = 7..14.  The sparse one is a tree
+    (or a tree plus one edge) that attaches each vertex to the first half of
+    its predecessors; the dense one is a random tree plus n random edges."""
+    out = []
+    for i in range(16):
+        n, sparse = 7 + i // 2, i % 2 == 0
+        rng = random.Random(i)
+        edges = {(rng.randrange((v + 1) // 2 if sparse else v), v) for v in range(1, n)}
+        extra = (i // 2) % 2 if sparse else n
+        while len(edges) < n - 1 + extra:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        out.append(Graph.from_edges(n, edges))
+    return out
+
 
 @pytest.fixture(scope="module")
 def golden_file(tmp_path_factory):
     graphs = [g for n in range(1, 7) for g in all_graphs(n)]
     graphs += [petersen_graph(), cycle_graph(22)]
     assert len(graphs) == 210
-    path = tmp_path_factory.mktemp("golden") / "graphs.g6"
-    path.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
-    return str(path)
+    return _write(tmp_path_factory.mktemp("golden") / "graphs.g6", graphs)
 
 
 @pytest.mark.parametrize("flags,digest", GOLDEN, ids=["json-both", "exhaustive",
@@ -44,3 +69,10 @@ def test_batch_output_matches_golden_digest(golden_file, flags, digest, capsys):
     assert main(["batch", golden_file, *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_path_cover_output_matches_golden_digest(tmp_path, capsys):
+    path = _write(tmp_path / "path_cover.g6", path_cover_graphs())
+    assert main(["batch", path, *PATH_COVER_FLAGS]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == PATH_COVER_DIGEST

@@ -1,0 +1,33 @@
+"""Smoke tests: the scripts under scripts/ still run against the package's
+public names."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_tightness_table_runs():
+    proc = run_script("tightness_table.py", "--nmax", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "10 connected graphs analysed" in proc.stdout
+
+
+def test_export_corpus_runs(tmp_path):
+    proc = run_script("export_corpus.py", "--nmax", "4", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    counts = [len((tmp_path / f"connected_{n}.g6").read_text().splitlines())
+              for n in range(1, 5)]
+    assert counts == [1, 1, 2, 6]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"connected_{n}.g6" for n in range(1, 5)]

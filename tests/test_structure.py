@@ -10,13 +10,10 @@ from autbounds.graphs import (
     path_graph,
     star_graph,
 )
-from autbounds.structure import (
-    has_hamiltonian_path,
-    path_cover_number,
-    star_free_parameter,
-)
+from autbounds.corpus import all_graphs
+from autbounds.structure import path_cover_number, star_free_parameter
 
-from helpers import connected_graphs_st, graphs
+from helpers import brute_path_cover, connected_graphs_st, graphs
 
 
 def check_witness(g, res):
@@ -63,15 +60,17 @@ def test_size_refusal():
     with pytest.raises(SizeLimitError):
         path_cover_number(path_graph(21))
     with pytest.raises(SizeLimitError):
-        has_hamiltonian_path(path_graph(21))
-    with pytest.raises(SizeLimitError):
         star_free_parameter(path_graph(21))
 
 
 def test_hamiltonian_examples():
-    assert has_hamiltonian_path(cycle_graph(6))
-    assert not has_hamiltonian_path(star_graph(3))
-    assert has_hamiltonian_path(complete_bipartite_graph(2, 3))
+    """A Hamiltonian path exists exactly when p == 1."""
+    for g in (cycle_graph(6), complete_bipartite_graph(2, 3)):
+        res = path_cover_number(g)
+        assert res.p == 1 and len(res.witness[0]) == g.n
+        check_witness(g, res)
+    assert path_cover_number(star_graph(3)).p == 2
+    assert path_cover_number(complete_bipartite_graph(2, 4)).p == 2
 
 
 def test_star_free_examples():
@@ -108,17 +107,23 @@ def test_star_free_against_brute(corpus7):
                 assert brute_has_induced_star(g, m_min - 1)
 
 
-def test_equivalence_p1_hamiltonian(corpus7):
-    for n in range(1, 8):
-        for g in corpus7[n]:
-            assert has_hamiltonian_path(g) == (path_cover_number(g).p == 1)
+def test_equivalence_p1_hamiltonian():
+    """p equals the brute-force minimum over all vertex orders on every graph
+    with n <= 6, disconnected ones included; so p == 1 exactly when some order
+    is a Hamiltonian path, and p >= 2 is minimal."""
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            res = path_cover_number(g)
+            assert res.p == brute_path_cover(g), g
+            check_witness(g, res)
 
 
 @given(graphs(max_n=8))
 def test_witness_always_valid(g):
     res = path_cover_number(g)
     check_witness(g, res)
-    assert has_hamiltonian_path(g) == (res.p == 1)
+    if g.n <= 7:
+        assert res.p == brute_path_cover(g)
 
 
 @given(connected_graphs_st(max_n=8))
