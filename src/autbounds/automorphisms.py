@@ -1,12 +1,21 @@
 """Exact automorphism group order, orbits, and generators.
 
 The main routine runs a backtracking search pruned by iterated
-degree-within-cell partition refinement.  It individualises one base vertex
-per level and counts along the chain of point stabilisers: the group order is
-the product over levels of the number of vertices the level's base point can
-be sent to by an automorphism fixing the earlier base points.  That keeps the
-order exact without ever enumerating group elements, so orders far beyond
-enumeration range (24! and the like) are fine.
+degree-within-cell partition refinement.  It first fixes a base, one
+individualised vertex per level, and then counts along the chain of point
+stabilisers: the group order is the product over levels of the number of
+vertices the level's base point can be sent to by an automorphism fixing the
+earlier base points.  That keeps the order exact without ever enumerating
+group elements, so orders far beyond enumeration range (64! and the like) are
+fine.
+
+Levels are processed deepest first, with one union-find over the generators
+found so far (orbit pruning, as in nauty: McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 2014).  Those generators fix every earlier
+base point, so a vertex already in the base point's class is in its orbit and
+needs no search.  Each kept generator joins two classes, so there are at most
+n - 1 of them, and the final classes are the orbits.  Pruning does not remove
+the exponential worst case of the search itself.
 
 ``aut_order_naive`` is the independent cross-check: it literally walks all n!
 permutations, which is why it refuses n > 8.
@@ -119,13 +128,9 @@ def _search(rows_a, rows_b, cells_a, cells_b):
     return None
 
 
-def _orbits_from_generators(n, gens):
-    parent = list(range(n))
-    for p in gens:
-        for v in range(n):
-            _union(parent, v, p[v])
+def _orbits_from_partition(parent):
     groups: dict[int, list[int]] = {}
-    for v in range(n):
+    for v in range(len(parent)):
         groups.setdefault(_root(parent, v), []).append(v)
     return tuple(sorted((tuple(sorted(grp)) for grp in groups.values()), key=min))
 
@@ -134,30 +139,31 @@ def _orbits_from_generators(n, gens):
 def aut_order(g: Graph) -> AutResult:
     """Exact automorphism group order, orbit partition, and generators."""
     n, rows = g.n, g.rows
-    if n == 1:
-        return AutResult(1, ((0,),), ())
     cells, _ = _refine(rows, [(1 << n) - 1])
+    levels = []
+    while (ti := _target_cell(cells)) is not None:
+        b = (cells[ti] & -cells[ti]).bit_length() - 1
+        levels.append((cells, ti, b))
+        cells, _ = _refine(rows, _individualized(cells, ti, b))
+    # Deepest level first: every generator found so far fixes this level's
+    # earlier base points, so a w already in b's class needs no search.
+    parent = list(range(n))
     order = 1
     gens: list[tuple[int, ...]] = []
-    while True:
-        ti = _target_cell(cells)
-        if ti is None:
-            break
-        cell = cells[ti]
-        b = (cell & -cell).bit_length() - 1
-        stabilizer_orbit = 1
-        for w in bits(cell):
-            if w == b:
+    for cells, ti, b in reversed(levels):
+        for w in bits(cells[ti]):
+            if _root(parent, w) == _root(parent, b):
                 continue
             perm = _search(rows, rows,
                            _individualized(cells, ti, b),
                            _individualized(cells, ti, w))
             if perm is not None:
-                stabilizer_orbit += 1
                 gens.append(perm)
-        order *= stabilizer_orbit
-        cells, _ = _refine(rows, _individualized(cells, ti, b))
-    return AutResult(order, _orbits_from_generators(n, gens), tuple(gens))
+                for v in range(n):
+                    _union(parent, v, perm[v])
+        rb = _root(parent, b)
+        order *= sum(1 for w in bits(cells[ti]) if _root(parent, w) == rb)
+    return AutResult(order, _orbits_from_partition(parent), tuple(gens))
 
 
 def aut_order_naive(g: Graph) -> int:

@@ -1,7 +1,10 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
 from autbounds.automorphisms import aut_order, aut_order_naive
+from autbounds.corpus import all_graphs
 from autbounds.graphs import (
     Graph,
     SizeLimitError,
@@ -63,10 +66,19 @@ def test_orbit_size_examples():
         aut_order(path_graph(4)).orbit_of(9)
 
 
-def test_orbits_match_naive(corpus6):
-    for n in (4, 5):
-        for g in corpus6[n]:
-            assert aut_order(g).orbits == naive_orbits(g)
+# All 208 graphs on n <= 6, disconnected ones included.
+ALL_GRAPHS_6 = [g for n in range(1, 7) for g in all_graphs(n)]
+
+
+def test_orbits_match_naive():
+    for g in ALL_GRAPHS_6:
+        assert aut_order(g).orbits == naive_orbits(g)
+
+
+def test_order_matches_naive_all_graphs():
+    assert len(ALL_GRAPHS_6) == 208
+    for g in ALL_GRAPHS_6:
+        assert aut_order(g).order == aut_order_naive(g)
 
 
 def test_exhaustive_cross_validation_small(corpus6):
@@ -116,14 +128,15 @@ def test_identity_iff_trivial(corpus6):
 # Strongly regular graphs where degree refinement alone cannot split any cell;
 # the classical orders pin the backtracking search.
 
-def rook_graph_4x4():
+def rook_graph(k):
+    """K_k x K_k: cells of a k-by-k board, adjacent when in one row or column."""
     edges = []
-    for i in range(4):
-        for j in range(4):
-            v = 4 * i + j
-            edges += [(v, 4 * i + jj) for jj in range(j + 1, 4)]
-            edges += [(v, 4 * ii + j) for ii in range(i + 1, 4)]
-    return Graph.from_edges(16, edges)
+    for i in range(k):
+        for j in range(k):
+            v = k * i + j
+            edges += [(v, k * i + jj) for jj in range(j + 1, k)]
+            edges += [(v, k * ii + j) for ii in range(i + 1, k)]
+    return Graph.from_edges(k * k, edges)
 
 
 def shrikhande_graph():
@@ -140,7 +153,7 @@ def paley_graph(q):
 
 
 def test_rook_4x4():
-    assert aut_order(rook_graph_4x4()).order == 1152  # 2 * (4!)^2
+    assert aut_order(rook_graph(4)).order == 1152  # 2 * (4!)^2
 
 
 def test_shrikhande():
@@ -154,5 +167,45 @@ def test_paley_graphs():
 
 
 def test_large_complete_graph_exact_factorial():
-    from math import factorial
-    assert aut_order(complete_graph(24)).order == factorial(24)
+    assert aut_order(complete_graph(64)).order == factorial(64)
+
+
+def hypercube(d):
+    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d)
+                                     for i in range(d) if v < v ^ (1 << i)])
+
+
+# (graph, |Aut|, number of orbits); the orders are the classical ones.
+LARGE_FAMILIES = {
+    "K64": (complete_graph(64), factorial(64), 1),
+    "K32,32": (complete_bipartite_graph(32, 32), 2 * factorial(32) ** 2, 1),
+    "32xK2": (Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]),
+              2 ** 32 * factorial(32), 1),
+    "rook8x8": (rook_graph(8), 2 * factorial(8) ** 2, 1),
+    "Q6": (hypercube(6), 2 ** 6 * factorial(6), 1),
+    "C64": (cycle_graph(64), 128, 1),
+    "Paley61": (paley_graph(61), 61 * 30, 1),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_FAMILIES)
+def test_large_families_known_orders(name):
+    g, order, orbit_count = LARGE_FAMILIES[name]
+    res = aut_order(g)
+    assert res.order == order
+    assert len(res.orbits) == orbit_count
+    assert len(res.generators) <= g.n - 1
+    for p in res.generators:
+        assert is_automorphism(g, p)
+
+
+# Each generator the orbit-pruned search keeps joins two orbit classes.
+
+@given(graphs(max_n=8))
+def test_generator_count_at_most_n_minus_1(g):
+    assert len(aut_order(g).generators) <= g.n - 1
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_complete_graph_has_n_minus_1_generators(n):
+    assert len(aut_order(complete_graph(n)).generators) == n - 1

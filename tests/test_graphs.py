@@ -1,7 +1,7 @@
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from autbounds.graphs import (
     Graph,

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ still run against the package's
 public names."""
 
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +32,12 @@ def test_export_corpus_runs(tmp_path):
     assert counts == [1, 1, 2, 6]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         f"connected_{n}.g6" for n in range(1, 5)]
+
+
+def test_bench_aut_quick(tmp_path):
+    proc = run_script("bench_aut.py", "--quick", "--label", "smoke", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["label"] == "smoke" and record["cpu_count"] == os.cpu_count()
+    assert sorted(record["aut_order_best_s"]) == ["K8", "Q3"]
+    assert all(s >= 0 for s in record["aut_order_best_s"].values())
