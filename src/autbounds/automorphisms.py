@@ -182,12 +182,3 @@ def aut_order_naive(g: Graph) -> int:
             count += 1
     return count
 
-
-def _find_isomorphism(g1: Graph, g2: Graph):
-    """Internal: one isomorphism g1 -> g2 or None.  Used for corpus dedup."""
-    if g1.n != g2.n or g1.e != g2.e:
-        return None
-    if sorted(g1.degrees) != sorted(g2.degrees):
-        return None
-    full = (1 << g1.n) - 1
-    return _search(g1.rows, g2.rows, [full], [full])

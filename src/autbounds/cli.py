@@ -25,7 +25,8 @@ from .bounds import (
     compose_report,
 )
 from .corpus import GENERATION_LIMIT
-from .graphs import GraphParseError, SizeLimitError, parse_edgelist, parse_graph6
+from .graphs import GraphParseError, SizeLimitError, parse_edgelist, parse_graph6, write_graph6
+from .trees import ENUM_VERTEX_LIMIT
 from .verify import SUITES, DEFAULT_SEED, run_suites
 
 JSON_SCHEMA = "autbounds-report/1"
@@ -51,34 +52,28 @@ class AnalyzeOptions:
     report: ReportOptions = ReportOptions()
 
 
-def _parse_bounds(text: str) -> tuple[str, ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        resolved = BOUND_ALIASES.get(token, token)
-        if resolved not in BOUND_IDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown bound id {token!r}; known: {', '.join(BOUND_IDS)}")
-        out.append(resolved)
-    if not out:
-        raise argparse.ArgumentTypeError("empty bound list")
-    return tuple(out)
-
-
-def _parse_suites(text: str) -> tuple[str, ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token:
-            if token not in SUITES:
+def _id_list(item: str, empty: str, known: tuple[str, ...], aliases: dict[str, str]):
+    """argparse type for a comma-separated list of ``known`` ids (or aliases
+    of them); blank tokens are skipped, and an empty list is an error."""
+    def parse(text: str) -> tuple[str, ...]:
+        out = []
+        for token in text.split(","):
+            token = token.strip()
+            if not token:
+                continue
+            resolved = aliases.get(token, token)
+            if resolved not in known:
                 raise argparse.ArgumentTypeError(
-                    f"unknown suite {token!r}; known: {', '.join(sorted(SUITES))}")
-            out.append(token)
-    if not out:
-        raise argparse.ArgumentTypeError("empty suite list")
-    return tuple(out)
+                    f"unknown {item} {token!r}; known: {', '.join(known)}")
+            out.append(resolved)
+        if not out:
+            raise argparse.ArgumentTypeError(empty)
+        return tuple(out)
+    return parse
+
+
+_parse_bounds = _id_list("bound id", "empty bound list", BOUND_IDS, BOUND_ALIASES)
+_parse_suites = _id_list("suite", "empty suite list", tuple(sorted(SUITES)), {})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,6 +315,12 @@ def cmd_verify(args) -> int:
             print(f"cannot read {args.corpus}: {exc}", file=sys.stderr)
             return EXIT_INPUT
         external = [parse_graph6(ln.strip()) for ln in text.splitlines() if ln.strip()]
+        big = next((g for g in external if g.n > ENUM_VERTEX_LIMIT), None)
+        if "theorem1" in args.suites and big is not None:
+            print(f"theorem1 enumerates spanning trees only for n <= {ENUM_VERTEX_LIMIT}; "
+                  f"{write_graph6(big)} has n={big.n} (drop theorem1 from --suites)",
+                  file=sys.stderr)
+            return EXIT_SIZE
     results = run_suites(args.suites, nmax=args.nmax, trials=args.random_trials,
                          seed=args.seed, external=external)
     failed = False

@@ -1,9 +1,12 @@
 """Exhaustive small-graph corpora, generated internally.
 
 Graphs on n vertices come from graphs on n-1 vertices by attaching a new
-vertex to every neighbour subset, deduplicated up to isomorphism with a cheap
-invariant bucket plus a refinement-backed isomorphism test.  Known class
-counts double as integrity checks for callers.
+vertex to every neighbour subset, deduplicated up to isomorphism.  Candidates
+are bucketed on the edge count and the trace of the unit-partition
+refinement, an isomorphism invariant that already carries the degrees and the
+refined cell sizes; bucket-mates are compared with the same search that
+``aut_order`` uses.  Known class counts double as integrity checks for
+callers.
 """
 
 from __future__ import annotations
@@ -11,29 +14,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, is_connected
-from .automorphisms import _find_isomorphism, _refine
+from .automorphisms import _refine, _search
 
 # Non-isomorphic simple graphs / connected graphs on n vertices.
 ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 GENERATION_LIMIT = 7
-
-
-def _invariant(g: Graph):
-    """Cheap isomorphism invariant used to bucket dedup candidates."""
-    cells, _ = _refine(g.rows, [(1 << g.n) - 1])
-    triangles = []
-    for v in range(g.n):
-        row = g.rows[v]
-        # twice the triangle count at v; fine for bucketing
-        triangles.append(sum((row & g.rows[w]).bit_count() for w in range(g.n) if (row >> w) & 1))
-    return (
-        g.e,
-        tuple(sorted(g.degrees)),
-        tuple(c.bit_count() for c in cells),
-        tuple(sorted(triangles)),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -43,6 +30,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         raise ValueError(f"corpus generation supports 1 <= n <= {GENERATION_LIMIT}")
     if n == 1:
         return (Graph(1, (0,)),)
+    full = [(1 << n) - 1]
     buckets: dict[tuple, list[Graph]] = {}
     out: list[Graph] = []
     for base in all_graphs(n - 1):
@@ -52,9 +40,8 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                 if (nbrs >> w) & 1:
                     rows[w] |= 1 << (n - 1)
             cand = Graph(n, tuple(rows))
-            key = _invariant(cand)
-            bucket = buckets.setdefault(key, [])
-            if any(_find_isomorphism(cand, seen) is not None for seen in bucket):
+            bucket = buckets.setdefault((cand.e, _refine(cand.rows, full)[1]), [])
+            if any(_search(cand.rows, seen.rows, full, full) is not None for seen in bucket):
                 continue
             bucket.append(cand)
             out.append(cand)

@@ -303,10 +303,7 @@ def embedding_upper_fs(g: Graph) -> Fraction:
     vertex degrees divided by the maximum degree, as an exact rational."""
     if g.n < 2 or not is_connected(g):
         raise ValueError("estimate needs a connected host with n >= 2")
-    prod = 1
-    for d in g.degrees:
-        prod *= d
-    return Fraction(prod, max(g.degrees))
+    return Fraction(prod(g.degrees), max(g.degrees))
 
 
 def all_spanning_trees(g: Graph, cap: int | None = None) -> tuple[list[SpanningTree], bool]:

@@ -85,7 +85,6 @@ def soundness_sweep(nmax: int = 7, external: list[Graph] | None = None) -> Suite
     res.info["corpus_counts"] = counts
     if external is None:
         expected = {n: CONNECTED_GRAPH_COUNTS[n] for n in counts}
-        res.info["corpus_ok"] = counts == expected
         if counts != expected:
             res.violations.append(f"corpus counts {counts} != expected {expected}")
     return res
@@ -178,7 +177,6 @@ def oracle_suite(exhaustive_nmax: int = 6, trials: int = 200,
             naive = aut_order_naive(g)
             if fancy != naive:
                 res.violations.append(f"{write_graph6(g)}: search {fancy} != naive {naive}")
-    res.info["trials_per_n"] = trials
     return res
 
 
@@ -250,7 +248,7 @@ SUITES = {
 
 def run_suites(names, nmax: int = 6, trials: int = 50,
                seed: int = DEFAULT_SEED, external: list[Graph] | None = None):
-    """Run the named suites with shared size settings; yields SuiteResults."""
+    """Run the named suites with shared size settings; returns a list of SuiteResults."""
     results = []
     for name in names:
         if name not in SUITES:

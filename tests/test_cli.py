@@ -224,6 +224,34 @@ def test_verify_external_corpus_disconnected(tmp_path, capsys):
     assert "counterexample: CC: disconnected" in out
 
 
+def test_verify_external_corpus_too_large_for_theorem1(tmp_path, capsys):
+    # K_4 and K_8: theorem1 cannot enumerate the spanning trees of K_8, so the
+    # run is refused before any suite runs; without theorem1 it passes.
+    p = tmp_path / "k8.g6"
+    p.write_text("C~\nG~~~~{\n")
+    code, out, err = run_cli(["verify", "--corpus", str(p)], capsys)
+    assert code == 3 and out == ""
+    assert "G~~~~{ has n=8" in err and "n <= 7" in err
+    code, out, err = run_cli(["verify", "--suites", "soundness", "--corpus", str(p)], capsys)
+    assert code == 0 and err == ""
+    assert "[soundness] PASS: 2 checks" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--bounds", "eq1,eq99"],
+     "argument --bounds: unknown bound id 'eq99'; known: thm1_tree, eq1_nashwilliams,"),
+    (["analyze", "--bounds", " , "], "argument --bounds: empty bound list\n"),
+    (["verify", "--suites", "oracle,nope"],
+     "argument --suites: unknown suite 'nope'; known: exactness, oracle, soundness, theorem1\n"),
+    (["verify", "--suites", ","], "argument --suites: empty suite list\n"),
+])
+def test_id_list_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_exhaustive_start_flag(capsys, monkeypatch):
     # K_{2,3}: default start gives 12 already; exhaustive must not exceed it
     code, out, _ = run_cli(["analyze", "--exhaustive-start", "--output", "json"],

@@ -5,8 +5,10 @@ The file holds every graph on 1..6 vertices (disconnected ones included),
 the Petersen graph, and C_22, which is past the structural size cap.  A
 second file of sixteen seeded connected graphs on 7..14 vertices pins the
 path cover number p through the eq3/eq7/eq8 rows: half are sparse, with
-p >= 2, and half are dense, with p == 1.  A digest that moves means an
-output byte changed; that is a behaviour change, never a refactor.
+p >= 2, and half are dense, with p == 1.  The generated corpus itself,
+every graph on 1..7 vertices as graph6 lines in order, has one more digest.
+A digest that moves means an output byte changed; that is a behaviour
+change, never a refactor.
 """
 
 import hashlib
@@ -29,6 +31,9 @@ GOLDEN = [
     (["--output", "csv", "--corollary-mode", "verbatim", "--assert-class5"],
      "0f0dffd23774fb52c2efc73fc0d895bd3f1abe9cae6d8c9bd979643e91b2a3a2"),
 ]
+
+# One SHA-256 over the graph6 lines of all_graphs(n), n = 1..7 in order.
+CORPUS_DIGEST = "227a191bd5aeae8fef6f3b0a782d6b952da0a4e7a5e46a22ae1d8895e31c53b2"
 
 PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
 PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
@@ -76,3 +81,11 @@ def test_path_cover_output_matches_golden_digest(tmp_path, capsys):
     assert main(["batch", path, *PATH_COVER_FLAGS]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == PATH_COVER_DIGEST
+
+
+def test_corpus_matches_golden_digest():
+    # Pins every representative and the output order of corpus generation,
+    # not only the class counts.
+    text = "".join(write_graph6(g) + "\n" for n in range(1, 8) for g in all_graphs(n))
+    assert text.count("\n") == 1252
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == CORPUS_DIGEST
