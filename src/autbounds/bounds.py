@@ -5,7 +5,8 @@ data is evaluated exactly over Fractions.  The two bounds carrying the
 irrational edge-excess base 2^(7/8) * 6^(1/24), and any bound raised to a
 fractional factorial exponent, are evaluated in the log2 domain at 120 bits
 of working precision before rounding to a float; soundness comparisons on
-those use a documented 1e-9 slack.
+those use a documented 1e-9 slack.  ``_log2`` is memoised per precision in a
+bounded cache, so a repeated argument returns the very same mpf.
 
 Inapplicable bounds are gated, never raised: each carries a machine-readable
 reason so a report over an awkward graph still renders every row.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 
 import mpmath
@@ -54,7 +55,14 @@ class BoundValue:
 
 
 def _log2(x) -> mpmath.mpf:
-    """log2 of an int or Fraction at the working precision."""
+    """log2 of an int or Fraction at the current mpmath precision."""
+    return _log2_at(x, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=1024)
+def _log2_at(x, prec: int) -> mpmath.mpf:
+    # prec is only part of the cache key: the result depends on it through
+    # mpmath's context, and equal keys (6 and Fraction(6)) give equal logs.
     if isinstance(x, Fraction):
         return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(mpmath.mpf(x.denominator), 2)
     return mpmath.log(mpmath.mpf(x), 2)

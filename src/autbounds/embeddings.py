@@ -2,10 +2,12 @@
 subgraph.
 
 Two genuinely independent routes feed the identity
-``labeled == copies * aut_f``: labeled copies come from bijection
-backtracking, subgraph copies from edge-subset enumeration with an
-isomorphism test, and aut_f from the naive permutation oracle.  The identity
-is asserted on every call so a bug in any one route trips immediately.
+``labeled == copies * aut_f``: labeled copies come from placement search over
+bitmask candidate sets, the last vertex counted by popcount; subgraph copies
+come from edge-subset enumeration with an edge-by-edge isomorphism test; and
+aut_f comes from the naive permutation oracle.  ``count_embeddings`` checks
+the identity on every call and raises RuntimeError if it fails, so a bug in
+any one route trips immediately.
 """
 
 from __future__ import annotations
@@ -53,64 +55,65 @@ def count_labeled_embeddings(f: Graph, g: Graph) -> int:
                 placed |= 1 << w
                 queue.append(w)
     pos = {v: i for i, v in enumerate(order)}
-    # earlier_nbrs[i]: neighbours of order[i] that are placed before it
+    # earlier[i]: neighbours of order[i] that are placed before it
     earlier = [[w for w in bits(f.rows[v]) if pos[w] < i] for i, v in enumerate(order)]
 
     image = [0] * n
     g_rows = g.rows
-    count = 0
+    last = n - 1
 
-    def place(i: int, used: int):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
+    def place(i: int, free: int) -> int:
+        # Candidates for order[i]: free vertices adjacent in g to the image of
+        # every earlier-placed neighbour.
+        cand = free
+        for w in earlier[i]:
+            cand &= g_rows[image[w]]
+        if i == last:
+            return cand.bit_count()
         v = order[i]
-        for u in range(n):
-            if (used >> u) & 1:
-                continue
-            if all((g_rows[u] >> image[w]) & 1 for w in earlier[i]):
-                image[v] = u
-                place(i + 1, used | 1 << u)
+        count = 0
+        while cand:
+            low = cand & -cand
+            image[v] = low.bit_length() - 1
+            count += place(i + 1, free ^ low)
+            cand ^= low
+        return count
 
-    place(0, 0)
-    return count
+    return place(0, (1 << n) - 1)
 
 
-def _isomorphic_rows(rows_a, rows_b, n: int) -> bool:
-    """Edge-set isomorphism test for two graphs given as bit rows with the
-    same vertex count and edge count."""
-    deg_a = [r.bit_count() for r in rows_a]
-    deg_b = [r.bit_count() for r in rows_b]
-    if sorted(deg_a) != sorted(deg_b):
-        return False
-    order = sorted(range(n), key=lambda v: -deg_a[v])
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [[w for w in range(n) if pos.get(w, n) < i] for i, _ in enumerate(order)]
+def _isomorphism_test(f: Graph):
+    """Edge-set isomorphism test against f for graphs given as bit rows with
+    f's vertex count, edge count and degree multiset.  f's vertices are placed
+    in decreasing-degree order, which is fixed once for all the calls."""
+    n = f.n
+    f_rows, f_deg = f.rows, f.degrees
+    order = sorted(range(n), key=lambda v: -f_deg[v])
+    earlier = [order[:i] for i in range(n)]
     image = [0] * n
 
-    def place(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        row_v = rows_a[v]
-        for u in range(n):
-            if (used >> u) & 1 or deg_b[u] != deg_a[v]:
-                continue
-            ok = True
-            for w in earlier[i]:
-                adj_a = (row_v >> w) & 1
-                adj_b = (rows_b[u] >> image[w]) & 1
-                if adj_a != adj_b:
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                if place(i + 1, used | 1 << u):
-                    return True
-        return False
+    def isomorphic(rows, degs) -> bool:
+        def place(i: int, used: int) -> bool:
+            if i == n:
+                return True
+            v = order[i]
+            row_v = f_rows[v]
+            for u in range(n):
+                if (used >> u) & 1 or degs[u] != f_deg[v]:
+                    continue
+                row_u = rows[u]
+                for w in earlier[i]:
+                    if (row_v >> w) & 1 != (row_u >> image[w]) & 1:
+                        break
+                else:
+                    image[v] = u
+                    if place(i + 1, used | 1 << u):
+                        return True
+            return False
 
-    return place(0, 0)
+        return place(0, 0)
+
+    return isomorphic
 
 
 def count_subgraph_copies(f: Graph, g: Graph) -> int:
@@ -120,6 +123,7 @@ def count_subgraph_copies(f: Graph, g: Graph) -> int:
 
     n = f.n
     f_deg_sorted = sorted(f.degrees)
+    isomorphic = _isomorphism_test(f)
     copies = 0
     for subset in combinations(g.edges(), f.e):
         degs = [0] * n
@@ -131,7 +135,7 @@ def count_subgraph_copies(f: Graph, g: Graph) -> int:
             rows[v] |= 1 << u
         if sorted(degs) != f_deg_sorted:
             continue
-        if _isomorphic_rows(rows, f.rows, n):
+        if isomorphic(rows, degs):
             copies += 1
     return copies
 

@@ -272,18 +272,25 @@ def _centroid_codes(t: SpanningTree) -> list[tuple[tuple, int]]:
     return [_rooted_code_aut(c1, c2, adj), _rooted_code_aut(c2, c1, adj)]
 
 
-def tree_aut_exact(t: SpanningTree) -> int:
-    """Exact automorphism count of the tree as an abstract graph."""
+def _certificate_aut(t: SpanningTree) -> tuple[tuple, int]:
+    """(tree_certificate(t), tree_aut_exact(t)) from one set of centroid codes."""
     halves = _centroid_codes(t)
+    codes = [code for code, _ in halves]
     aut = prod(sub_aut for _, sub_aut in halves)
     # Two isomorphic halves can also be swapped across the central edge.
-    return 2 * aut if len(halves) == 2 and halves[0][0] == halves[1][0] else aut
+    if len(codes) == 2 and codes[0] == codes[1]:
+        aut *= 2
+    return (len(codes), codes[0] if len(codes) == 1 else tuple(sorted(codes))), aut
+
+
+def tree_aut_exact(t: SpanningTree) -> int:
+    """Exact automorphism count of the tree as an abstract graph."""
+    return _certificate_aut(t)[1]
 
 
 def tree_certificate(t: SpanningTree):
     """Hashable canonical form: equal certificates iff isomorphic trees."""
-    codes = [code for code, _ in _centroid_codes(t)]
-    return (len(codes), codes[0] if len(codes) == 1 else tuple(sorted(codes)))
+    return _certificate_aut(t)[0]
 
 
 def tree_aut_upper(t: SpanningTree) -> int:

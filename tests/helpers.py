@@ -1,8 +1,8 @@
 """Shared strategies and naive oracles for the test suite.
 
 The oracles here deliberately stay brute force and independent of the
-package's algorithms: orbits and path covers come from enumerating all n!
-permutations, and random graphs are drawn bit by bit.
+package's algorithms: orbits, labeled copies and path covers come from
+enumerating all n! permutations, and random graphs are drawn bit by bit.
 """
 
 from itertools import permutations
@@ -28,6 +28,14 @@ def naive_orbits(g: Graph):
         seen.update(orb)
         orbits.append(tuple(orb))
     return tuple(orbits)
+
+
+def brute_labeled_embeddings(f: Graph, g: Graph) -> int:
+    """Labeled copies of f in g: the vertex bijections, out of all n!, that
+    send every edge of f to an edge of g (n <= 8)."""
+    f_edges = list(f.edges())
+    return sum(all(g.has_edge(p[u], p[v]) for u, v in f_edges)
+               for p in permutations(range(f.n)))
 
 
 def brute_path_cover(g: Graph) -> int:

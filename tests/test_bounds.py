@@ -1,12 +1,16 @@
 from fractions import Fraction
 from math import log2
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import (
     BOUND_IDS,
+    WORKING_PRECISION_BITS,
+    _log2,
+    _log2_at,
     ReportOptions,
     compose_report,
     eval_corollary,
@@ -352,6 +356,39 @@ def test_log2_matches_exact_value():
         if bv.applicable and bv.exact_value is not None:
             expected = log2(bv.exact_value.numerator) - log2(bv.exact_value.denominator)
             assert bv.log2_value == pytest.approx(expected, abs=1e-9)
+
+
+def _fresh_log2(x: Fraction) -> mpmath.mpf:
+    return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(mpmath.mpf(x.denominator), 2)
+
+
+def test_log2_memo_equal_keys_give_equal_values():
+    _log2_at.cache_clear()
+    with mpmath.workprec(WORKING_PRECISION_BITS):
+        first = _log2(Fraction(6))
+        assert _log2(6) == first == mpmath.log(mpmath.mpf(6), 2)
+        assert _log2_at.cache_info().misses == 1
+
+
+def test_log2_memo_is_keyed_on_precision():
+    _log2_at.cache_clear()
+    x = Fraction(10, 3)
+    with mpmath.workprec(53):
+        low = _log2(x)
+        assert low == _fresh_log2(x)
+    with mpmath.workprec(WORKING_PRECISION_BITS):
+        high = _log2(x)
+        assert high == _fresh_log2(x)
+    assert high != low
+
+
+def test_log2_memo_stays_bounded():
+    _log2_at.cache_clear()
+    size = _log2_at.cache_info().maxsize
+    with mpmath.workprec(WORKING_PRECISION_BITS):
+        for k in range(2, size + 102):
+            _log2(k)
+    assert _log2_at.cache_info().currsize == size
 
 
 @given(connected_graphs_st(max_n=7))

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from autbounds.automorphisms import aut_order
+from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.embeddings import (
     count_embeddings,
     count_labeled_embeddings,
@@ -15,9 +15,9 @@ from autbounds.graphs import (
     path_graph,
     star_graph,
 )
-from autbounds.trees import all_spanning_trees
+from autbounds.trees import all_spanning_trees, tree_certificate
 
-from helpers import connected_graphs_st
+from helpers import brute_labeled_embeddings, connected_graphs_st
 
 
 def test_p3_in_k3():
@@ -90,3 +90,25 @@ def test_labeled_at_least_copies(g):
     labeled = count_labeled_embeddings(t, g)
     copies = count_subgraph_copies(t, g)
     assert labeled >= copies >= 1
+
+
+def test_labeled_count_matches_oracles_on_corpus(corpus6):
+    # One tree per spanning-tree isomorphism class of every connected graph
+    # with n <= 6, against the subset+isomorphism and naive-permutation routes.
+    for graphs in corpus6.values():
+        for g in graphs:
+            classes = {tree_certificate(t): t for t in all_spanning_trees(g)[0]}
+            for t in classes.values():
+                f = t.to_graph()
+                assert count_labeled_embeddings(f, g) == (
+                    count_subgraph_copies(f, g) * aut_order_naive(f)), (g, t)
+
+
+@settings(max_examples=40)
+@given(connected_graphs_st(max_n=8), st.data())
+def test_labeled_count_matches_permutations(g, data):
+    # Any spanning subgraph: trees, forests, subgraphs with cycles, no edges.
+    edges = list(g.edges())
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    f = Graph.from_edges(g.n, [e for e, k in zip(edges, keep) if k])
+    assert count_labeled_embeddings(f, g) == brute_labeled_embeddings(f, g)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -35,9 +37,25 @@ def test_export_corpus_runs(tmp_path):
 
 
 def test_bench_aut_quick(tmp_path):
-    proc = run_script("bench_aut.py", "--quick", "--label", "smoke", "--outdir", str(tmp_path))
+    proc = run_script("bench.py", "--layer", "aut", "--quick", "--label", "smoke",
+                      "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert record["label"] == "smoke" and record["cpu_count"] == os.cpu_count()
     assert sorted(record["aut_order_best_s"]) == ["K8", "Q3"]
     assert all(s >= 0 for s in record["aut_order_best_s"].values())
+
+
+@pytest.mark.parametrize("layer, key, groups", [
+    ("embeddings", "count_labeled_embeddings_best_s",
+     ["G(8,14)", "G(8,20)", "G(8,24)", "G(8,27)", "G(8,8)", "n<=5"]),
+    ("log2", "log2_best_s", ["corpus"]),
+])
+def test_bench_layers_quick(tmp_path, layer, key, groups):
+    proc = run_script("bench.py", "--layer", layer, "--quick", "--label", "smoke",
+                      "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["layer"] == layer and record["cpu_count"] == os.cpu_count()
+    assert sorted(record[key]) == groups
+    assert all(s >= 0 for s in record[key].values())
