@@ -9,12 +9,17 @@ Layers:
   log2        bounds._log2 over the arguments, in call order, that
               compose_report(corollary_mode="both") passes it on the
               connected n <= 7 corpus; any log2 memo is cleared first.
+  corpus      all_graphs(1..7), the all_graphs, connected_graphs and
+              aut_order caches cleared first; also records the candidates
+              tried per n (the bucket-key refinements corpus makes, one per
+              candidate).
 
 Each group is timed best-of-3.  The record is written to BENCH_<label>.json
 with the Python version, os.cpu_count(), the git sha of the checkout that
 holds the imported autbounds, and the seconds per group.  The embeddings and
 log2 layers also record a SHA-256 over their results, so two checkouts can be
-shown to compute the same values.
+shown to compute the same values; the corpus layer hashes the graph6 lines
+of all_graphs(1..7) in order, the digest tests/test_golden.py pins.
 
 Usage:
     python scripts/bench.py --layer aut --label change [--outdir .] [--quick]
@@ -36,7 +41,7 @@ from pathlib import Path
 import mpmath
 
 import autbounds
-from autbounds import bounds
+from autbounds import bounds, corpus
 from autbounds.automorphisms import aut_order
 from autbounds.bounds import ReportOptions, compose_report
 from autbounds.corpus import connected_graphs
@@ -47,6 +52,7 @@ from autbounds.graphs import (
     complete_graph,
     cycle_graph,
     is_connected,
+    write_graph6,
 )
 from autbounds.trees import greedy_spanning_tree
 
@@ -97,14 +103,14 @@ def connected_gnm(n, m, rng):
             return g
 
 
-def corpus(quick):
+def connected_corpus(quick):
     return [g for n in range(1, 6 if quick else 8) for g in connected_graphs(n)]
 
 
 def embedding_groups(quick):
     """{group name: [(tree graph, host graph)]} for the embeddings layer."""
     rng = random.Random(SEED)
-    hosts = {"n<=5" if quick else "n<=7": corpus(quick)}
+    hosts = {"n<=5" if quick else "n<=7": connected_corpus(quick)}
     for m in (8, 14, 20, 24, 27):
         hosts[f"G(8,{m})"] = [connected_gnm(8, m, rng) for _ in range(1 if quick else 40)]
     return {name: [(greedy_spanning_tree(g, 0).tree.to_graph(), g) for g in gs]
@@ -123,7 +129,7 @@ def log2_arguments(quick):
     bounds._log2 = spy
     try:
         opts = ReportOptions(corollary_mode="both")
-        for g in corpus(quick):
+        for g in connected_corpus(quick):
             compose_report(g, opts)
     finally:
         bounds._log2 = real
@@ -187,7 +193,40 @@ def bench_log2(quick):
             "values_sha256": digest(values)}
 
 
-LAYERS = {"aut": bench_aut, "embeddings": bench_embeddings, "log2": bench_log2}
+def clear_corpus_caches():
+    for fn in (corpus.all_graphs, corpus.connected_graphs, aut_order):
+        fn.cache_clear()
+
+
+def bench_corpus(quick):
+    nmax = 5 if quick else 7
+    candidates = {}
+    real = corpus._refine
+
+    def spy(rows, cells):
+        candidates[len(rows)] = candidates.get(len(rows), 0) + 1
+        return real(rows, cells)
+
+    corpus._refine = spy
+    try:
+        clear_corpus_caches()
+        for n in range(1, nmax + 1):
+            corpus.all_graphs(n)
+    finally:
+        corpus._refine = real
+    seconds, graphs = best_of(
+        lambda: [g for n in range(1, nmax + 1) for g in corpus.all_graphs(n)],
+        clear_corpus_caches)
+    text = "".join(write_graph6(g) + "\n" for g in graphs)
+    return {"all_graphs_best_s": {f"n<={nmax}": seconds},
+            "candidates": dict(sorted(candidates.items())),
+            "candidates_total": sum(candidates.values()),
+            "graphs": len(graphs),
+            "graph6_sha256": hashlib.sha256(text.encode("ascii")).hexdigest()}
+
+
+LAYERS = {"aut": bench_aut, "embeddings": bench_embeddings, "log2": bench_log2,
+          "corpus": bench_corpus}
 
 
 def git_sha():
@@ -210,7 +249,7 @@ def main():
     ap.add_argument("--label", required=True)
     ap.add_argument("--outdir", default=".")
     ap.add_argument("--quick", action="store_true",
-                    help="a smoke run: K8 and Q3, or the n <= 5 corpus and 5 G(8, m)")
+                    help="a smoke run: K8 and Q3, or the n <= 5 corpus (and 5 G(8, m))")
     args = ap.parse_args()
 
     result = LAYERS[args.layer](args.quick)

@@ -315,6 +315,9 @@ def cmd_verify(args) -> int:
             print(f"cannot read {args.corpus}: {exc}", file=sys.stderr)
             return EXIT_INPUT
         external = [parse_graph6(ln.strip()) for ln in text.splitlines() if ln.strip()]
+        if not external:
+            print(f"{args.corpus}: the corpus file holds no graphs", file=sys.stderr)
+            return EXIT_INPUT
         big = next((g for g in external if g.n > ENUM_VERTEX_LIMIT), None)
         if "theorem1" in args.suites and big is not None:
             print(f"theorem1 enumerates spanning trees only for n <= {ENUM_VERTEX_LIMIT}; "

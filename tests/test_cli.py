@@ -210,6 +210,15 @@ def test_verify_external_corpus(tmp_path, capsys):
     assert code == 0 and "2 checks" in out
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_verify_empty_external_corpus_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "empty.g6"
+    p.write_text(text)
+    code, out, err = run_cli(["verify", "--corpus", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert f"{p}: the corpus file holds no graphs" in err
+
+
 def test_verify_external_corpus_disconnected(tmp_path, capsys):
     # K_4 plus a disconnected 4-vertex graph: every suite still prints, and
     # the disconnected graph is one theorem1 violation, not an aborted run.

@@ -59,3 +59,17 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
     assert record["layer"] == layer and record["cpu_count"] == os.cpu_count()
     assert sorted(record[key]) == groups
     assert all(s >= 0 for s in record[key].values())
+
+
+def test_bench_corpus_quick(tmp_path):
+    proc = run_script("bench.py", "--layer", "corpus", "--quick", "--label", "smoke",
+                      "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["layer"] == "corpus" and record["all_graphs_best_s"]["n<=5"] >= 0
+    assert record["graphs"] == 1 + 2 + 4 + 11 + 34
+    assert sorted(record["candidates"]) == ["2", "3", "4", "5"]
+    assert record["candidates_total"] == sum(record["candidates"].values())
+    # all_graphs(1..5) as graph6 lines, the same bytes as before orbit pruning
+    assert record["graph6_sha256"] == (
+        "861f74fe9f54d253816176caca294d5cd13e80ff22665d0174137117b6ceb6c9")
