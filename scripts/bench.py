@@ -8,7 +8,9 @@ Layers:
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
   log2        bounds._log2 over the arguments, in call order, that
               compose_report(corollary_mode="both") passes it on the
-              connected n <= 7 corpus; any log2 memo is cleared first.
+              connected n <= 7 corpus; its memo is cleared first, and the
+              memo misses of each repeat are recorded (one per distinct
+              value when integers and equal Fractions share an entry).
   corpus      all_graphs(1..7), the all_graphs, connected_graphs and
               aut_order caches cleared first; also records the candidates
               tried per n (the bucket-key refinements corpus makes, one per
@@ -37,8 +39,6 @@ import subprocess
 import time
 from math import factorial
 from pathlib import Path
-
-import mpmath
 
 import autbounds
 from autbounds import bounds, corpus
@@ -118,12 +118,12 @@ def embedding_groups(quick):
 
 
 def log2_arguments(quick):
-    """(argument, precision) of every _log2 call made by the corpus reports."""
+    """The argument of every _log2 call made by the corpus reports."""
     calls = []
     real = bounds._log2
 
     def spy(x):
-        calls.append((x, mpmath.mp.prec))
+        calls.append(x)
         return real(x)
 
     bounds._log2 = spy
@@ -134,12 +134,6 @@ def log2_arguments(quick):
     finally:
         bounds._log2 = real
     return calls
-
-
-def clear_log2_memo():
-    memo = getattr(bounds, "_log2_at", None)  # absent where _log2 is not memoised
-    if memo is not None:
-        memo.cache_clear()
 
 
 def best_of(run, reset):
@@ -178,18 +172,19 @@ def bench_embeddings(quick):
 
 def bench_log2(quick):
     calls = log2_arguments(quick)
+    memo = bounds._log2_memo  # an AttributeError here, not a warm timing, if it goes
+    misses = []
 
     def run():
-        out = []
-        for x, prec in calls:
-            with mpmath.workprec(prec):
-                out.append(float(bounds._log2(x)))
+        out = [float(bounds._log2(x)) for x in calls]
+        misses.append(memo.cache_info().misses)
         return out
 
-    seconds, values = best_of(run, clear_log2_memo)
+    seconds, values = best_of(run, memo.cache_clear)
     return {"log2_best_s": {"corpus": seconds},
             "calls": len(calls),
             "distinct": len(set(calls)),
+            "misses": misses,
             "values_sha256": digest(values)}
 
 

@@ -2,20 +2,19 @@
 verified upper bounds built from spanning-tree and degree data.
 
 Everything operates on the immutable :class:`~autbounds.graphs.Graph`; all
-values are exact (arbitrary-precision integers and rationals) except the two
-bounds with an irrational base, which are reported in the log2 domain.
+values are exact (arbitrary-precision integers and rationals) except the rows
+whose closed form leaves the rationals (an irrational base or a fractional
+exponent), which are reported in the log2 domain.
 """
 
 from .graphs import (
     DEFAULT_VERTEX_CAP,
-    DegreeStats,
     Graph,
     GraphParseError,
     SizeLimitError,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    degree_stats,
     is_connected,
     parse_edgelist,
     parse_graph6,

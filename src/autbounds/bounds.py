@@ -1,12 +1,19 @@
 """Evaluation of the upper-bound catalogue and report assembly.
 
-Arithmetic policy: every bound whose closed form is rational in the graph
-data is evaluated exactly over Fractions.  The two bounds carrying the
-irrational edge-excess base 2^(7/8) * 6^(1/24), and any bound raised to a
-fractional factorial exponent, are evaluated in the log2 domain at 120 bits
-of working precision before rounding to a float; soundness comparisons on
-those use a documented 1e-9 slack.  ``_log2`` is memoised per precision in a
-bounded cache, so a repeated argument returns the very same mpf.
+Arithmetic policy: every row whose value is rational in the graph data is
+evaluated exactly over Fractions, its log2 taken at 120 bits and rounded to
+a float once.  A row whose closed form leaves the rationals is log-only: the
+whole log2 expression is evaluated at 120 bits and rounded once, and
+soundness comparisons on it use a documented 1e-9 slack.  That happens for
+eq3 and eq8 when e != n (the edge-excess base 2^(7/8) * 6^(1/24)), for eq4
+when its exponent is not a non-negative integer, for eq5 when n is odd, and
+for eq6 when m - 2 does not divide n.
+
+The precision rule lives in two functions, ``_log2`` (in its memo) and
+``_logonly``.  No other code changes mpmath's precision, and both hold one
+re-entrant lock while they do, because that precision is process-wide.
+``_log2`` is memoised on the value in a bounded cache, so a repeated
+argument returns the very same mpf.
 
 Inapplicable bounds are gated, never raised: each carries a machine-readable
 reason so a report over an awkward graph still renders every row.
@@ -18,10 +25,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
+from threading import RLock
 
 import mpmath
 
-from .graphs import Graph, DegreeStats, degree_stats, is_connected, write_graph6
+from .graphs import Graph, is_connected, write_graph6
 from .automorphisms import AutResult, aut_order
 from .trees import (
     GreedyTree,
@@ -41,6 +49,10 @@ from .structure import (
 WORKING_PRECISION_BITS = 120
 LOG2_COMPARISON_SLACK = 1e-9
 
+# Held around every precision switch.  Re-entrant: a log-only expression
+# calls _log2, which may switch again on a memo miss.
+_PRECISION_LOCK = RLock()
+
 
 @dataclass(frozen=True)
 class BoundValue:
@@ -55,17 +67,21 @@ class BoundValue:
 
 
 def _log2(x) -> mpmath.mpf:
-    """log2 of an int or Fraction at the current mpmath precision."""
-    return _log2_at(x, mpmath.mp.prec)
+    """log2 of an int or Fraction at WORKING_PRECISION_BITS, whatever
+    precision the caller has set, memoised on the value.
+
+    An integer value is passed to the memo as an int: a one-argument
+    lru_cache keys a bare int apart from a Fraction, so 6 and Fraction(6)
+    would otherwise be two entries."""
+    return _log2_memo(x.numerator if x.denominator == 1 else x)
 
 
 @lru_cache(maxsize=1024)
-def _log2_at(x, prec: int) -> mpmath.mpf:
-    # prec is only part of the cache key: the result depends on it through
-    # mpmath's context, and equal keys (6 and Fraction(6)) give equal logs.
-    if isinstance(x, Fraction):
-        return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(mpmath.mpf(x.denominator), 2)
-    return mpmath.log(mpmath.mpf(x), 2)
+def _log2_memo(x) -> mpmath.mpf:
+    with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
+        if isinstance(x, Fraction):
+            return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(mpmath.mpf(x.denominator), 2)
+        return mpmath.log(mpmath.mpf(x), 2)
 
 
 def _edge_excess_log2() -> mpmath.mpf:
@@ -75,12 +91,19 @@ def _edge_excess_log2() -> mpmath.mpf:
 
 def _exact(bound_id: str, value, context: dict) -> BoundValue:
     fr = value if isinstance(value, Fraction) else Fraction(value)
-    with mpmath.workprec(WORKING_PRECISION_BITS):
-        log2v = float(_log2(fr))
-    return BoundValue(bound_id, True, None, fr, log2v, context)
+    return BoundValue(bound_id, True, None, fr, float(_log2(fr)), context)
 
 
-def _logonly(bound_id: str, log2v: float, context: dict) -> BoundValue:
+def _logonly(bound_id: str, log2_expr, context: dict) -> BoundValue:
+    """A row with no exact value: the zero-argument ``log2_expr`` is
+    evaluated at WORKING_PRECISION_BITS and rounded to a float once.
+
+    The catalogue takes this route exactly when the closed form leaves the
+    rationals: eq3 and eq8 when e != n; eq4 when its exponent is not a
+    non-negative integer; eq5 when n is odd; eq6 when m - 2 does not
+    divide n."""
+    with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
+        log2v = float(log2_expr())
     return BoundValue(bound_id, True, None, None, log2v, context)
 
 
@@ -93,9 +116,9 @@ def _gated(bound_id: str, reason: str, context: dict | None = None) -> BoundValu
 # gates disconnected inputs before these run.
 # ---------------------------------------------------------------------------
 
-def eval_eq1(stats: DegreeStats, n: int) -> BoundValue:
+def eval_eq1(g: Graph) -> BoundValue:
     """n * delta! * (delta-1)^(n-delta-1); exponent 0 always yields factor 1."""
-    delta = stats.delta_max
+    n, delta = g.n, g.delta_max
     exponent = n - delta - 1
     ctx = {"delta": delta, "exponent": exponent}
     if exponent < 0:
@@ -117,8 +140,7 @@ def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
     if g.n < 3:
         return _gated("eq2_tree_product",
                       "tree-degree estimate degenerates below n = 3", ctx)
-    stats = degree_stats(g)
-    value = Fraction(tree_aut_upper(t), stats.delta_max) * stats.d_avg ** g.n
+    value = Fraction(tree_aut_upper(t), g.delta_max) * g.d_avg ** g.n
     return _exact("eq2_tree_product", value, ctx)
 
 
@@ -131,15 +153,14 @@ def eval_eq3(g: Graph, p: int) -> BoundValue:
     rational_part = 2 * p * g.n ** (2 * p)
     if excess == 0:
         return _exact("eq3_pathcover", rational_part, ctx)
-    with mpmath.workprec(WORKING_PRECISION_BITS):
-        log2v = float(_log2(rational_part) + excess * _edge_excess_log2())
-    return _logonly("eq3_pathcover", log2v, ctx)
+    return _logonly("eq3_pathcover",
+                    lambda: _log2(rational_part) + excess * _edge_excess_log2(), ctx)
 
 
-def eval_eq4(g: Graph, stats: DegreeStats) -> BoundValue:
+def eval_eq4(g: Graph) -> BoundValue:
     """d_avg^n * ((delta-1)!)^((e-n+3-2*delta_min)/((delta_min-1)(delta-2))),
     gated to min degree >= 2 and max degree >= 3."""
-    delta, dmin = stats.delta_max, stats.delta_min
+    delta, dmin = g.delta_max, g.delta_min
     if dmin < 2 or delta < 3:
         return _gated("eq4_degree_exponent",
                       "requires min degree >= 2 and max degree >= 3",
@@ -148,12 +169,11 @@ def eval_eq4(g: Graph, stats: DegreeStats) -> BoundValue:
     ctx = {"exponent": exponent}
     base = factorial(delta - 1)
     if exponent.denominator == 1 and exponent >= 0:
-        value = stats.d_avg ** g.n * base ** int(exponent)
+        value = g.d_avg ** g.n * base ** int(exponent)
         return _exact("eq4_degree_exponent", value, ctx)
-    with mpmath.workprec(WORKING_PRECISION_BITS):
-        exp_mp = mpmath.mpf(exponent.numerator) / exponent.denominator
-        log2v = float(g.n * _log2(stats.d_avg) + exp_mp * _log2(base))
-    return _logonly("eq4_degree_exponent", log2v, ctx)
+    return _logonly("eq4_degree_exponent",
+                    lambda: g.n * _log2(g.d_avg)
+                    + mpmath.mpf(exponent.numerator) / exponent.denominator * _log2(base), ctx)
 
 
 def eval_eq5(g: Graph, class_asserted: bool) -> BoundValue:
@@ -166,14 +186,12 @@ def eval_eq5(g: Graph, class_asserted: bool) -> BoundValue:
                       "(square of a graph or 3-connected planar)", ctx)
     if g.n < 2:
         return _gated("eq5_special_class", "degenerate on a single vertex", ctx)
-    stats = degree_stats(g)
     if g.n % 2 == 0:
-        value = 3 * Fraction(2) ** ((g.n - 2) // 2) * stats.d_avg ** g.n / stats.delta_max
+        value = 3 * Fraction(2) ** ((g.n - 2) // 2) * g.d_avg ** g.n / g.delta_max
         return _exact("eq5_special_class", value, ctx)
-    with mpmath.workprec(WORKING_PRECISION_BITS):
-        log2v = float(_log2(3) + mpmath.mpf(g.n - 2) / 2
-                      + g.n * _log2(stats.d_avg) - _log2(stats.delta_max))
-    return _logonly("eq5_special_class", log2v, ctx)
+    return _logonly("eq5_special_class",
+                    lambda: _log2(3) + mpmath.mpf(g.n - 2) / 2
+                    + g.n * _log2(g.d_avg) - _log2(g.delta_max), ctx)
 
 
 def eval_eq6(g: Graph, m: int) -> BoundValue:
@@ -184,18 +202,17 @@ def eval_eq6(g: Graph, m: int) -> BoundValue:
         return _gated("eq6_starfree", "formula degenerates below m = 3", ctx)
     if g.n < 2:
         return _gated("eq6_starfree", "degenerate on a single vertex", ctx)
-    stats = degree_stats(g)
     exponent = Fraction(g.n, m - 2)
     ctx["exponent"] = exponent
     if exponent.denominator == 1:
         value = (factorial(m - 1) * factorial(m - 2) ** int(exponent)
-                 * stats.d_avg ** g.n / stats.delta_max)
+                 * g.d_avg ** g.n / g.delta_max)
         return _exact("eq6_starfree", value, ctx)
-    with mpmath.workprec(WORKING_PRECISION_BITS):
-        exp_mp = mpmath.mpf(exponent.numerator) / exponent.denominator
-        log2v = float(_log2(factorial(m - 1)) + exp_mp * _log2(factorial(m - 2))
-                      + g.n * _log2(stats.d_avg) - _log2(stats.delta_max))
-    return _logonly("eq6_starfree", log2v, ctx)
+    return _logonly("eq6_starfree",
+                    lambda: _log2(factorial(m - 1))
+                    + mpmath.mpf(exponent.numerator) / exponent.denominator
+                    * _log2(factorial(m - 2))
+                    + g.n * _log2(g.d_avg) - _log2(g.delta_max), ctx)
 
 
 def eval_eq7(g: Graph, ham: bool) -> BoundValue:
@@ -220,16 +237,13 @@ def eval_eq8(g: Graph, ham: bool) -> BoundValue:
                       via_p1.exact_value, via_p1.log2_value, ctx)
 
 
-def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None,
-              orbit_check: int | None = None) -> BoundValue:
+def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None) -> BoundValue:
     """Greedy-tree stabiliser-chain bound:
     n1 * d(v0)! * product over expansion steps of (tree degree - 1)!.
 
     With n1 absent the orbit length is replaced by n (the always-available
-    form).  ``orbit_check`` rejects an n1 inconsistent with the oracle."""
+    form)."""
     v0 = gt.root
-    if n1 is not None and orbit_check is not None and n1 != orbit_check:
-        raise ValueError(f"n1={n1} contradicts the orbit size {orbit_check} of vertex {v0}")
     factor = n1 if n1 is not None else g.n
     value = factor * factorial(g.degree(v0))
     for k in gt.step_sizes():
@@ -240,7 +254,7 @@ def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None,
     return _exact(bound_id, value, ctx)
 
 
-def eval_corollary(stats: DegreeStats, n: int, mode: str = "corrected") -> BoundValue:
+def eval_corollary(g: Graph, mode: str = "corrected") -> BoundValue:
     """n * alpha! * delta! * ((delta-1)!)^r with r = floor((n-delta-1)/(delta-1)).
 
     verbatim mode uses alpha = n - r*(delta-1) as printed in the source
@@ -248,7 +262,7 @@ def eval_corollary(stats: DegreeStats, n: int, mode: str = "corrected") -> Bound
     remainder that actually satisfies 0 <= alpha < delta - 1."""
     if mode not in ("corrected", "verbatim"):
         raise ValueError(f"unknown corollary mode {mode!r}")
-    delta = stats.delta_max
+    n, delta = g.n, g.delta_max
     if delta < 2:
         return _gated("corollary", "requires max degree >= 2", {"mode": mode})
     if n < delta + 1:
@@ -298,10 +312,6 @@ class _Inputs:
         if not self.connected:
             raise _Gate("graph is disconnected")
         return self.g
-
-    @cached_property
-    def stats(self) -> DegreeStats:
-        return degree_stats(self.host)
 
     @cached_property
     def greedy(self) -> GreedyTree:
@@ -355,18 +365,18 @@ def _corollary(r: _Inputs) -> BoundValue | list[BoundValue]:
     """One row in the chosen mode; "both" gives a corollary_<mode> row per mode."""
     mode = r.options.corollary_mode
     if mode != "both":
-        return eval_corollary(r.stats, r.g.n, mode)
+        return eval_corollary(r.host, mode)
     return [replace(bv, bound_id=f"corollary_{m}") for m in ("corrected", "verbatim")
-            for bv in _rows(r, "corollary", lambda r, m=m: eval_corollary(r.stats, r.g.n, m))]
+            for bv in _rows(r, "corollary", lambda r, m=m: eval_corollary(r.host, m))]
 
 
 # id -> (CLI alias or None, evaluator); the order is the report's row order.
 REGISTRY = {
     "thm1_tree": ("thm1", lambda r: eval_thm1_tree(r.host, r.greedy.tree)),
-    "eq1_nashwilliams": ("eq1", lambda r: eval_eq1(r.stats, r.g.n)),
+    "eq1_nashwilliams": ("eq1", lambda r: eval_eq1(r.host)),
     "eq2_tree_product": ("eq2", lambda r: eval_eq2(r.host, r.greedy.tree)),
     "eq3_pathcover": ("eq3", lambda r: eval_eq3(r.host, r.p)),
-    "eq4_degree_exponent": ("eq4", lambda r: eval_eq4(r.host, r.stats)),
+    "eq4_degree_exponent": ("eq4", lambda r: eval_eq4(r.host)),
     "eq5_special_class": ("eq5", lambda r: eval_eq5(r.host, r.options.class5_asserted)),
     "eq6_starfree": ("eq6", lambda r: eval_eq6(r.host, r.m)),
     "eq7_hamiltonian": ("eq7", lambda r: eval_eq7(r.host, r.p == 1)),
@@ -425,8 +435,7 @@ class BoundReport:
         if self.aut_exact is None:
             return []
         bad = []
-        with mpmath.workprec(WORKING_PRECISION_BITS):
-            log2_aut = float(_log2(self.aut_exact))
+        log2_aut = float(_log2(self.aut_exact))
         for bv in self.bounds:
             if not bv.applicable:
                 continue
@@ -455,8 +464,7 @@ def compose_report(g: Graph, options: ReportOptions = ReportOptions()) -> BoundR
 
     gaps: dict[str, float] = {}
     if aut_res is not None:
-        with mpmath.workprec(WORKING_PRECISION_BITS):
-            log2_aut = float(_log2(aut_res.order))
+        log2_aut = float(_log2(aut_res.order))
         for bv in out:
             if bv.applicable:
                 gaps[bv.bound_id] = bv.log2_value - log2_aut

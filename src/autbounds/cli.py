@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -42,19 +41,10 @@ EXIT_INTERNAL = 4
 BOUND_ALIASES = {alias: bid for bid, (alias, _) in REGISTRY.items() if alias}
 
 
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    """Fully resolved options for one analyze/batch invocation."""
-
-    format: str = "graph6"
-    output: str = "table"
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
-    report: ReportOptions = ReportOptions()
-
-
 def _id_list(item: str, empty: str, known: tuple[str, ...], aliases: dict[str, str]):
     """argparse type for a comma-separated list of ``known`` ids (or aliases
-    of them); blank tokens are skipped, and an empty list is an error."""
+    of them); blank tokens are skipped, only the first occurrence of each
+    resolved id is kept, and an empty list is an error."""
     def parse(text: str) -> tuple[str, ...]:
         out = []
         for token in text.split(","):
@@ -65,7 +55,8 @@ def _id_list(item: str, empty: str, known: tuple[str, ...], aliases: dict[str, s
             if resolved not in known:
                 raise argparse.ArgumentTypeError(
                     f"unknown {item} {token!r}; known: {', '.join(known)}")
-            out.append(resolved)
+            if resolved not in out:
+                out.append(resolved)
         if not out:
             raise argparse.ArgumentTypeError(empty)
         return tuple(out)
@@ -123,18 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analyze_options(args) -> AnalyzeOptions:
-    return AnalyzeOptions(
-        format=getattr(args, "format", "graph6"),
-        output=args.output,
-        oracle_limit=args.oracle_limit,
-        report=ReportOptions(
-            bounds=args.bounds,
-            exact_aut=args.exact_aut,
-            exhaustive_start=args.exhaustive_start,
-            class5_asserted=args.assert_class5,
-            corollary_mode=args.corollary_mode,
-        ),
+def _report_options(args) -> ReportOptions:
+    return ReportOptions(
+        bounds=args.bounds,
+        exact_aut=args.exact_aut,
+        exhaustive_start=args.exhaustive_start,
+        class5_asserted=args.assert_class5,
+        corollary_mode=args.corollary_mode,
     )
 
 
@@ -244,21 +230,21 @@ def render_table(report: BoundReport) -> str:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(input_path: str, opts: AnalyzeOptions) -> int:
-    text = _read_input(input_path)
-    if opts.format == "graph6":
+def cmd_analyze(args) -> int:
+    text = _read_input(args.input)
+    if args.format == "graph6":
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
         g = parse_graph6(line.strip())
     else:
         g = parse_edgelist(text)
-    if opts.report.exact_aut and g.n > opts.oracle_limit:
-        print(f"refusing the exact oracle at n={g.n} > limit {opts.oracle_limit}; "
+    if args.exact_aut and g.n > args.oracle_limit:
+        print(f"refusing the exact oracle at n={g.n} > limit {args.oracle_limit}; "
               "pass --no-exact-aut or raise --oracle-limit", file=sys.stderr)
         return EXIT_SIZE
-    report = compose_report(g, opts.report)
-    if opts.output == "table":
+    report = compose_report(g, _report_options(args))
+    if args.output == "table":
         sys.stdout.write(render_table(report))
-    elif opts.output == "csv":
+    elif args.output == "csv":
         sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
         sys.stdout.write(_csv_rows(report))
     else:
@@ -266,12 +252,13 @@ def cmd_analyze(input_path: str, opts: AnalyzeOptions) -> int:
     return EXIT_OK
 
 
-def cmd_batch(input_path: str, opts: AnalyzeOptions) -> int:
+def cmd_batch(args) -> int:
     try:
-        text = _read_input(input_path)
+        text = _read_input(args.input)
     except OSError as exc:
-        print(f"cannot read {input_path}: {exc}", file=sys.stderr)
+        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    opts = _report_options(args)
     first = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -279,14 +266,14 @@ def cmd_batch(input_path: str, opts: AnalyzeOptions) -> int:
             continue
         try:
             g = parse_graph6(line)
-            if opts.report.exact_aut and g.n > opts.oracle_limit:
+            if args.exact_aut and g.n > args.oracle_limit:
                 raise SizeLimitError(
-                    f"n={g.n} above oracle limit {opts.oracle_limit}")
-            report = compose_report(g, opts.report)
+                    f"n={g.n} above oracle limit {args.oracle_limit}")
+            report = compose_report(g, opts)
         except (GraphParseError, SizeLimitError) as exc:
             print(f"line {lineno}: skipped: {exc}", file=sys.stderr)
             continue
-        if opts.output == "json":
+        if args.output == "json":
             sys.stdout.write(json.dumps(report_to_dict(report)) + "\n")
         else:
             if first:
@@ -339,15 +326,14 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
+COMMANDS = {"analyze": cmd_analyze, "batch": cmd_batch, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.input, _analyze_options(args))
-        if args.command == "batch":
-            return cmd_batch(args.input, _analyze_options(args))
-        return cmd_verify(args)
+        return COMMANDS[args.command](args)
     except SizeLimitError as exc:
         print(f"size refusal: {exc}", file=sys.stderr)
         return EXIT_SIZE

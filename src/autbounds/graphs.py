@@ -83,6 +83,19 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 
+    @property
+    def delta_max(self) -> int:
+        return max(self.degrees)
+
+    @property
+    def delta_min(self) -> int:
+        return min(self.degrees)
+
+    @cached_property
+    def d_avg(self) -> Fraction:
+        """Average degree 2e/n as an exact rational."""
+        return Fraction(2 * self.e, self.n)
+
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -106,21 +119,6 @@ class Graph:
                 img |= 1 << perm[w]
             rows[perm[v]] = img
         return Graph(self.n, tuple(rows))
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    """Per-vertex degrees plus max/min/average; the average is an exact rational."""
-
-    degrees: tuple[int, ...]
-    delta_max: int
-    delta_min: int
-    d_avg: Fraction
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    degs = g.degrees
-    return DegreeStats(degs, max(degs), min(degs), Fraction(2 * g.e, g.n))
 
 
 def is_connected(g: Graph) -> bool:

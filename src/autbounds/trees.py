@@ -18,7 +18,7 @@ from math import comb, factorial, prod
 
 from .graphs import Graph, SizeLimitError, _union, bits, is_connected
 
-ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts unless capped
+ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts
 
 Edge = tuple[int, int]
 
@@ -310,31 +310,28 @@ def embedding_upper_fs(g: Graph) -> Fraction:
     vertex degrees divided by the maximum degree, as an exact rational."""
     if g.n < 2 or not is_connected(g):
         raise ValueError("estimate needs a connected host with n >= 2")
-    return Fraction(prod(g.degrees), max(g.degrees))
+    return Fraction(prod(g.degrees), g.delta_max)
 
 
-def all_spanning_trees(g: Graph, cap: int | None = None) -> tuple[list[SpanningTree], bool]:
+def all_spanning_trees(g: Graph) -> list[SpanningTree]:
     """Every spanning tree exactly once via edge-subset enumeration.
 
-    Returns (trees, truncated).  Hosts with more than 7 vertices are refused
-    unless a cap is supplied, since the subset count explodes.
+    Hosts with more than 7 vertices are refused, since the subset count
+    explodes.
     """
     if not is_connected(g):
         raise ValueError("spanning trees need a connected host graph")
-    if g.n > ENUM_VERTEX_LIMIT and cap is None:
+    if g.n > ENUM_VERTEX_LIMIT:
         raise SizeLimitError(
             f"subset enumeration over {comb(g.e, g.n - 1)} candidates refused for "
-            f"n={g.n} > {ENUM_VERTEX_LIMIT}; pass a cap to force it")
+            f"n={g.n} > {ENUM_VERTEX_LIMIT}")
     n = g.n
     trees: list[SpanningTree] = []
     for subset in combinations(g.edges(), n - 1):
         parent = list(range(n))
-        if not all(_union(parent, u, v) for u, v in subset):
-            continue
-        trees.append(SpanningTree(n, frozenset(subset)))
-        if cap is not None and len(trees) >= cap:
-            return trees, True
-    return trees, False
+        if all(_union(parent, u, v) for u, v in subset):
+            trees.append(SpanningTree(n, frozenset(subset)))
+    return trees
 
 
 def spanning_tree_count(g: Graph) -> int:

@@ -10,7 +10,7 @@ from math import factorial
 from autbounds.automorphisms import aut_order
 from autbounds.bounds import ReportOptions, compose_report
 from autbounds.corpus import CONNECTED_GRAPH_COUNTS, connected_graphs
-from autbounds.graphs import complete_bipartite_graph, complete_graph, degree_stats
+from autbounds.graphs import complete_bipartite_graph, complete_graph
 from autbounds.bounds import eval_eq1
 from autbounds.trees import SpanningTree, tree_aut_exact, tree_aut_upper
 from autbounds.verify import (
@@ -65,7 +65,7 @@ def test_criterion_2_orbit_bound_exactness():
 def test_criterion_3_eq1_exact_on_complete_graphs():
     ok = True
     for n in range(3, 8):
-        bv = eval_eq1(degree_stats(complete_graph(n)), n)
+        bv = eval_eq1(complete_graph(n))
         ok = ok and bv.exact_value == factorial(n)
     _report("criterion 3: eq1 equals n! on K_n for 3 <= n <= 7", ok)
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from math import log2
 
@@ -10,7 +12,7 @@ from autbounds.bounds import (
     BOUND_IDS,
     WORKING_PRECISION_BITS,
     _log2,
-    _log2_at,
+    _log2_memo,
     ReportOptions,
     compose_report,
     eval_corollary,
@@ -30,7 +32,6 @@ from autbounds.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    degree_stats,
     path_graph,
     petersen_graph,
     star_graph,
@@ -54,11 +55,11 @@ def path_tree(n):
 # --- eq1 ------------------------------------------------------------------
 
 def test_eq1_values():
-    assert eval_eq1(degree_stats(complete_graph(4)), 4).exact_value == 24
-    assert eval_eq1(degree_stats(cycle_graph(4)), 4).exact_value == 8
-    assert eval_eq1(degree_stats(petersen_graph()), 10).exact_value == 3840
-    assert eval_eq1(degree_stats(complete_graph(2)), 2).exact_value == 2
-    assert eval_eq1(degree_stats(Graph(1, (0,))), 1).exact_value == 1
+    assert eval_eq1(complete_graph(4)).exact_value == 24
+    assert eval_eq1(cycle_graph(4)).exact_value == 8
+    assert eval_eq1(petersen_graph()).exact_value == 3840
+    assert eval_eq1(complete_graph(2)).exact_value == 2
+    assert eval_eq1(Graph(1, (0,))).exact_value == 1
 
 
 # --- eq2 ------------------------------------------------------------------
@@ -116,22 +117,22 @@ def test_eq8_is_eq3_at_p1(g):
 # --- eq4 ------------------------------------------------------------------
 
 def test_eq4_petersen_exact():
-    bv = eval_eq4(petersen_graph(), degree_stats(petersen_graph()))
+    bv = eval_eq4(petersen_graph())
     assert bv.exact_value == 118098
     assert bv.context["exponent"] == 1
 
 
 def test_eq4_k4_log_domain():
-    bv = eval_eq4(complete_graph(4), degree_stats(complete_graph(4)))
+    bv = eval_eq4(complete_graph(4))
     assert bv.exact_value is None
     assert bv.context["exponent"] == Fraction(-1, 2)
     assert bv.log2_value == pytest.approx(4 * log2(3) - 0.5, abs=1e-9)
 
 
 def test_eq4_gates():
-    bv = eval_eq4(cycle_graph(4), degree_stats(cycle_graph(4)))
+    bv = eval_eq4(cycle_graph(4))
     assert not bv.applicable  # max degree 2 < 3
-    bv = eval_eq4(star_graph(3), degree_stats(star_graph(3)))
+    bv = eval_eq4(star_graph(3))
     assert not bv.applicable  # min degree 1 < 2
 
 
@@ -212,33 +213,24 @@ def test_thm3_plain_uses_n():
     assert bv.bound_id == "thm3_plain" and bv.exact_value == 4
 
 
-def test_thm3_orbit_check_rejects():
-    k4 = complete_graph(4)
-    gt = greedy_spanning_tree(k4, 0)
-    with pytest.raises(ValueError, match="contradicts"):
-        eval_thm3(k4, gt, 3, orbit_check=4)
-    assert eval_thm3(k4, gt, 4, orbit_check=4).exact_value == 24
-
-
 # --- corollary --------------------------------------------------------------
 
 def test_corollary_k4():
-    s = degree_stats(complete_graph(4))
-    assert eval_corollary(s, 4, "corrected").exact_value == 24
-    assert eval_corollary(s, 4, "verbatim").exact_value == 576
+    k4 = complete_graph(4)
+    assert eval_corollary(k4, "corrected").exact_value == 24
+    assert eval_corollary(k4, "verbatim").exact_value == 576
 
 
 def test_corollary_c6():
-    s = degree_stats(cycle_graph(6))
-    bv = eval_corollary(s, 6, "corrected")
+    bv = eval_corollary(cycle_graph(6), "corrected")
     assert bv.exact_value == 12 == aut_order(cycle_graph(6)).order
     assert bv.context["r"] == 3 and bv.context["alpha"] == 0
 
 
 def test_corollary_gates():
-    assert not eval_corollary(degree_stats(complete_graph(2)), 2, "corrected").applicable
+    assert not eval_corollary(complete_graph(2), "corrected").applicable
     with pytest.raises(ValueError):
-        eval_corollary(degree_stats(complete_graph(4)), 4, "sideways")
+        eval_corollary(complete_graph(4), "sideways")
 
 
 # --- thm1 -------------------------------------------------------------------
@@ -358,37 +350,75 @@ def test_log2_matches_exact_value():
             assert bv.log2_value == pytest.approx(expected, abs=1e-9)
 
 
-def _fresh_log2(x: Fraction) -> mpmath.mpf:
-    return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(mpmath.mpf(x.denominator), 2)
-
-
 def test_log2_memo_equal_keys_give_equal_values():
-    _log2_at.cache_clear()
+    _log2_memo.cache_clear()
+    first = _log2(Fraction(6))
     with mpmath.workprec(WORKING_PRECISION_BITS):
-        first = _log2(Fraction(6))
         assert _log2(6) == first == mpmath.log(mpmath.mpf(6), 2)
-        assert _log2_at.cache_info().misses == 1
+    assert _log2_memo.cache_info().misses == 1
 
 
-def test_log2_memo_is_keyed_on_precision():
-    _log2_at.cache_clear()
+def test_log2_ignores_the_callers_precision():
     x = Fraction(10, 3)
-    with mpmath.workprec(53):
-        low = _log2(x)
-        assert low == _fresh_log2(x)
     with mpmath.workprec(WORKING_PRECISION_BITS):
-        high = _log2(x)
-        assert high == _fresh_log2(x)
-    assert high != low
+        expected = mpmath.log(mpmath.mpf(10), 2) - mpmath.log(mpmath.mpf(3), 2)
+    for prec in (53, 200):
+        _log2_memo.cache_clear()
+        with mpmath.workprec(prec):
+            assert _log2(x) == expected
+            assert mpmath.mp.prec == prec
 
 
 def test_log2_memo_stays_bounded():
-    _log2_at.cache_clear()
-    size = _log2_at.cache_info().maxsize
-    with mpmath.workprec(WORKING_PRECISION_BITS):
-        for k in range(2, size + 102):
-            _log2(k)
-    assert _log2_at.cache_info().currsize == size
+    _log2_memo.cache_clear()
+    size = _log2_memo.cache_info().maxsize
+    for k in range(2, size + 102):
+        _log2(k)
+    assert _log2_memo.cache_info().currsize == size
+
+
+# With class 5 asserted, the Petersen graph (eq3, eq8), C_5 (eq5), K_4 (eq4)
+# and the star K_1,4 (eq6) between them take every log-only route.
+REPORT_OPTIONS = ReportOptions(corollary_mode="both", class5_asserted=True)
+
+
+def test_report_ignores_the_callers_precision():
+    prec = mpmath.mp.prec
+    for g in (petersen_graph(), cycle_graph(5), complete_graph(4), star_graph(4)):
+        expected = compose_report(g, REPORT_OPTIONS).bounds
+        for caller_prec in (53, 200):
+            _log2_memo.cache_clear()
+            with mpmath.workprec(caller_prec):
+                assert compose_report(g, REPORT_OPTIONS).bounds == expected
+                assert mpmath.mp.prec == caller_prec
+    assert mpmath.mp.prec == prec
+
+
+def test_concurrent_reports_keep_precision():
+    """Threads that switch every microsecond get the single-thread rows and
+    leave mpmath's process-wide precision where it was."""
+    g = petersen_graph()
+    expected = compose_report(g, REPORT_OPTIONS).bounds
+    prec, interval = mpmath.mp.prec, sys.getswitchinterval()
+    results = []
+
+    def work():
+        for _ in range(30):
+            results.append(compose_report(g, REPORT_OPTIONS).bounds)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert mpmath.mp.prec == prec
+        assert len(results) == 120 and all(rows == expected for rows in results)
+    finally:
+        sys.setswitchinterval(interval)
+        mpmath.mp.prec = prec
 
 
 @given(connected_graphs_st(max_n=7))
@@ -409,7 +439,7 @@ def test_corollary_majorizes_worst_start_thm3(corpus7):
     degree-sum identity."""
     for n in range(1, 8):
         for g in corpus7[n]:
-            cor = eval_corollary(degree_stats(g), g.n, "corrected")
+            cor = eval_corollary(g, "corrected")
             if not cor.applicable:
                 continue
             for v0 in range(g.n):
@@ -425,12 +455,12 @@ def test_degree_only_bounds_relabel_invariant(g, data):
     p = path_cover_number(g).p
     assert path_cover_number(h).p == p
     pairs = [
-        (eval_eq1(degree_stats(g), g.n), eval_eq1(degree_stats(h), h.n)),
+        (eval_eq1(g), eval_eq1(h)),
         (eval_eq3(g, p), eval_eq3(h, p)),
-        (eval_eq4(g, degree_stats(g)), eval_eq4(h, degree_stats(h))),
+        (eval_eq4(g), eval_eq4(h)),
         (eval_eq7(g, p == 1), eval_eq7(h, p == 1)),
         (eval_eq8(g, p == 1), eval_eq8(h, p == 1)),
-        (eval_corollary(degree_stats(g), g.n), eval_corollary(degree_stats(h), h.n)),
+        (eval_corollary(g), eval_corollary(h)),
     ]
     for a, b in pairs:
         assert a.applicable == b.applicable

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from autbounds.cli import main
+from autbounds.cli import build_parser, main
 
 
 def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -261,6 +261,21 @@ def test_id_list_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,attr,expected", [
+    (["analyze", "--bounds", "eq1,eq1"], "bounds", ("eq1_nashwilliams",)),
+    (["analyze", "--bounds", "eq1,eq1_nashwilliams"], "bounds", ("eq1_nashwilliams",)),
+    (["batch", "-", "--bounds", "thm3,eq1,thm3_orbit"], "bounds",
+     ("thm3_orbit", "eq1_nashwilliams")),
+    (["verify", "--suites", "oracle,oracle"], "suites", ("oracle",)),
+])
+def test_id_list_keeps_first_occurrence(argv, attr, expected, capsys, monkeypatch):
+    assert getattr(build_parser().parse_args(argv), attr) == expected
+    if argv[0] == "analyze":
+        code, out, _ = run_cli([*argv, "--output", "csv"], capsys,
+                               stdin_text="C~\n", monkeypatch=monkeypatch)
+        assert code == 0 and out.count("eq1_nashwilliams") == 1
+
+
 def test_analyze_exhaustive_start_flag(capsys, monkeypatch):
     # K_{2,3}: default start gives 12 already; exhaustive must not exceed it
     code, out, _ = run_cli(["analyze", "--exhaustive-start", "--output", "json"],
@@ -297,8 +312,8 @@ def test_verify_fault_injection(capsys, monkeypatch):
 
     real = bounds_mod.eval_eq1
 
-    def sabotaged(stats, n):
-        bv = real(stats, n)
+    def sabotaged(g):
+        bv = real(g)
         if not bv.applicable:
             return bv
         halved = bv.exact_value / 2

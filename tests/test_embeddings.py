@@ -76,7 +76,7 @@ def test_disconnected_spanning_subgraph():
 
 @given(connected_graphs_st(max_n=6), st.data())
 def test_identity_on_random_spanning_trees(g, data):
-    trees, _ = all_spanning_trees(g)
+    trees = all_spanning_trees(g)
     t = data.draw(st.sampled_from(trees))
     # count_embeddings recomputes all three quantities independently and
     # raises if the identity fails; the embedding bound must hold on top.
@@ -86,7 +86,7 @@ def test_identity_on_random_spanning_trees(g, data):
 
 @given(connected_graphs_st(max_n=5))
 def test_labeled_at_least_copies(g):
-    t = all_spanning_trees(g)[0][0].to_graph()
+    t = all_spanning_trees(g)[0].to_graph()
     labeled = count_labeled_embeddings(t, g)
     copies = count_subgraph_copies(t, g)
     assert labeled >= copies >= 1
@@ -97,7 +97,7 @@ def test_labeled_count_matches_oracles_on_corpus(corpus6):
     # with n <= 6, against the subset+isomorphism and naive-permutation routes.
     for graphs in corpus6.values():
         for g in graphs:
-            classes = {tree_certificate(t): t for t in all_spanning_trees(g)[0]}
+            classes = {tree_certificate(t): t for t in all_spanning_trees(g)}
             for t in classes.values():
                 f = t.to_graph()
                 assert count_labeled_embeddings(f, g) == (

@@ -10,7 +10,6 @@ from autbounds.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    degree_stats,
     is_connected,
     parse_edgelist,
     parse_graph6,
@@ -124,21 +123,21 @@ def test_parse_edgelist_duplicate_warns():
 
 
 def test_degree_stats_k4():
-    s = degree_stats(complete_graph(4))
-    assert s.degrees == (3, 3, 3, 3)
-    assert s.delta_max == s.delta_min == 3
-    assert s.d_avg == 3
+    g = complete_graph(4)
+    assert g.degrees == (3, 3, 3, 3)
+    assert g.delta_max == g.delta_min == 3
+    assert g.d_avg == 3 and isinstance(g.d_avg, Fraction)
 
 
 def test_degree_stats_star():
-    s = degree_stats(star_graph(3))
-    assert s.delta_max == 3 and s.delta_min == 1
-    assert s.d_avg == Fraction(6, 4)
+    g = star_graph(3)
+    assert g.delta_max == 3 and g.delta_min == 1
+    assert g.d_avg == Fraction(6, 4)
 
 
 def test_degree_stats_c5():
-    s = degree_stats(cycle_graph(5))
-    assert s.delta_max == s.delta_min == 2 and s.d_avg == 2
+    g = cycle_graph(5)
+    assert g.delta_max == g.delta_min == 2 and g.d_avg == 2
 
 
 def test_is_connected():

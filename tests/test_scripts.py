@@ -59,6 +59,9 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
     assert record["layer"] == layer and record["cpu_count"] == os.cpu_count()
     assert sorted(record[key]) == groups
     assert all(s >= 0 for s in record[key].values())
+    if layer == "log2":
+        # every repeat starts cold and keeps one memo entry per value
+        assert record["misses"] == [record["distinct"]] * 3
 
 
 def test_bench_corpus_quick(tmp_path):

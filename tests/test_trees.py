@@ -147,30 +147,26 @@ def test_embedding_upper_fs_examples():
 
 
 def test_all_spanning_trees_counts():
-    assert len(all_spanning_trees(cycle_graph(4))[0]) == 4
-    assert len(all_spanning_trees(complete_graph(4))[0]) == 16
-    assert len(all_spanning_trees(path_graph(4))[0]) == 1
+    assert len(all_spanning_trees(cycle_graph(4))) == 4
+    assert len(all_spanning_trees(complete_graph(4))) == 16
+    assert len(all_spanning_trees(path_graph(4))) == 1
 
 
-def test_all_spanning_trees_cap_and_refusal():
-    trees, truncated = all_spanning_trees(complete_graph(5), cap=10)
-    assert len(trees) == 10 and truncated
+def test_all_spanning_trees_refusal():
     with pytest.raises(SizeLimitError):
         all_spanning_trees(complete_graph(8))
-    trees, truncated = all_spanning_trees(complete_graph(4), cap=100)
-    assert len(trees) == 16 and not truncated
 
 
 def test_matrix_tree_agrees_with_enumeration(corpus6):
     for n in range(1, 7):
         for g in corpus6[n]:
-            trees, _ = all_spanning_trees(g)
+            trees = all_spanning_trees(g)
             assert spanning_tree_count(g) == len(trees)
 
 
 @given(connected_graphs_st(max_n=7))
 def test_matrix_tree_random(g):
-    trees, _ = all_spanning_trees(g)
+    trees = all_spanning_trees(g)
     assert spanning_tree_count(g) == len(trees)
     for t in trees:
         assert t.spans(g)
