@@ -84,9 +84,11 @@ def _log2_memo(x) -> mpmath.mpf:
         return mpmath.log(mpmath.mpf(x), 2)
 
 
+@lru_cache(maxsize=1)
 def _edge_excess_log2() -> mpmath.mpf:
-    # log2 of 2^(7/8) * 6^(1/24)
-    return mpmath.mpf(7) / 8 + mpmath.log(mpmath.mpf(6), 2) / 24
+    # log2 of 2^(7/8) * 6^(1/24), a constant at WORKING_PRECISION_BITS
+    with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
+        return mpmath.mpf(7) / 8 + mpmath.log(mpmath.mpf(6), 2) / 24
 
 
 def _exact(bound_id: str, value, context: dict) -> BoundValue:

@@ -3,16 +3,19 @@ subgraph.
 
 Two genuinely independent routes feed the identity
 ``labeled == copies * aut_f``: labeled copies come from placement search over
-bitmask candidate sets, the last vertex counted by popcount; subgraph copies
-come from edge-subset enumeration with an edge-by-edge isomorphism test; and
-aut_f comes from the naive permutation oracle.  ``count_embeddings`` checks
-the identity on every call and raises RuntimeError if it fails, so a bug in
-any one route trips immediately.
+bitmask candidate sets, the last vertex counted by popcount; sibling leaves
+(k >= 2 leaves of f on one neighbour, or k >= 2 isolated vertices) are never
+placed, but counted once the rest is, as k! times the ways to split the free
+vertices among them.  Subgraph copies come from edge-subset enumeration with
+an edge-by-edge isomorphism test, and aut_f comes from the naive permutation
+oracle.  ``count_embeddings`` checks the identity on every call and raises
+RuntimeError if it fails, so a bug in any one route trips immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 
 from .graphs import Graph, SizeLimitError, bits
 from .automorphisms import aut_order_naive
@@ -40,27 +43,53 @@ def count_labeled_embeddings(f: Graph, g: Graph) -> int:
     to an edge of g (non-edges of f are unconstrained)."""
     _check_pair(f, g)
     n = f.n
-    # Place vertices component by component so each new vertex is constrained
-    # by an already-placed neighbour whenever possible.
-    order: list[int] = []
-    placed = 0
-    while len(order) < n:
-        start = next(v for v in range(n) if not (placed >> v) & 1)
-        queue = [start]
-        placed |= 1 << start
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in bits(f.rows[v] & ~placed):
-                placed |= 1 << w
-                queue.append(w)
-    pos = {v: i for i, v in enumerate(order)}
-    # earlier[i]: neighbours of order[i] that are placed before it
-    earlier = [[w for w in bits(f.rows[v]) if pos[w] < i] for i, v in enumerate(order)]
+    f_rows = f.rows
+    # Sibling leaves are not searched: the k >= 2 leaves of f on one
+    # neighbour p.  Isolated vertices count as leaves of a phantom vertex n,
+    # which stays on its own image n, adjacent in g to every vertex.
+    full = (1 << n) - 1
+    leaves = isolated = 0
+    for v, row in enumerate(f_rows):
+        if not row & (row - 1):
+            leaves |= 1 << v
+            if not row:
+                isolated |= 1 << v
+    groups = []        # (p, k) per sibling group
+    grouped = 0
+    factor = 1         # the k! orders inside each group
+    for p, row in enumerate(f_rows + (isolated,)):
+        sib = row & leaves
+        if sib & (sib - 1):
+            groups.append((p, sib.bit_count()))
+            grouped |= sib
+            factor *= factorial(sib.bit_count())
 
-    image = [0] * n
-    g_rows = g.rows
-    last = n - 1
+    # Place the other vertices component by component so each new vertex is
+    # constrained by an already-placed neighbour whenever possible.
+    order: list[int] = []
+    placed = grouped
+    while placed != full:
+        low = ~placed & (placed + 1)
+        placed |= low
+        queue = [low.bit_length() - 1]
+        for v in queue:
+            new = f_rows[v] & ~placed
+            placed |= new
+            queue.extend(bits(new))
+        order += queue
+    if not order:      # f has no edges
+        return factor
+    # earlier[i]: neighbours of order[i] that are placed before it
+    earlier = []
+    before = 0
+    for v in order:
+        earlier.append(list(bits(f_rows[v] & before)))
+        before |= 1 << v
+
+    image = [0] * n + [n]
+    g_rows = g.rows + (full,)
+    last = len(order) - 1
+    tail = _sibling_tail(order[last], groups, image, g_rows) if groups else None
 
     def place(i: int, free: int) -> int:
         # Candidates for order[i]: free vertices adjacent in g to the image of
@@ -69,7 +98,7 @@ def count_labeled_embeddings(f: Graph, g: Graph) -> int:
         for w in earlier[i]:
             cand &= g_rows[image[w]]
         if i == last:
-            return cand.bit_count()
+            return cand.bit_count() if tail is None else tail(free, cand)
         v = order[i]
         count = 0
         while cand:
@@ -79,7 +108,53 @@ def count_labeled_embeddings(f: Graph, g: Graph) -> int:
             cand ^= low
         return count
 
-    return place(0, (1 << n) - 1)
+    return factor * place(0, full)
+
+
+def _sibling_tail(x, groups, image, g_rows):
+    """tail(free, cand): the number of ways to place x, the last searched
+    vertex, on one of cand and to split the rest of free among the sibling
+    groups.  Group (p, k) takes k free vertices adjacent in g to p's image,
+    in any order (the caller's k! factor)."""
+    from itertools import combinations
+
+    def split(free: int, j: int = 0) -> int:
+        p, k = groups[j]
+        avail = free & g_rows[image[p]]
+        if j == len(groups) - 1:
+            return comb(avail.bit_count(), k)
+        if j == len(groups) - 2:
+            # Free vertices the last group cannot take are forced on this
+            # one; it chooses the rest of its k from what both can take.
+            other = free & g_rows[image[groups[-1][0]]]
+            if free & ~(avail | other):
+                return 0
+            forced = (free & ~other).bit_count()
+            return comb((avail & other).bit_count(), k - forced) if forced <= k else 0
+        return sum(split(free & ~sum(1 << w for w in chosen), j + 1)
+                   for chosen in combinations(bits(avail), k))
+
+    if len(groups) == 1 and x != groups[0][0]:
+        # x and the group share free: x must take the one free vertex the
+        # group cannot, or any of cand when there is none.
+        p = groups[0][0]
+
+        def tail(free: int, cand: int) -> int:
+            bad = free & ~g_rows[image[p]]
+            if bad & (bad - 1):
+                return 0
+            return (bad & cand if bad else cand).bit_count()
+        return tail
+
+    def tail(free: int, cand: int) -> int:
+        count = 0
+        while cand:
+            low = cand & -cand
+            image[x] = low.bit_length() - 1
+            count += split(free ^ low)
+            cand ^= low
+        return count
+    return tail
 
 
 def _isomorphism_test(f: Graph):

@@ -9,7 +9,7 @@ from itertools import permutations
 
 from hypothesis import strategies as st
 
-from autbounds.graphs import Graph
+from autbounds.graphs import Graph, is_connected
 
 
 def is_automorphism(g: Graph, p) -> bool:
@@ -57,6 +57,15 @@ def graph_from_bits(n: int, bitcode: int) -> Graph:
                 rows[j] |= 1 << i
             k += 1
     return Graph(n, tuple(rows))
+
+
+def connected_gnm(n: int, m: int, rng) -> Graph:
+    """m edges drawn uniformly with rng, redrawn until the graph is connected."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        g = Graph.from_edges(n, rng.sample(pairs, m))
+        if is_connected(g):
+            return g
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from autbounds.graphs import (
 )
 from autbounds.trees import all_spanning_trees, tree_certificate
 
-from helpers import brute_labeled_embeddings, connected_graphs_st
+from helpers import brute_labeled_embeddings, connected_gnm, connected_graphs_st
 
 
 def test_p3_in_k3():
@@ -112,3 +114,68 @@ def test_labeled_count_matches_permutations(g, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     f = Graph.from_edges(g.n, [e for e, k in zip(edges, keep) if k])
     assert count_labeled_embeddings(f, g) == brute_labeled_embeddings(f, g)
+
+
+# Sibling leaves (k >= 2 leaves of f on one neighbour, or >= 2 isolated
+# vertices) are counted in closed form; every tail shape against the n! walk.
+
+TAIL_HOSTS = {
+    "K8": complete_graph(8),
+    "K8-matching": Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                                        if (u, v) not in {(0, 1), (2, 3), (4, 5), (6, 7)}]),
+    "C8": cycle_graph(8),
+    "G(8,10)": connected_gnm(8, 10, random.Random(10)),
+}
+
+TAIL_SHAPES = {
+    # one group
+    "star": star_graph(7),
+    # two groups
+    "double-star": Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]),
+    "double-star-2-4": Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (1, 7)]),
+    # lone leaves only
+    "path": path_graph(8),
+    # two groups on the legs of a spider, plus a lone leaf
+    "spider": Graph.from_edges(8, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6), (0, 7)]),
+    # three groups, the most n = 8 allows: two cherries and the two
+    # isolated vertices
+    "cherries-isolated": Graph.from_edges(8, [(0, 1), (0, 2), (3, 4), (3, 5)]),
+    # one group and the isolated vertices, which take what is left
+    "star-isolated": Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    # sibling leaves on 0, lone leaves on 2 and 3
+    "caterpillar": Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (2, 6), (3, 7)]),
+    # K2 components only
+    "matching": Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    # every one of the 8! bijections
+    "edgeless": Graph.from_edges(8, []),
+    "cycle": cycle_graph(8),
+}
+
+
+@pytest.mark.parametrize("host", TAIL_HOSTS)
+@pytest.mark.parametrize("shape", TAIL_SHAPES)
+def test_tail_shapes_match_permutations(shape, host):
+    f, g = TAIL_SHAPES[shape], TAIL_HOSTS[host]
+    assert count_labeled_embeddings(f, g) == brute_labeled_embeddings(f, g)
+
+
+@pytest.mark.parametrize("f,g,count", [
+    (Graph.from_edges(1, []), Graph.from_edges(1, []), 1),
+    (Graph.from_edges(2, []), Graph.from_edges(2, []), 2),
+    (Graph.from_edges(2, []), complete_graph(2), 2),
+    (complete_graph(2), complete_graph(2), 2),
+    (complete_graph(2), Graph.from_edges(2, []), 0),
+])
+def test_one_and_two_vertices(f, g, count):
+    assert count_labeled_embeddings(f, g) == count == brute_labeled_embeddings(f, g)
+
+
+def test_every_spanning_subgraph_of_small_hosts_matches_permutations(corpus6):
+    # Every edge subset of every connected host with n <= 5: forests with
+    # isolated vertices, matchings, cycles and the host itself.
+    for n in range(1, 6):
+        for g in corpus6[n]:
+            edges = g.edges()
+            for mask in range(1 << len(edges)):
+                f = Graph.from_edges(n, [e for i, e in enumerate(edges) if mask >> i & 1])
+                assert count_labeled_embeddings(f, g) == brute_labeled_embeddings(f, g), (f, g)

@@ -6,7 +6,9 @@ the Petersen graph, and C_22, which is past the structural size cap.  A
 second file of sixteen seeded connected graphs on 7..14 vertices pins the
 path cover number p through the eq3/eq7/eq8 rows: half are sparse, with
 p >= 2, and half are dense, with p == 1.  The generated corpus itself,
-every graph on 1..7 vertices as graph6 lines in order, has one more digest.
+every graph on 1..7 vertices as graph6 lines in order, has one more digest,
+and so do the labeled-copy counts of greedy trees in the connected n <= 7
+graphs and in seeded connected G(8, m).
 A digest that moves means an output byte changed; that is a behaviour
 change, never a refactor.
 """
@@ -17,8 +19,12 @@ import random
 import pytest
 
 from autbounds.cli import main
-from autbounds.corpus import all_graphs
+from autbounds.corpus import all_graphs, connected_graphs
+from autbounds.embeddings import count_labeled_embeddings
 from autbounds.graphs import Graph, cycle_graph, petersen_graph, write_graph6
+from autbounds.trees import greedy_spanning_tree
+
+from helpers import connected_gnm
 
 GOLDEN = [
     (["--output", "json", "--corollary-mode", "both"],
@@ -34,6 +40,10 @@ GOLDEN = [
 
 # One SHA-256 over the graph6 lines of all_graphs(n), n = 1..7 in order.
 CORPUS_DIGEST = "227a191bd5aeae8fef6f3b0a782d6b952da0a4e7a5e46a22ae1d8895e31c53b2"
+
+# One SHA-256 over count_labeled_embeddings of the greedy tree from vertex 0,
+# one count per line, over embedding_pairs() in order.
+EMBEDDINGS_DIGEST = "d97f648121040cbcf032c65c6047c68e1909a58c196f544863857d68a0d7b036"
 
 PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
 PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
@@ -58,6 +68,16 @@ def path_cover_graphs():
             edges.add(tuple(sorted(rng.sample(range(n), 2))))
         out.append(Graph.from_edges(n, edges))
     return out
+
+
+def embedding_pairs():
+    """(greedy tree from vertex 0, host) for every connected graph with
+    n <= 7, then for eight seeded connected G(8, m) per m = 8, 14, 20, 24, 27:
+    sparse hosts leave long paths in the tree, dense ones give it big stars."""
+    hosts = [g for n in range(1, 8) for g in connected_graphs(n)]
+    rng = random.Random(2002)
+    hosts += [connected_gnm(8, m, rng) for m in (8, 14, 20, 24, 27) for _ in range(8)]
+    return [(greedy_spanning_tree(g, 0).tree.to_graph(), g) for g in hosts]
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +109,9 @@ def test_corpus_matches_golden_digest():
     text = "".join(write_graph6(g) + "\n" for n in range(1, 8) for g in all_graphs(n))
     assert text.count("\n") == 1252
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == CORPUS_DIGEST
+
+
+def test_labeled_embedding_counts_match_golden_digest():
+    text = "".join(f"{count_labeled_embeddings(f, g)}\n" for f, g in embedding_pairs())
+    assert text.count("\n") == 996 + 40
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == EMBEDDINGS_DIGEST
