@@ -15,13 +15,19 @@ Layers:
               aut_order caches cleared first; also records the candidates
               tried per n (the bucket-key refinements corpus makes, one per
               candidate).
+  trees       greedy_spanning_tree and best_greedy_tree from every start
+              vertex of every connected graph with n <= 7, and
+              all_spanning_trees with tree_certificate of every tree for
+              n <= 6.
 
 Each group is timed best-of-3.  The record is written to BENCH_<label>.json
 with the Python version, os.cpu_count(), the git sha of the checkout that
 holds the imported autbounds, and the seconds per group.  The embeddings and
 log2 layers also record a SHA-256 over their results, so two checkouts can be
 shown to compute the same values; the corpus layer hashes the graph6 lines
-of all_graphs(1..7) in order, the digest tests/test_golden.py pins.
+of all_graphs(1..7) in order, and the trees layer hashes its records in the
+format of tests/test_golden.py's tree_layer_lines; both are digests that
+file pins.
 
 Usage:
     python scripts/bench.py --layer aut --label change [--outdir .] [--quick]
@@ -54,7 +60,14 @@ from autbounds.graphs import (
     is_connected,
     write_graph6,
 )
-from autbounds.trees import greedy_spanning_tree
+from autbounds.trees import (
+    all_spanning_trees,
+    best_greedy_tree,
+    greedy_spanning_tree,
+    tree_aut_exact,
+    tree_aut_upper,
+    tree_certificate,
+)
 
 REPEATS = 3
 SEED = 20020489
@@ -113,7 +126,7 @@ def embedding_groups(quick):
     hosts = {"n<=5" if quick else "n<=7": connected_corpus(quick)}
     for m in (8, 14, 20, 24, 27):
         hosts[f"G(8,{m})"] = [connected_gnm(8, m, rng) for _ in range(1 if quick else 40)]
-    return {name: [(greedy_spanning_tree(g, 0).tree.to_graph(), g) for g in gs]
+    return {name: [(greedy_spanning_tree(g, 0).tree, g) for g in gs]
             for name, gs in hosts.items()}
 
 
@@ -220,8 +233,30 @@ def bench_corpus(quick):
             "graph6_sha256": hashlib.sha256(text.encode("ascii")).hexdigest()}
 
 
+def bench_trees(quick):
+    hosts = connected_corpus(quick)
+    small = [g for g in hosts if g.n <= (5 if quick else 6)]
+    starts = [(g, v0) for g in hosts for v0 in range(g.n)]
+    seconds = {}
+    seconds["greedy"], greedy = best_of(
+        lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts], lambda: None)
+    seconds["best_greedy"], best = best_of(
+        lambda: [best_greedy_tree(g, v0) for g, v0 in starts], lambda: None)
+    seconds["all_spanning_trees"], trees = best_of(
+        lambda: [(t, tree_certificate(t)) for g in small for t in all_spanning_trees(g)],
+        lambda: None)
+    lines = [f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} {bt.tree.edges()} {product}\n"
+             for gt, (bt, product) in zip(greedy, best)]
+    lines += [f"{t.edges()} {cert} {tree_aut_exact(t)} "
+              f"{tree_aut_upper(t) if t.n >= 2 else None}\n" for t, cert in trees]
+    return {"trees_best_s": seconds,
+            "starts": len(starts),
+            "spanning_trees": len(trees),
+            "trees_sha256": hashlib.sha256("".join(lines).encode("ascii")).hexdigest()}
+
+
 LAYERS = {"aut": bench_aut, "embeddings": bench_embeddings, "log2": bench_log2,
-          "corpus": bench_corpus}
+          "corpus": bench_corpus, "trees": bench_trees}
 
 
 def git_sha():
@@ -252,7 +287,7 @@ def main():
         if key.endswith("_best_s"):
             for name, s in value.items():
                 value[name] = round(s, 4)
-                print(f"{name:10s} {value[name]:9.4f} s")
+                print(f"{name:18s} {value[name]:9.4f} s")
     sha, dirty = git_sha()
     record = {
         "label": args.label,

@@ -136,7 +136,7 @@ def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
     Gated below n = 3: on the single-edge tree the degree product collapses
     to 1 while the swap automorphism exists, so the estimate is false there.
     """
-    ctx = {"tree_edges": tuple(sorted(t.edges)), "delta_t": t.delta_max}
+    ctx = {"tree_edges": tuple(t.edges()), "delta_t": t.delta_max}
     if not t.spans(g):
         raise ValueError("tree does not span the host graph")
     if g.n < 3:
@@ -281,10 +281,10 @@ def eval_thm1_tree(g: Graph, t: SpanningTree) -> BoundValue:
     degree-product estimates for copies and tree automorphisms."""
     if not t.spans(g):
         raise ValueError("tree does not span the host graph")
-    ctx = {"tree_edges": tuple(sorted(t.edges))}
+    ctx = {"tree_edges": tuple(t.edges())}
     if g.n <= EMBED_VERTEX_LIMIT:
         ctx["route"] = "exact_embeddings"
-        value = count_labeled_embeddings(t.to_graph(), g)
+        value = count_labeled_embeddings(t, g)
         return _exact("thm1_tree", value, ctx)
     ctx["route"] = "fs_fa_product"
     value = embedding_upper_fs(g) * tree_aut_upper(t)

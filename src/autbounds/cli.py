@@ -147,8 +147,6 @@ def _context_json(ctx: dict):
     def conv(v):
         if isinstance(v, Fraction):
             return _exact_str(v)
-        if isinstance(v, frozenset):
-            return [conv(x) for x in sorted(v)]
         if isinstance(v, (tuple, list)):
             return [conv(x) for x in v]
         return v

@@ -49,19 +49,23 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n, rows = self.n, self.rows
+        if n < 1:
             raise ValueError("a graph needs at least one vertex")
-        if len(self.rows) != self.n:
+        if len(rows) != n:
             raise ValueError("adjacency row count must equal n")
-        for v, row in enumerate(self.rows):
-            if row >> self.n:
+        for v, row in enumerate(rows):
+            if row >> n:
                 raise ValueError(f"row {v} mentions vertices >= n")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v, row in enumerate(self.rows):
-            for w in bits(row):
-                if not (self.rows[w] >> v) & 1:
+        for v, row in enumerate(rows):
+            while row:  # bits(row), walked inline: every graph pays this pass
+                low = row & -row
+                w = low.bit_length() - 1
+                if not (rows[w] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
+                row ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -123,12 +127,15 @@ class Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff one traversal from vertex 0 reaches all n vertices."""
+    rows = g.rows
     seen = 1
     frontier = 1
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.rows[v]
+        while frontier:  # bits(frontier), walked inline: every tree check runs this
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen
         seen |= nxt
     return seen == (1 << g.n) - 1

@@ -1,18 +1,22 @@
 """Spanning trees: greedy construction, exact tree automorphism counts, and
 the product-of-degrees estimates used by the embedding bounds.
 
+A spanning tree is a Graph on the host's vertex set, so it keeps its edges
+in the same bit rows as the host, and the degree data, edge listing and
+copy counters work on it unchanged.
+
 The greedy construction starts from the full edge star of a chosen root and
 repeatedly expands an eligible leaf (one with at least one host edge leaving
 the current tree) by all of its outward edges, until no leaf reaches outside.
+Each step is recorded as one bitmask: the vertices that expansion attached.
 The covered set is then closed under adjacency, so on a connected host the
-tree spans; SpanningTree's edge count check would reject it otherwise.
+tree spans; SpanningTree's checks would reject it otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -20,73 +24,35 @@ from .graphs import Graph, SizeLimitError, _union, bits, is_connected
 
 ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts
 
-Edge = tuple[int, int]
 
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """Tree on the host's vertex set: exactly n-1 edges, acyclic, connected."""
-
-    host_n: int
-    edges: frozenset[Edge]
+class SpanningTree(Graph):
+    """Graph on the host's vertex set with exactly n-1 edges that is connected,
+    hence acyclic."""
 
     def __post_init__(self):
-        n = self.host_n
-        if n < 1:
-            raise ValueError("tree needs at least one vertex")
-        if len(self.edges) != n - 1:
+        super().__post_init__()
+        n = self.n
+        if sum(map(int.bit_count, self.rows)) != 2 * (n - 1):
             raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} edges")
-        parent = list(range(n))
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"bad edge {(u, v)}")
-            if not _union(parent, u, v):
-                raise ValueError(f"edge {(u, v)} closes a cycle")
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.host_n
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(degs)
-
-    @property
-    def delta_max(self) -> int:
-        return max(self.degrees)
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
+        if not is_connected(self):
+            raise ValueError("tree is disconnected, so an edge closes a cycle")
 
     def spans(self, g: Graph) -> bool:
-        return self.host_n == g.n and all(g.has_edge(u, v) for u, v in self.edges)
-
-    def to_graph(self) -> Graph:
-        return Graph.from_edges(self.host_n, self.edges)
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.host_n)]
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        return self.n == g.n and all(not r & ~h for r, h in zip(self.rows, g.rows))
 
 
 @dataclass(frozen=True)
 class GreedyTree:
     """Greedy spanning tree plus its construction record.
 
-    ``sequence`` is the expanded-vertex order v_0..v_s; ``step_edges[i]`` is
-    the edge set added when v_i was expanded (step 0 is the root star).
+    ``sequence`` is the expanded-vertex order v_0..v_s; ``steps[i]`` is the
+    bitmask of vertices attached when v_i was expanded (step 0 is the root's
+    whole neighbourhood).
     """
 
     tree: SpanningTree
     sequence: tuple[int, ...]
-    step_edges: tuple[frozenset[Edge], ...]
+    steps: tuple[int, ...]
 
     @property
     def root(self) -> int:
@@ -94,7 +60,7 @@ class GreedyTree:
 
     def step_sizes(self) -> tuple[int, ...]:
         """Number of edges added at each expansion step after the root star."""
-        return tuple(len(se) for se in self.step_edges[1:])
+        return tuple(step.bit_count() for step in self.steps[1:])
 
 
 def _check_start(g: Graph, v0: int) -> None:
@@ -108,18 +74,22 @@ def _grow(g: Graph, v0: int, choose) -> GreedyTree:
     """Run the greedy construction from v0.  ``choose(covered, unexpanded)``
     names the eligible leaf to expand next, or None once there is none."""
     rows = g.rows
-    covered = (1 << v0) | rows[v0]
-    unexpanded = rows[v0]  # tree leaves that may still have outward edges
-    sequence = [v0]
-    step_edges = [frozenset(_norm_edge(v0, w) for w in bits(rows[v0]))]
-    while (v := choose(covered, unexpanded)) is not None:
+    tree = [0] * g.n
+    covered = 1 << v0
+    unexpanded = 0  # tree leaves that may still have outward edges
+    sequence, steps = [], []
+    v = v0
+    while v is not None:
         new = rows[v] & ~covered
-        step_edges.append(frozenset(_norm_edge(v, w) for w in bits(new)))
+        tree[v] |= new
+        for w in bits(new):
+            tree[w] = 1 << v
         sequence.append(v)
+        steps.append(new)
         covered |= new
         unexpanded = (unexpanded & ~(1 << v)) | new
-    tree = SpanningTree(g.n, frozenset().union(*step_edges))
-    return GreedyTree(tree, tuple(sequence), tuple(step_edges))
+        v = choose(covered, unexpanded)
+    return GreedyTree(SpanningTree(g.n, tuple(tree)), tuple(sequence), tuple(steps))
 
 
 def greedy_spanning_tree(g: Graph, v0: int) -> GreedyTree:
@@ -164,38 +134,36 @@ def verify_greedy_tree(g: Graph, gt: GreedyTree) -> None:
     Written independently of _grow on purpose: greedy_sweep trusts it to
     check the builder, so it must not share the builder's code."""
     n = g.n
-    if gt.tree.host_n != n:
+    if gt.tree.n != n:
         raise ValueError("tree host size differs from graph")
     if not gt.tree.spans(g):
         raise ValueError("tree uses an edge absent from the host")
-    if len(gt.sequence) != len(gt.step_edges):
+    if len(gt.sequence) != len(gt.steps):
         raise ValueError("sequence and step records differ in length")
     v0 = gt.sequence[0]
-    root_star = frozenset(_norm_edge(v0, w) for w in bits(g.rows[v0]))
-    if gt.step_edges[0] != root_star:
+    if gt.steps[0] != g.rows[v0]:
         raise ValueError("step 0 must be the full host star at the root")
     covered = (1 << v0) | g.rows[v0]
     expanded = 1 << v0
-    for v, step in zip(gt.sequence[1:], gt.step_edges[1:]):
+    for v, step in zip(gt.sequence[1:], gt.steps[1:]):
         if not step:
             raise ValueError(f"step at {v} added no edges")
         if not (covered >> v) & 1 or (expanded >> v) & 1:
             raise ValueError(f"expanded vertex {v} was not a leaf of the current tree")
-        new = 0
-        for a, b in step:
-            w = b if a == v else a if b == v else None
-            if w is None:
-                raise ValueError(f"step edge {(a, b)} not incident to {v}")
-            if (covered >> w) & 1:
-                raise ValueError(f"step edge {(a, b)} does not leave the tree")
-            new |= 1 << w
-        if new != g.rows[v] & ~covered:
+        if step & covered:
+            raise ValueError(f"step at {v} attaches a vertex already in the tree")
+        if step != g.rows[v] & ~covered:
             raise ValueError(f"step at {v} must add every outward host edge")
-        covered |= new
+        covered |= step
         expanded |= 1 << v
     if covered != (1 << n) - 1:
         raise ValueError("construction stopped before spanning")
-    if frozenset().union(*gt.step_edges) != gt.tree.edges:
+    rows = [0] * n
+    for v, step in zip(gt.sequence, gt.steps):
+        rows[v] |= step
+        for w in bits(step):
+            rows[w] |= 1 << v
+    if tuple(rows) != gt.tree.rows:
         raise ValueError("step edges do not reassemble the tree")
     # Every vertex except the root enters through exactly one step edge.
     if 1 + g.degree(v0) + sum(gt.step_sizes()) != n:
@@ -264,8 +232,8 @@ def _rooted_code_aut(root: int, banned: int, adj) -> tuple[tuple, int]:
 def _centroid_codes(t: SpanningTree) -> list[tuple[tuple, int]]:
     """Code and automorphism count rooted at the centroid, or at each of the
     two centroids with the other one's half cut off."""
-    adj = t.adjacency()
-    cents = _centroids(t.host_n, adj)
+    adj = [list(bits(row)) for row in t.rows]
+    cents = _centroids(t.n, adj)
     if len(cents) == 1:
         return [_rooted_code_aut(cents[0], -1, adj)]
     c1, c2 = cents
@@ -300,7 +268,7 @@ def tree_aut_upper(t: SpanningTree) -> int:
     Only valid for trees with an internal vertex (n >= 3): the single-edge
     tree has count 2 but product 1, the one boundary case below the formula.
     """
-    if t.host_n < 2:
+    if t.n < 2:
         raise ValueError("degree-product bound needs at least two vertices")
     return t.delta_max * prod(factorial(d - 1) for d in t.degrees)
 
@@ -330,7 +298,7 @@ def all_spanning_trees(g: Graph) -> list[SpanningTree]:
     for subset in combinations(g.edges(), n - 1):
         parent = list(range(n))
         if all(_union(parent, u, v) for u, v in subset):
-            trees.append(SpanningTree(n, frozenset(subset)))
+            trees.append(SpanningTree.from_edges(n, subset))
     return trees
 
 

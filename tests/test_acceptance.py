@@ -87,7 +87,7 @@ def test_criterion_5_and_6_embeddings_and_estimates():
     # Criterion 6 rides on the same sweep (copy estimate and degree-product
     # estimate per spanning tree).  The single-edge tree of K_2 is the one
     # degenerate point below the degree-product formula; pin it explicitly.
-    edge = SpanningTree(2, frozenset({(0, 1)}))
+    edge = SpanningTree.from_edges(2, [(0, 1)])
     assert tree_aut_exact(edge) == 2 and tree_aut_upper(edge) == 1
     _report("criterion 6: copy and tree-automorphism estimates hold on the sweep "
             "(single-edge boundary case pinned)", res.passed)

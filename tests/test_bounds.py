@@ -45,11 +45,11 @@ EDGE_BASE_LOG2 = 7 / 8 + log2(6) / 24
 
 
 def star_tree(n):
-    return SpanningTree(n, frozenset((0, v) for v in range(1, n)))
+    return SpanningTree.from_edges(n, [(0, v) for v in range(1, n)])
 
 
 def path_tree(n):
-    return SpanningTree(n, frozenset((v, v + 1) for v in range(n - 1)))
+    return SpanningTree.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 # --- eq1 ------------------------------------------------------------------

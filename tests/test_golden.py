@@ -8,7 +8,8 @@ path cover number p through the eq3/eq7/eq8 rows: half are sparse, with
 p >= 2, and half are dense, with p == 1.  The generated corpus itself,
 every graph on 1..7 vertices as graph6 lines in order, has one more digest,
 and so do the labeled-copy counts of greedy trees in the connected n <= 7
-graphs and in seeded connected G(8, m).
+graphs and in seeded connected G(8, m), and the tree layer: greedy and best
+greedy trees from every start vertex, and every enumerated spanning tree.
 A digest that moves means an output byte changed; that is a behaviour
 change, never a refactor.
 """
@@ -22,7 +23,14 @@ from autbounds.cli import main
 from autbounds.corpus import all_graphs, connected_graphs
 from autbounds.embeddings import count_labeled_embeddings
 from autbounds.graphs import Graph, cycle_graph, petersen_graph, write_graph6
-from autbounds.trees import greedy_spanning_tree
+from autbounds.trees import (
+    all_spanning_trees,
+    best_greedy_tree,
+    greedy_spanning_tree,
+    tree_aut_exact,
+    tree_aut_upper,
+    tree_certificate,
+)
 
 from helpers import connected_gnm
 
@@ -44,6 +52,9 @@ CORPUS_DIGEST = "227a191bd5aeae8fef6f3b0a782d6b952da0a4e7a5e46a22ae1d8895e31c53b
 # One SHA-256 over count_labeled_embeddings of the greedy tree from vertex 0,
 # one count per line, over embedding_pairs() in order.
 EMBEDDINGS_DIGEST = "d97f648121040cbcf032c65c6047c68e1909a58c196f544863857d68a0d7b036"
+
+# One SHA-256 over tree_layer_lines(), in order.
+TREES_DIGEST = "d215424afc1c230c6b2a9a05441202953afa370e56b0f259bca581204606ca1b"
 
 PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
 PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
@@ -77,7 +88,27 @@ def embedding_pairs():
     hosts = [g for n in range(1, 8) for g in connected_graphs(n)]
     rng = random.Random(2002)
     hosts += [connected_gnm(8, m, rng) for m in (8, 14, 20, 24, 27) for _ in range(8)]
-    return [(greedy_spanning_tree(g, 0).tree.to_graph(), g) for g in hosts]
+    return [(greedy_spanning_tree(g, 0).tree, g) for g in hosts]
+
+
+def tree_layer_lines():
+    """For every connected graph with n <= 7 and every start vertex: the
+    greedy tree's edges, sequence and step sizes, then the best greedy tree's
+    edges and product.  After those, for n <= 6, every spanning tree in
+    enumeration order with its certificate and exact and upper automorphism
+    counts (the upper count needs n >= 2)."""
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for v0 in range(n):
+                gt = greedy_spanning_tree(g, v0)
+                best, product = best_greedy_tree(g, v0)
+                yield (f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} "
+                       f"{best.tree.edges()} {product}\n")
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for t in all_spanning_trees(g):
+                upper = tree_aut_upper(t) if n >= 2 else None
+                yield f"{t.edges()} {tree_certificate(t)} {tree_aut_exact(t)} {upper}\n"
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +146,9 @@ def test_labeled_embedding_counts_match_golden_digest():
     text = "".join(f"{count_labeled_embeddings(f, g)}\n" for f, g in embedding_pairs())
     assert text.count("\n") == 996 + 40
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == EMBEDDINGS_DIGEST
+
+
+def test_tree_layer_matches_golden_digest():
+    text = "".join(tree_layer_lines())
+    assert text.count("\n") == 17438
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == TREES_DIGEST

@@ -50,6 +50,8 @@ def test_bench_aut_quick(tmp_path):
     ("embeddings", "count_labeled_embeddings_best_s",
      ["G(8,14)", "G(8,20)", "G(8,24)", "G(8,27)", "G(8,8)", "n<=5"]),
     ("log2", "log2_best_s", ["corpus"]),
+    pytest.param("trees", "trees_best_s", ["all_spanning_trees", "best_greedy", "greedy"],
+                 id="trees"),
 ])
 def test_bench_layers_quick(tmp_path, layer, key, groups):
     proc = run_script("bench.py", "--layer", layer, "--quick", "--label", "smoke",
@@ -62,6 +64,11 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
     if layer == "log2":
         # every repeat starts cold and keeps one memo entry per value
         assert record["misses"] == [record["distinct"]] * 3
+    if layer == "trees":
+        # tests/test_golden.py's tree_layer_lines format over n <= 5
+        assert record["starts"] == 1 + 2 + 2 * 3 + 6 * 4 + 21 * 5
+        assert record["trees_sha256"] == (
+            "208592e51756c2c0e40b70d8ff2b8c4c0ac2138703b5efa67c67d3b64a706290")
 
 
 def test_bench_corpus_quick(tmp_path):

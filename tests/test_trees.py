@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,29 +31,34 @@ from helpers import connected_graphs_st, random_trees
 
 
 def as_tree(g: Graph) -> SpanningTree:
-    return SpanningTree(g.n, frozenset(g.edges()))
+    return SpanningTree(g.n, g.rows)
 
 
 def test_spanning_tree_validation():
     with pytest.raises(ValueError, match="needs 3 edges"):
-        SpanningTree(4, frozenset({(0, 1), (1, 2)}))
-    with pytest.raises(ValueError, match="cycle"):
-        SpanningTree(4, frozenset({(0, 1), (1, 2), (0, 2)}))
-    t = SpanningTree(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        SpanningTree.from_edges(4, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="closes a cycle"):
+        SpanningTree.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="asymmetric"):
+        SpanningTree(2, (0b10, 0))
+    t = SpanningTree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert t.degrees == (1, 2, 2, 1) and t.delta_max == 2
+    assert t == SpanningTree(4, path_graph(4).rows)
+    assert t.spans(cycle_graph(4)) and not t.spans(star_graph(3))
 
 
 def test_greedy_k4_is_root_star():
     gt = greedy_spanning_tree(complete_graph(4), 0)
     assert gt.sequence == (0,)
-    assert gt.tree.edges == frozenset({(0, 1), (0, 2), (0, 3)})
+    assert gt.tree.edges() == [(0, 1), (0, 2), (0, 3)]
+    assert gt.steps == (0b1110,)
     verify_greedy_tree(complete_graph(4), gt)
 
 
 def test_greedy_k23_two_steps():
     k23 = complete_bipartite_graph(2, 3)
     gt = greedy_spanning_tree(k23, 0)  # vertex 0 is in the 2-side
-    assert len(gt.step_edges[0]) == 3  # root star reaches the whole 3-side
+    assert gt.steps[0] == 0b11100  # root star reaches the whole 3-side
     assert len(gt.sequence) == 2
     assert gt.tree.degree(gt.sequence[1]) == 2
     verify_greedy_tree(k23, gt)
@@ -80,6 +86,42 @@ def test_greedy_invariants_small_sweep(corpus6):
                 assert 1 + g.degree(v0) + sum(gt.step_sizes()) == g.n
 
 
+# Each case corrupts one field of the greedy record on C5 from vertex 0, whose
+# valid form is sequence (0, 1, 2) with steps {1, 4}, {2}, {3}.
+BAD_RECORDS = {
+    "host-size": (dict(tree=SpanningTree(6, path_graph(6).rows)),
+                  "tree host size differs from graph"),
+    "non-host-edge": (dict(tree=SpanningTree(5, star_graph(4).rows)),
+                      "tree uses an edge absent from the host"),
+    "lengths": (dict(sequence=(0, 1)), "sequence and step records differ in length"),
+    "root-star": (dict(steps=(0b10, 0b100, 0b1000)),
+                  "step 0 must be the full host star at the root"),
+    "empty-step": (dict(steps=(0b10010, 0, 0b1000)), "step at 1 added no edges"),
+    "not-covered": (dict(sequence=(0, 2, 1)),
+                    "expanded vertex 2 was not a leaf of the current tree"),
+    "re-expanded": (dict(sequence=(0, 0, 2)),
+                    "expanded vertex 0 was not a leaf of the current tree"),
+    "back-edge": (dict(steps=(0b10010, 0b101, 0b1000)),
+                  "step at 1 attaches a vertex already in the tree"),
+    "non-neighbour": (dict(steps=(0b10010, 0b1000, 0b100)),
+                      "step at 1 must add every outward host edge"),
+    "stopped": (dict(sequence=(0, 1), steps=(0b10010, 0b100)),
+                "construction stopped before spanning"),
+    "other-tree": (dict(tree=SpanningTree(5, path_graph(5).rows)),
+                   "step edges do not reassemble the tree"),
+}
+
+
+@pytest.mark.parametrize("changes, message", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_verify_greedy_tree_rejects(changes, message):
+    c5 = cycle_graph(5)
+    gt = greedy_spanning_tree(c5, 0)
+    assert gt.sequence == (0, 1, 2) and gt.steps == (0b10010, 0b100, 0b1000)
+    verify_greedy_tree(c5, gt)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_greedy_tree(c5, replace(gt, **changes))
+
+
 def test_best_greedy_tree_minimises():
     k33 = complete_bipartite_graph(3, 3)
     gt, prod = best_greedy_tree(k33, 0)
@@ -90,14 +132,14 @@ def test_best_greedy_tree_minimises():
 def test_tree_aut_exact_examples():
     assert tree_aut_exact(as_tree(star_graph(3))) == 6
     assert tree_aut_exact(as_tree(path_graph(4))) == 2
-    spider = SpanningTree(5, frozenset({(0, 1), (0, 2), (0, 3), (3, 4)}))
-    assert tree_aut_exact(spider) == 2 == aut_order_naive(spider.to_graph())
+    spider = SpanningTree.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    assert tree_aut_exact(spider) == 2 == aut_order_naive(spider)
 
 
 def test_tree_aut_double_star():
-    dstar = SpanningTree(6, frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)}))
+    dstar = SpanningTree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     exact = tree_aut_exact(dstar)
-    assert exact == 8 == aut_order_naive(dstar.to_graph())
+    assert exact == 8 == aut_order_naive(dstar)
     assert tree_aut_upper(dstar) == 12 >= exact
 
 
@@ -105,13 +147,13 @@ def test_tree_aut_upper_examples():
     assert tree_aut_upper(as_tree(star_graph(3))) == 6
     assert tree_aut_upper(as_tree(path_graph(4))) == 2
     with pytest.raises(ValueError):
-        tree_aut_upper(SpanningTree(1, frozenset()))
+        tree_aut_upper(SpanningTree(1, (0,)))
 
 
 def test_single_edge_is_the_boundary_case():
     # The one tree where the degree-product estimate sits below the truth:
     # the swap automorphism exists but every (d-1)! factor is 1.
-    edge = SpanningTree(2, frozenset({(0, 1)}))
+    edge = SpanningTree.from_edges(2, [(0, 1)])
     assert tree_aut_exact(edge) == 2
     assert tree_aut_upper(edge) == 1
 
