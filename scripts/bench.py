@@ -19,6 +19,10 @@ Layers:
               vertex of every connected graph with n <= 7, and
               all_spanning_trees with tree_certificate of every tree for
               n <= 6.
+  theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
+              over every 8th connected n = 7 graph; also records the checks
+              and violations of each group.  The aut_order cache is cleared
+              before every repeat.
 
 Each group is timed best-of-3.  The record is written to BENCH_<label>.json
 with the Python version, os.cpu_count(), the git sha of the checkout that
@@ -68,6 +72,7 @@ from autbounds.trees import (
     tree_aut_upper,
     tree_certificate,
 )
+from autbounds.verify import theorem1_suite
 
 REPEATS = 3
 SEED = 20020489
@@ -255,8 +260,23 @@ def bench_trees(quick):
             "trees_sha256": hashlib.sha256("".join(lines).encode("ascii")).hexdigest()}
 
 
+def bench_theorem1(quick):
+    nmax = 4 if quick else 6
+    runs = {f"n<={nmax}": lambda: theorem1_suite(nmax=nmax)}
+    if not quick:
+        sample = connected_graphs(7)[::8]
+        runs["n=7/8"] = lambda: theorem1_suite(external=sample)
+    for n in range(1, nmax + 1):
+        connected_graphs(n)  # built and cached outside the timing
+    seconds, checks, violations = {}, {}, {}
+    for name, run in runs.items():
+        seconds[name], res = best_of(run, aut_order.cache_clear)
+        checks[name], violations[name] = res.checked, len(res.violations)
+    return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations}
+
+
 LAYERS = {"aut": bench_aut, "embeddings": bench_embeddings, "log2": bench_log2,
-          "corpus": bench_corpus, "trees": bench_trees}
+          "corpus": bench_corpus, "trees": bench_trees, "theorem1": bench_theorem1}
 
 
 def git_sha():
@@ -279,7 +299,8 @@ def main():
     ap.add_argument("--label", required=True)
     ap.add_argument("--outdir", default=".")
     ap.add_argument("--quick", action="store_true",
-                    help="a smoke run: K8 and Q3, or the n <= 5 corpus (and 5 G(8, m))")
+                    help="a smoke run: K8 and Q3, the n <= 5 corpus (and 5 G(8, m)), "
+                         "or theorem1 at n <= 4")
     args = ap.parse_args()
 
     result = LAYERS[args.layer](args.quick)

@@ -1,24 +1,27 @@
-"""Brute-force counting of labeled copies and subgraph copies of a spanning
-subgraph.
+"""Brute-force counting of labeled copies and subgraph copies of spanning
+trees.
 
 Two genuinely independent routes feed the identity
 ``labeled == copies * aut_f``: labeled copies come from placement search over
 bitmask candidate sets, the last vertex counted by popcount; sibling leaves
-(k >= 2 leaves of f on one neighbour, or k >= 2 isolated vertices) are never
-placed, but counted once the rest is, as k! times the ways to split the free
-vertices among them.  Subgraph copies come from edge-subset enumeration with
-an edge-by-edge isomorphism test, and aut_f comes from the naive permutation
-oracle.  ``count_embeddings`` checks the identity on every call and raises
+(k >= 2 leaves of the tree on one neighbour) are never placed, but counted
+once the rest is, as k! times the ways to split the free vertices among them.
+Subgraph copies come from one pass over the host's (n-1)-edge subsets, each
+matched by degree multiset and an edge-by-edge isomorphism test against
+every tree asked about, and aut_f comes from the naive permutation oracle.
+``count_embeddings`` checks the identity for every tree and raises
 RuntimeError if it fails, so a bug in any one route trips immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial
 
 from .graphs import Graph, SizeLimitError, bits
 from .automorphisms import aut_order_naive
+from .trees import SpanningTree
 
 EMBED_VERTEX_LIMIT = 8
 
@@ -30,7 +33,9 @@ class EmbeddingCount:
     aut_f: int
 
 
-def _check_pair(f: Graph, g: Graph):
+def _check_pair(f: SpanningTree, g: Graph):
+    if not isinstance(f, SpanningTree):
+        raise TypeError(f"copies are counted for spanning trees, not {type(f).__name__}")
     if f.n != g.n:
         raise ValueError(f"spanning subgraph must share the vertex count ({f.n} != {g.n})")
     if g.n > EMBED_VERTEX_LIMIT:
@@ -38,47 +43,40 @@ def _check_pair(f: Graph, g: Graph):
             f"embedding counts are brute force; n={g.n} exceeds {EMBED_VERTEX_LIMIT}")
 
 
-def count_labeled_embeddings(f: Graph, g: Graph) -> int:
-    """Number of bijections on the shared vertex set sending every edge of f
-    to an edge of g (non-edges of f are unconstrained)."""
+def count_labeled_embeddings(f: SpanningTree, g: Graph) -> int:
+    """Number of bijections on the shared vertex set sending every edge of the
+    tree f to an edge of g (non-edges of f are unconstrained)."""
     _check_pair(f, g)
     n = f.n
+    if n == 1:
+        return 1
     f_rows = f.rows
     # Sibling leaves are not searched: the k >= 2 leaves of f on one
-    # neighbour p.  Isolated vertices count as leaves of a phantom vertex n,
-    # which stays on its own image n, adjacent in g to every vertex.
-    full = (1 << n) - 1
-    leaves = isolated = 0
+    # neighbour p.
+    leaves = 0
     for v, row in enumerate(f_rows):
         if not row & (row - 1):
             leaves |= 1 << v
-            if not row:
-                isolated |= 1 << v
     groups = []        # (p, k) per sibling group
     grouped = 0
     factor = 1         # the k! orders inside each group
-    for p, row in enumerate(f_rows + (isolated,)):
+    for p, row in enumerate(f_rows):
         sib = row & leaves
         if sib & (sib - 1):
             groups.append((p, sib.bit_count()))
             grouped |= sib
             factor *= factorial(sib.bit_count())
 
-    # Place the other vertices component by component so each new vertex is
-    # constrained by an already-placed neighbour whenever possible.
-    order: list[int] = []
-    placed = grouped
-    while placed != full:
-        low = ~placed & (placed + 1)
-        placed |= low
-        queue = [low.bit_length() - 1]
-        for v in queue:
-            new = f_rows[v] & ~placed
-            placed |= new
-            queue.extend(bits(new))
-        order += queue
-    if not order:      # f has no edges
-        return factor
+    # One BFS from the lowest vertex outside the groups places every other
+    # vertex after an already-placed neighbour: the grouped vertices are
+    # leaves, so the rest of the tree stays connected.
+    low = ~grouped & (grouped + 1)
+    placed = grouped | low
+    order = [low.bit_length() - 1]
+    for v in order:
+        new = f_rows[v] & ~placed
+        placed |= new
+        order.extend(bits(new))
     # earlier[i]: neighbours of order[i] that are placed before it
     earlier = []
     before = 0
@@ -86,8 +84,8 @@ def count_labeled_embeddings(f: Graph, g: Graph) -> int:
         earlier.append(list(bits(f_rows[v] & before)))
         before |= 1 << v
 
-    image = [0] * n + [n]
-    g_rows = g.rows + (full,)
+    image = [0] * n
+    g_rows = g.rows
     last = len(order) - 1
     tail = _sibling_tail(order[last], groups, image, g_rows) if groups else None
 
@@ -108,43 +106,37 @@ def count_labeled_embeddings(f: Graph, g: Graph) -> int:
             cand ^= low
         return count
 
-    return factor * place(0, full)
+    return factor * place(0, (1 << n) - 1)
 
 
 def _sibling_tail(x, groups, image, g_rows):
     """tail(free, cand): the number of ways to place x, the last searched
     vertex, on one of cand and to split the rest of free among the sibling
     groups.  Group (p, k) takes k free vertices adjacent in g to p's image,
-    in any order (the caller's k! factor)."""
-    from itertools import combinations
-
-    def split(free: int, j: int = 0) -> int:
-        p, k = groups[j]
-        avail = free & g_rows[image[p]]
-        if j == len(groups) - 1:
-            return comb(avail.bit_count(), k)
-        if j == len(groups) - 2:
-            # Free vertices the last group cannot take are forced on this
-            # one; it chooses the rest of its k from what both can take.
-            other = free & g_rows[image[groups[-1][0]]]
-            if free & ~(avail | other):
-                return 0
-            forced = (free & ~other).bit_count()
-            return comb((avail & other).bit_count(), k - forced) if forced <= k else 0
-        return sum(split(free & ~sum(1 << w for w in chosen), j + 1)
-                   for chosen in combinations(bits(avail), k))
-
-    if len(groups) == 1 and x != groups[0][0]:
+    in any order (the caller's k! factor).  There are at most two groups:
+    three need three parents and six leaves, past EMBED_VERTEX_LIMIT."""
+    (p, k), *rest = groups
+    if not rest and x != p:
         # x and the group share free: x must take the one free vertex the
         # group cannot, or any of cand when there is none.
-        p = groups[0][0]
-
         def tail(free: int, cand: int) -> int:
             bad = free & ~g_rows[image[p]]
             if bad & (bad - 1):
                 return 0
             return (bad & cand if bad else cand).bit_count()
         return tail
+
+    def split(free: int) -> int:
+        avail = free & g_rows[image[p]]
+        if not rest:
+            return comb(avail.bit_count(), k)
+        # Free vertices the second group cannot take are forced on the first;
+        # it chooses the rest of its k from what both can take.
+        other = free & g_rows[image[rest[0][0]]]
+        if free & ~(avail | other):
+            return 0
+        forced = (free & ~other).bit_count()
+        return comb((avail & other).bit_count(), k - forced) if forced <= k else 0
 
     def tail(free: int, cand: int) -> int:
         count = 0
@@ -191,16 +183,18 @@ def _isomorphism_test(f: Graph):
     return isomorphic
 
 
-def count_subgraph_copies(f: Graph, g: Graph) -> int:
-    """Number of edge subsets of g isomorphic to f, by subset enumeration."""
-    _check_pair(f, g)
-    from itertools import combinations
-
-    n = f.n
-    f_deg_sorted = sorted(f.degrees)
-    isomorphic = _isomorphism_test(f)
-    copies = 0
-    for subset in combinations(g.edges(), f.e):
+def count_subgraph_copies(trees: list[SpanningTree], g: Graph) -> list[int]:
+    """Number of edge subsets of g isomorphic to each of the trees, from one
+    pass over g's (n-1)-edge subsets.  A subset is tested against every tree
+    with its degree multiset, so isomorphic trees each get the full count."""
+    for t in trees:
+        _check_pair(t, g)
+    n = g.n
+    tests: dict[tuple[int, ...], list] = {}   # sorted degrees -> [(index, test)]
+    for i, t in enumerate(trees):
+        tests.setdefault(tuple(sorted(t.degrees)), []).append((i, _isomorphism_test(t)))
+    copies = [0] * len(trees)
+    for subset in combinations(g.edges(), n - 1):
         degs = [0] * n
         rows = [0] * n
         for u, v in subset:
@@ -208,22 +202,21 @@ def count_subgraph_copies(f: Graph, g: Graph) -> int:
             degs[v] += 1
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        if sorted(degs) != f_deg_sorted:
-            continue
-        if isomorphic(rows, degs):
-            copies += 1
+        for i, isomorphic in tests.get(tuple(sorted(degs)), ()):
+            if isomorphic(rows, degs):
+                copies[i] += 1
     return copies
 
 
-def count_embeddings(f: Graph, g: Graph) -> EmbeddingCount:
-    """Labeled copies, subgraph copies, and aut(f), each computed by an
-    independent route; their identity is verified before returning."""
-    _check_pair(f, g)
-    labeled = count_labeled_embeddings(f, g)
-    copies = count_subgraph_copies(f, g)
-    aut_f = aut_order_naive(f)
-    if labeled != copies * aut_f:
-        raise RuntimeError(
-            f"counting identity violated: labeled={labeled}, copies={copies}, aut={aut_f}")
-    return EmbeddingCount(labeled, copies, aut_f)
-
+def count_embeddings(trees: list[SpanningTree], g: Graph) -> list[EmbeddingCount]:
+    """Labeled copies, subgraph copies, and aut(t) of each tree, each computed
+    by an independent route; their identity is verified before returning."""
+    counts = []
+    for t, copies in zip(trees, count_subgraph_copies(trees, g)):
+        labeled = count_labeled_embeddings(t, g)
+        aut_f = aut_order_naive(t)
+        if labeled != copies * aut_f:
+            raise RuntimeError(
+                f"counting identity violated: labeled={labeled}, copies={copies}, aut={aut_f}")
+        counts.append(EmbeddingCount(labeled, copies, aut_f))
+    return counts

@@ -297,8 +297,14 @@ def all_spanning_trees(g: Graph) -> list[SpanningTree]:
     trees: list[SpanningTree] = []
     for subset in combinations(g.edges(), n - 1):
         parent = list(range(n))
-        if all(_union(parent, u, v) for u, v in subset):
-            trees.append(SpanningTree.from_edges(n, subset))
+        rows = [0] * n
+        for u, v in subset:
+            if not _union(parent, u, v):
+                break
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            trees.append(SpanningTree(n, tuple(rows)))
     return trees
 
 

@@ -182,10 +182,10 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
       copy count, and (for trees with an internal vertex) the degree-product
       estimate dominates the true tree automorphism count.
 
-    Spanning trees are enumerated twice over (subset+acyclicity here,
-    subset+isomorphism inside the embedding counter) and reconciled per
-    isomorphism class; the class census is also checked against the
-    reduced-Laplacian determinant.
+    Spanning trees are enumerated twice over (subset+acyclicity here, one
+    subset+isomorphism pass per graph inside the copy census over the class
+    representatives) and reconciled per isomorphism class; the class census
+    is also checked against the reduced-Laplacian determinant.
     """
     res = SuiteResult("theorem1-embeddings", 0)
     for _, graphs in _corpus(nmax, external).items():
@@ -205,9 +205,9 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
             for t in trees:
                 cert, aut_t = _certificate_aut(t)
                 classes.setdefault(cert, []).append((t, aut_t))
-            for members in classes.values():
+            reps = [members[0][0] for members in classes.values()]
+            for members, ec in zip(classes.values(), count_embeddings(reps, g)):
                 rep_tree, rep_aut = members[0]
-                ec = count_embeddings(rep_tree, g)
                 res.checked += 1
                 if ec.copies != len(members):
                     res.violations.append(

@@ -2,7 +2,8 @@
 
 The oracles here deliberately stay brute force and independent of the
 package's algorithms: orbits, labeled copies and path covers come from
-enumerating all n! permutations, and random graphs are drawn bit by bit.
+enumerating all n! permutations, random graphs are drawn bit by bit, and
+random spanning trees come from Kruskal's rule on shuffled edges.
 """
 
 from itertools import permutations
@@ -10,6 +11,7 @@ from itertools import permutations
 from hypothesis import strategies as st
 
 from autbounds.graphs import Graph, is_connected
+from autbounds.trees import SpanningTree
 
 
 def is_automorphism(g: Graph, p) -> bool:
@@ -59,6 +61,25 @@ def graph_from_bits(n: int, bitcode: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def as_tree(g: Graph) -> SpanningTree:
+    return SpanningTree(g.n, g.rows)
+
+
+def random_spanning_tree(g: Graph, rng) -> SpanningTree:
+    """A spanning tree of the connected graph g by Kruskal's rule on edges in
+    rng's shuffled order: keep each edge that joins two components."""
+    edges = g.edges()
+    rng.shuffle(edges)
+    comp = list(range(g.n))
+    kept = []
+    for u, v in edges:
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            comp = [cu if c == cv else c for c in comp]
+            kept.append((u, v))
+    return SpanningTree.from_edges(g.n, kept)
+
+
 def connected_gnm(n: int, m: int, rng) -> Graph:
     """m edges drawn uniformly with rng, redrawn until the graph is connected."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -97,7 +118,7 @@ def random_trees(draw, min_n=2, max_n=10):
     for v in range(1, n):
         u = draw(st.integers(0, v - 1))
         edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return SpanningTree.from_edges(n, edges)
 
 
 @st.composite

@@ -7,6 +7,8 @@ generation bug cannot silently shrink the evidence.
 
 from math import factorial
 
+import pytest
+
 from autbounds.automorphisms import aut_order
 from autbounds.bounds import ReportOptions, compose_report
 from autbounds.corpus import CONNECTED_GRAPH_COUNTS, connected_graphs
@@ -91,6 +93,15 @@ def test_criterion_5_and_6_embeddings_and_estimates():
     assert tree_aut_exact(edge) == 2 and tree_aut_upper(edge) == 1
     _report("criterion 6: copy and tree-automorphism estimates hold on the sweep "
             "(single-edge boundary case pinned)", res.passed)
+
+
+@pytest.mark.slow
+def test_criterion_5_theorem1_at_n7():
+    res = theorem1_suite(nmax=7)
+    assert res.checked == 7670
+    _report("criterion 5 at n <= 7: aut(G) <= labeled tree copies, identity cross-checked",
+            res.passed, f"{res.checked} (graph, tree-class) checks"
+            + ("; first: " + res.violations[0] if res.violations else ""))
 
 
 def test_criterion_7_greedy_invariants():

@@ -10,8 +10,10 @@ every graph on 1..7 vertices as graph6 lines in order, has one more digest,
 and so do the labeled-copy counts of greedy trees in the connected n <= 7
 graphs and in seeded connected G(8, m), and the tree layer: greedy and best
 greedy trees from every start vertex, and every enumerated spanning tree.
-A digest that moves means an output byte changed; that is a behaviour
-change, never a refactor.
+The last digest pins the theorem1 copy census: labeled copies, subgraph
+copies and aut of one tree per spanning-tree class of every connected graph
+with n <= 6.  A digest that moves means an output byte changed; that is a
+behaviour change, never a refactor.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import pytest
 
 from autbounds.cli import main
 from autbounds.corpus import all_graphs, connected_graphs
-from autbounds.embeddings import count_labeled_embeddings
+from autbounds.embeddings import count_embeddings, count_labeled_embeddings
 from autbounds.graphs import Graph, cycle_graph, petersen_graph, write_graph6
 from autbounds.trees import (
     all_spanning_trees,
@@ -55,6 +57,9 @@ EMBEDDINGS_DIGEST = "d97f648121040cbcf032c65c6047c68e1909a58c196f544863857d68a0d
 
 # One SHA-256 over tree_layer_lines(), in order.
 TREES_DIGEST = "d215424afc1c230c6b2a9a05441202953afa370e56b0f259bca581204606ca1b"
+
+# One SHA-256 over census_lines(), in order.
+CENSUS_DIGEST = "8d1afca5d14eadde8a5611739a8a04c6dea82475258f19991678f0499e2ec9f4"
 
 PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
 PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
@@ -111,6 +116,19 @@ def tree_layer_lines():
                 yield f"{t.edges()} {tree_certificate(t)} {tree_aut_exact(t)} {upper}\n"
 
 
+def census_lines():
+    """labeled, copies and aut_f of the first tree of each spanning-tree class,
+    for every connected graph with n <= 6, in theorem1_suite's order: graphs
+    in corpus order, classes in order of their first enumerated tree."""
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            classes = {}
+            for t in all_spanning_trees(g):
+                classes.setdefault(tree_certificate(t), t)
+            for ec in count_embeddings(list(classes.values()), g):
+                yield f"{ec.labeled} {ec.copies} {ec.aut_f}\n"
+
+
 @pytest.fixture(scope="module")
 def golden_file(tmp_path_factory):
     graphs = [g for n in range(1, 7) for g in all_graphs(n)]
@@ -152,3 +170,9 @@ def test_tree_layer_matches_golden_digest():
     text = "".join(tree_layer_lines())
     assert text.count("\n") == 17438
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == TREES_DIGEST
+
+
+def test_copy_census_matches_golden_digest():
+    text = "".join(census_lines())
+    assert text.count("\n") == 539
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == CENSUS_DIGEST

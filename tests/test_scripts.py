@@ -52,6 +52,7 @@ def test_bench_aut_quick(tmp_path):
     ("log2", "log2_best_s", ["corpus"]),
     pytest.param("trees", "trees_best_s", ["all_spanning_trees", "best_greedy", "greedy"],
                  id="trees"),
+    ("theorem1", "theorem1_suite_best_s", ["n<=4"]),
 ])
 def test_bench_layers_quick(tmp_path, layer, key, groups):
     proc = run_script("bench.py", "--layer", layer, "--quick", "--label", "smoke",
@@ -69,6 +70,9 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
         assert record["starts"] == 1 + 2 + 2 * 3 + 6 * 4 + 21 * 5
         assert record["trees_sha256"] == (
             "208592e51756c2c0e40b70d8ff2b8c4c0ac2138703b5efa67c67d3b64a706290")
+    if layer == "theorem1":
+        # one check per spanning-tree class: 1, 1 and 2 at n = 1..3, 9 at n = 4
+        assert record["checks"] == {"n<=4": 13} and record["violations"] == {"n<=4": 0}
 
 
 def test_bench_corpus_quick(tmp_path):

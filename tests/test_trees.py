@@ -27,11 +27,7 @@ from autbounds.trees import (
     verify_greedy_tree,
 )
 
-from helpers import connected_graphs_st, random_trees
-
-
-def as_tree(g: Graph) -> SpanningTree:
-    return SpanningTree(g.n, g.rows)
+from helpers import as_tree, connected_graphs_st, random_trees
 
 
 def test_spanning_tree_validation():
@@ -159,22 +155,19 @@ def test_single_edge_is_the_boundary_case():
 
 
 @given(random_trees(max_n=8))
-def test_tree_aut_matches_naive(tree_graph):
-    t = as_tree(tree_graph)
-    assert tree_aut_exact(t) == aut_order_naive(tree_graph)
+def test_tree_aut_matches_naive(t):
+    assert tree_aut_exact(t) == aut_order_naive(t)
 
 
 @given(random_trees(min_n=3, max_n=10))
-def test_tree_aut_upper_dominates(tree_graph):
-    t = as_tree(tree_graph)
+def test_tree_aut_upper_dominates(t):
     assert tree_aut_exact(t) <= tree_aut_upper(t)
 
 
 @given(random_trees(max_n=9), st.data())
-def test_tree_certificate_relabel_invariant(tree_graph, data):
-    perm = tuple(data.draw(st.permutations(list(range(tree_graph.n)))))
-    t1 = as_tree(tree_graph)
-    t2 = as_tree(tree_graph.relabel(perm))
+def test_tree_certificate_relabel_invariant(t1, data):
+    perm = tuple(data.draw(st.permutations(list(range(t1.n)))))
+    t2 = as_tree(t1.relabel(perm))
     assert tree_certificate(t1) == tree_certificate(t2)
     assert tree_aut_exact(t1) == tree_aut_exact(t2)
 
