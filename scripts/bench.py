@@ -23,6 +23,13 @@ Layers:
               over every 8th connected n = 7 graph; also records the checks
               and violations of each group.  The aut_order cache is cleared
               before every repeat.
+  pathcover   structure.path_cover_number on every connected graph with
+              n <= 7, on the random graphs of perfbench's analyze-hard
+              workload for seeds 0-3 (all have p = 1), on seeded sparse
+              connected G(18, m) for m = 19..22 and on K8,10 (p >= 2: the
+              Hamiltonian-path search fails, on K8,10 only after its whole
+              budget, and the DP runs); also records the p values of each
+              group as counts.
 
 Each group is timed best-of-3.  The record is written to BENCH_<label>.json
 with the Python version, os.cpu_count(), the git sha of the checkout that
@@ -31,7 +38,7 @@ log2 layers also record a SHA-256 over their results, so two checkouts can be
 shown to compute the same values; the corpus layer hashes the graph6 lines
 of all_graphs(1..7) in order, and the trees layer hashes its records in the
 format of tests/test_golden.py's tree_layer_lines; both are digests that
-file pins.
+file pins.  The pathcover layer hashes the p values of every group.
 
 Usage:
     python scripts/bench.py --layer aut --label change [--outdir .] [--quick]
@@ -46,7 +53,9 @@ import os
 import platform
 import random
 import subprocess
+import sys
 import time
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -62,8 +71,10 @@ from autbounds.graphs import (
     complete_graph,
     cycle_graph,
     is_connected,
+    parse_graph6,
     write_graph6,
 )
+from autbounds.structure import path_cover_number
 from autbounds.trees import (
     all_spanning_trees,
     best_greedy_tree,
@@ -275,8 +286,38 @@ def bench_theorem1(quick):
     return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations}
 
 
+def pathcover_groups(quick):
+    """{group name: (graphs, least p they must have)} for the pathcover layer."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from inputs import analyze_hard  # the benchmark's own seeded inputs
+
+    rng = random.Random(SEED)
+    n, seeds, (a, b) = (14, 1, (3, 5)) if quick else (18, 4, (8, 10))
+    hard = [parse_graph6(g6) for seed in range(seeds)
+            for label, g6, _ in analyze_hard(seed) if label.startswith("random")]
+    return {
+        f"n<={5 if quick else 7}": (connected_corpus(quick), 1),
+        "analyze-hard": (hard, 1),
+        f"G({n},{n + 1}..{n + 4})": ([connected_gnm(n, m, rng) for m in range(n + 1, n + 5)], 2),
+        f"K{a},{b}": ([complete_bipartite_graph(a, b)], 2),
+    }
+
+
+def bench_pathcover(quick):
+    seconds, ps = {}, {}
+    for name, (graphs, least) in pathcover_groups(quick).items():
+        seconds[name], ps[name] = best_of(
+            lambda: [path_cover_number(g).p for g in graphs], lambda: None)
+        if min(ps[name]) < least:
+            raise SystemExit(f"{name}: p = {min(ps[name])}, expected p >= {least}")
+    return {"path_cover_number_best_s": seconds,
+            "p_counts": {name: dict(sorted(Counter(p).items())) for name, p in ps.items()},
+            "p_sha256": digest(list(ps.values()))}
+
+
 LAYERS = {"aut": bench_aut, "embeddings": bench_embeddings, "log2": bench_log2,
-          "corpus": bench_corpus, "trees": bench_trees, "theorem1": bench_theorem1}
+          "corpus": bench_corpus, "trees": bench_trees, "theorem1": bench_theorem1,
+          "pathcover": bench_pathcover}
 
 
 def git_sha():
@@ -300,7 +341,8 @@ def main():
     ap.add_argument("--outdir", default=".")
     ap.add_argument("--quick", action="store_true",
                     help="a smoke run: K8 and Q3, the n <= 5 corpus (and 5 G(8, m)), "
-                         "or theorem1 at n <= 4")
+                         "theorem1 at n <= 4, or path covers of the n <= 5 corpus, "
+                         "analyze-hard seed 0, G(14, 15..18) and K3,5")
     args = ap.parse_args()
 
     result = LAYERS[args.layer](args.quick)

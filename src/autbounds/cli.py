@@ -2,7 +2,7 @@
 and run the verification suites.
 
 Exit codes: 0 ok, 1 verification violation, 2 input error, 3 size refusal,
-4 internal error (a ValueError that is not about the input, i.e. a bug).
+4 internal error (any other exception raised inside a command, i.e. a bug).
 Exact values serialise as decimal strings ("24", "64/27") so downstream
 consumers never overflow; log2 values are plain floats that re-parse
 bit-exactly.
@@ -338,8 +338,13 @@ def main(argv=None) -> int:
     except (GraphParseError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # A bug, not a bad input: keep the traceback and exit 4, never the
+        # interpreter's 1, which reads as a verification violation.
+        import traceback  # imported here: only a fault pays its start-up cost
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

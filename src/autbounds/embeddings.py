@@ -6,9 +6,10 @@ Two genuinely independent routes feed the identity
 bitmask candidate sets, the last vertex counted by popcount; sibling leaves
 (k >= 2 leaves of the tree on one neighbour) are never placed, but counted
 once the rest is, as k! times the ways to split the free vertices among them.
-Subgraph copies come from one pass over the host's (n-1)-edge subsets, each
-matched by degree multiset and an edge-by-edge isomorphism test against
-every tree asked about, and aut_f comes from the naive permutation oracle.
+Subgraph copies come from one pass over the host's (n-1)-edge subsets: each
+is matched by degree multiset, dropped by a flood fill if it has a cycle,
+and put to an edge-by-edge isomorphism test against every tree asked about.
+aut_f comes from the naive permutation oracle.
 ``count_embeddings`` checks the identity for every tree and raises
 RuntimeError if it fails, so a bug in any one route trips immediately.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
-from .graphs import Graph, SizeLimitError, bits
+from .graphs import Graph, SizeLimitError, bits, rows_connected
 from .automorphisms import aut_order_naive
 from .trees import SpanningTree
 
@@ -202,9 +203,13 @@ def count_subgraph_copies(trees: list[SpanningTree], g: Graph) -> list[int]:
             degs[v] += 1
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        for i, isomorphic in tests.get(tuple(sorted(degs)), ()):
-            if isomorphic(rows, degs):
-                copies[i] += 1
+        matching = tests.get(tuple(sorted(degs)))
+        # n - 1 edges span a tree iff they connect all n vertices; a subset
+        # with a cycle could only fail every isomorphism test, at its cost.
+        if matching and rows_connected(rows):
+            for i, isomorphic in matching:
+                if isomorphic(rows, degs):
+                    copies[i] += 1
     return copies
 
 

@@ -127,7 +127,11 @@ class Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff one traversal from vertex 0 reaches all n vertices."""
-    rows = g.rows
+    return rows_connected(g.rows)
+
+
+def rows_connected(rows) -> bool:
+    """is_connected on bare bit rows, one per vertex: a bitmask flood fill."""
     seen = 1
     frontier = 1
     while frontier:
@@ -138,7 +142,7 @@ def is_connected(g: Graph) -> bool:
             frontier ^= low
         frontier = nxt & ~seen
         seen |= nxt
-    return seen == (1 << g.n) - 1
+    return seen == (1 << len(rows)) - 1
 
 
 def _root(parent: list[int], x: int) -> int:

@@ -2,9 +2,11 @@
 vertex-disjoint path cover (a Hamiltonian path exists iff it is 1), and the
 smallest m for which the graph contains no induced star with m leaves.
 
-The path cover is one Held-Karp-style DP over vertex subsets, O(2^n * n)
-steps and two tables of 2^n entries.  Exact and exponential, hence the hard
-cap.
+The path cover looks for a certificate first: a depth-first search for a
+Hamiltonian path, capped at a fixed number of search nodes.  A path it finds
+proves p = 1.  Otherwise one Held-Karp-style DP over vertex subsets, O(2^n * n)
+steps and two tables of 2^n entries, gives the exact p.  Exact and
+exponential, hence the hard cap.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ from dataclasses import dataclass
 from .graphs import Graph, SizeLimitError, bits
 
 STRUCTURE_VERTEX_LIMIT = 20
+
+# Search nodes per n^2 that the Hamiltonian-path search may spend before the
+# DP runs.  Polynomial on purpose: inputs with p >= 2 spend the whole budget,
+# so one that grew with the DP's n * 2^n would add a fixed share of the DP's
+# cost to every one of them.
+_SEARCH_NODES_PER_N2 = 50
 
 
 @dataclass(frozen=True)
@@ -44,18 +52,57 @@ def _check_size(g: Graph):
             f"exact bitmask DP is capped at n <= {STRUCTURE_VERTEX_LIMIT}, got n={g.n}")
 
 
+def _hamiltonian_path(g: Graph, budget: int) -> tuple[tuple[int, ...] | None, int]:
+    """(a Hamiltonian path or None, search nodes spent) from a depth-first
+    search of at most budget nodes, one node per vertex put on the path.
+
+    The path starts at a vertex of least degree (the lowest such index) and
+    is extended by the unvisited neighbour with the fewest unvisited
+    neighbours first (Warnsdorff's rule), ties to the lower index.  None
+    proves nothing: the budget ran out, or no Hamiltonian path starts there.
+    """
+    rows = g.rows
+    degrees = g.degrees
+    start = degrees.index(min(degrees))
+    path = []
+    spent = 0
+
+    def extend(v: int, free: int) -> bool:
+        nonlocal spent
+        if spent == budget:
+            return False
+        spent += 1
+        path.append(v)
+        if not free:
+            return True
+        nbrs = sorted(bits(rows[v] & free), key=lambda w: (rows[w] & free).bit_count())
+        for w in nbrs:
+            if extend(w, free ^ (1 << w)):
+                return True
+        path.pop()
+        return False
+
+    found = extend(start, ((1 << g.n) - 1) ^ (1 << start))
+    return (tuple(path) if found else None), spent
+
+
 def path_cover_number(g: Graph) -> PathCoverResult:
     """Exact minimum vertex-disjoint path cover with a verifying witness.
 
-    One pass over vertex subsets in increasing order keeps cover[mask], the
-    fewest paths covering mask, and ends[mask], every vertex that ends a path
-    in some cover of that size.  Dropping the end v of a path leaves mask ^ v
-    covered by as many paths if v had a neighbour in ends[mask ^ v], and by
-    one fewer otherwise.  Larger covers never need keeping: a minimum cover
-    plus one fresh path does at least as well.  The witness is read back from
-    the same two tables.
+    A Hamiltonian path found by ``_hamiltonian_path`` within
+    ``_SEARCH_NODES_PER_N2 * n^2`` search nodes is the witness of p = 1.
+    Otherwise one pass over vertex subsets in increasing order keeps
+    cover[mask], the fewest paths covering mask, and ends[mask], every vertex
+    that ends a path in some cover of that size.  Dropping the end v of a
+    path leaves mask ^ v covered by as many paths if v had a neighbour in
+    ends[mask ^ v], and by one fewer otherwise.  Larger covers never need
+    keeping: a minimum cover plus one fresh path does at least as well.  The
+    witness is read back from the same two tables.
     """
     _check_size(g)
+    path, _ = _hamiltonian_path(g, _SEARCH_NODES_PER_N2 * g.n * g.n)
+    if path is not None:
+        return PathCoverResult(1, (path,))
     n, rows = g.n, g.rows
     full = (1 << n) - 1
     nbrs = {1 << v: rows[v] for v in range(n)}  # keyed by bit: no index lookups

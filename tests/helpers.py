@@ -2,7 +2,8 @@
 
 The oracles here deliberately stay brute force and independent of the
 package's algorithms: orbits, labeled copies and path covers come from
-enumerating all n! permutations, random graphs are drawn bit by bit, and
+enumerating all n! permutations, Hamiltonian paths are counted by
+inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.
 """
 
@@ -47,6 +48,24 @@ def brute_path_cover(g: Graph) -> int:
     gives an order with at most that many cuts."""
     return min(1 + sum(not g.has_edge(a, b) for a, b in zip(order, order[1:]))
                for order in permutations(range(g.n)))
+
+
+def karp_hamiltonian_paths(g: Graph) -> int:
+    """Karp's inclusion-exclusion count (Oper. Res. Lett. 1982): the sum over
+    vertex subsets S of (-1)^(n - |S|) times the number of walks with n - 1
+    steps in G[S].  Walks that miss a vertex cancel out, so what remains
+    counts each Hamiltonian path once per direction (once when n == 1); it
+    is > 0 exactly when g has a Hamiltonian path."""
+    n = g.n
+    total = 0
+    for mask in range(1, 1 << n):
+        members = [v for v in range(n) if (mask >> v) & 1]
+        nbrs = [[i for i, u in enumerate(members) if g.has_edge(u, v)] for v in members]
+        walks = [1] * len(members)    # walks with k steps ending at each member
+        for _ in range(n - 1):
+            walks = [sum(walks[u] for u in row) for row in nbrs]
+        total += (-1) ** (n - len(members)) * sum(walks)
+    return total
 
 
 def graph_from_bits(n: int, bitcode: int) -> Graph:

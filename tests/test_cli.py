@@ -156,6 +156,22 @@ def test_batch_internal_fault_exit_4(tmp_path, capsys, monkeypatch):
     assert "skipped" not in err and "internal error" in err
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("counting identity violated"),
+                                 TypeError("unsupported operand"), KeyError("eq3")])
+def test_batch_other_exception_exit_4(tmp_path, capsys, monkeypatch, exc):
+    # Any exception escaping a report is a bug: exit 4, not the interpreter's
+    # traceback exit 1, which would read as a verification violation.
+    def broken(g, opts):
+        raise exc
+
+    monkeypatch.setattr("autbounds.cli.compose_report", broken)
+    p = tmp_path / "batch.g6"
+    p.write_text("Bw\nC~\n")
+    code, out, err = run_cli(["batch", str(p)], capsys)
+    assert code == 4
+    assert f"internal error: {type(exc).__name__}" in err and "skipped" not in err
+
+
 def test_verify_small_pass(capsys):
     code, out, _ = run_cli(["verify", "--nmax", "4", "--random-trials", "2"], capsys)
     assert code == 0

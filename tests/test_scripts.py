@@ -53,6 +53,8 @@ def test_bench_aut_quick(tmp_path):
     pytest.param("trees", "trees_best_s", ["all_spanning_trees", "best_greedy", "greedy"],
                  id="trees"),
     ("theorem1", "theorem1_suite_best_s", ["n<=4"]),
+    ("pathcover", "path_cover_number_best_s",
+     ["G(14,15..18)", "K3,5", "analyze-hard", "n<=5"]),
 ])
 def test_bench_layers_quick(tmp_path, layer, key, groups):
     proc = run_script("bench.py", "--layer", layer, "--quick", "--label", "smoke",
@@ -73,6 +75,12 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
     if layer == "theorem1":
         # one check per spanning-tree class: 1, 1 and 2 at n = 1..3, 9 at n = 4
         assert record["checks"] == {"n<=4": 13} and record["violations"] == {"n<=4": 0}
+    if layer == "pathcover":
+        # 31 connected graphs with n <= 5, 4 of them without a Hamiltonian path
+        assert record["p_counts"]["n<=5"] == {"1": 27, "2": 3, "3": 1}
+        assert record["p_counts"]["analyze-hard"] == {"1": 3}
+        assert record["p_sha256"] == (
+            "2080e4cc687270da6a8b7cc7ffc8790ecb1945eafb4e6278cc1f6c418e6586d0")
 
 
 def test_bench_corpus_quick(tmp_path):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given
 
+from autbounds import structure
 from autbounds.graphs import (
     Graph,
     SizeLimitError,
@@ -11,9 +14,16 @@ from autbounds.graphs import (
     star_graph,
 )
 from autbounds.corpus import all_graphs
-from autbounds.structure import path_cover_number, star_free_parameter
+from autbounds.structure import _hamiltonian_path, path_cover_number, star_free_parameter
 
-from helpers import brute_path_cover, connected_graphs_st, graphs
+from helpers import (
+    brute_path_cover,
+    connected_gnm,
+    connected_graphs_st,
+    graphs,
+    karp_hamiltonian_paths,
+)
+from test_golden import path_cover_graphs
 
 
 def check_witness(g, res):
@@ -116,6 +126,58 @@ def test_equivalence_p1_hamiltonian():
             res = path_cover_number(g)
             assert res.p == brute_path_cover(g), g
             check_witness(g, res)
+
+
+def karp_graphs():
+    """Seeded G(n, m) for n = 1..12 with m = n (sparse) and 2/5 of all pairs
+    (dense), each drawn once as it falls (often disconnected when sparse)
+    and once redrawn until connected."""
+    rng = random.Random(1982)
+    out = []
+    for n in range(1, 13):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for m in sorted({min(n, len(pairs)), 2 * len(pairs) // 5}):
+            out.append(Graph.from_edges(n, rng.sample(pairs, m)))
+            if m >= n - 1:
+                out.append(connected_gnm(n, m, rng))
+    return out
+
+
+def test_p1_verdict_matches_karp_count():
+    """p == 1 exactly when Karp's inclusion-exclusion count of Hamiltonian
+    paths, which shares no code with the package, is positive."""
+    verdicts = []
+    for g in karp_graphs():
+        res = path_cover_number(g)
+        check_witness(g, res)
+        verdicts.append(res.p == 1)
+        assert verdicts[-1] == (karp_hamiltonian_paths(g) > 0), g
+    assert True in verdicts and False in verdicts
+
+
+def test_dp_alone_matches_search_first(corpus7, monkeypatch):
+    """With no search budget the DP alone gives the same p, with a valid
+    witness, on every connected graph with n <= 7 and the golden path-cover
+    graphs, and the known p of a single vertex, K1,3 and K2,4."""
+    cases = [g for n in range(1, 8) for g in corpus7[n]] + path_cover_graphs()
+    cases = [(g, path_cover_number(g).p) for g in cases]
+    cases += [(Graph(1, (0,)), 1), (star_graph(3), 2), (complete_bipartite_graph(2, 4), 2)]
+    monkeypatch.setattr(structure, "_SEARCH_NODES_PER_N2", 0)
+    for g, p in cases:
+        res = path_cover_number(g)
+        assert res.p == p, g
+        check_witness(g, res)
+
+
+def test_k8_10_spends_the_whole_search_budget():
+    """K8,10 has no Hamiltonian path (its sides differ by two), so the search
+    runs out of budget and the DP proves p == 2."""
+    g = complete_bipartite_graph(8, 10)
+    budget = structure._SEARCH_NODES_PER_N2 * g.n * g.n
+    assert _hamiltonian_path(g, budget) == (None, budget)
+    res = path_cover_number(g)
+    assert res.p == 2
+    check_witness(g, res)
 
 
 @given(graphs(max_n=8))
