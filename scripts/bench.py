@@ -1,8 +1,11 @@
 """Time one layer of autbounds and record the result.
 
 Layers:
-  aut         aut_order on large symmetric graph families, the known group
-              order checked; the cache is cleared before every call.
+  aut         aut_order on large symmetric graph families (tests/helpers.py
+              builds those the package does not name), the known group
+              order checked; the cache is cleared before every call.  Also
+              records the _search calls of one cold call per family,
+              recursive ones included.
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
@@ -60,7 +63,7 @@ from math import factorial
 from pathlib import Path
 
 import autbounds
-from autbounds import bounds, corpus
+from autbounds import automorphisms, bounds, corpus
 from autbounds.automorphisms import aut_order
 from autbounds.bounds import ReportOptions, compose_report
 from autbounds.corpus import connected_graphs
@@ -89,26 +92,11 @@ REPEATS = 3
 SEED = 20020489
 
 
-def hypercube(d):
-    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d)
-                                     for i in range(d) if v < v ^ (1 << i)])
-
-
-def rook_graph(k):
-    return Graph.from_edges(k * k, [(k * i + j, k * i2 + j2)
-                                    for i in range(k) for j in range(k)
-                                    for i2 in range(k) for j2 in range(k)
-                                    if (i == i2) != (j == j2) and k * i + j < k * i2 + j2])
-
-
-def paley(q):
-    squares = {x * x % q for x in range(1, q)}
-    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
-                                if (v - u) % q in squares])
-
-
 def families(quick):
     """(name, graph, known |Aut|) for each timed family."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from helpers import hypercube, kneser_graph, paley_graph, rook_graph, triangular_graph
+
     if quick:
         return [("K8", complete_graph(8), factorial(8)),
                 ("Q3", hypercube(3), 2 ** 3 * factorial(3))]
@@ -120,7 +108,10 @@ def families(quick):
         ("rook8x8", rook_graph(8), 2 * factorial(8) ** 2),
         ("Q6", hypercube(6), 2 ** 6 * factorial(6)),
         ("C64", cycle_graph(64), 128),
-        ("Paley61", paley(61), 61 * 30),
+        ("Paley61", paley_graph(61), 61 * 30),
+        ("Q8", hypercube(8), 2 ** 8 * factorial(8)),
+        ("T20", triangular_graph(20), factorial(20)),
+        ("Kneser10,4", kneser_graph(10, 4), factorial(10)),
     ]
 
 
@@ -180,13 +171,33 @@ def digest(values):
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
+def search_calls(g):
+    """_search calls, recursive ones included, of one cold aut_order(g)."""
+    calls = 0
+    real = automorphisms._search
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    aut_order.cache_clear()
+    automorphisms._search = spy
+    try:
+        aut_order(g)
+    finally:
+        automorphisms._search = real
+    return calls
+
+
 def bench_aut(quick):
-    seconds = {}
+    seconds, calls = {}, {}
     for name, g, order in families(quick):
         seconds[name], res = best_of(lambda: aut_order(g), aut_order.cache_clear)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
-    return {"aut_order_best_s": seconds}
+        calls[name] = search_calls(g)
+    return {"aut_order_best_s": seconds, "search_calls": calls}
 
 
 def bench_embeddings(quick):

@@ -1,7 +1,9 @@
 """Exact automorphism group order, orbits, and generators.
 
-The main routine runs a backtracking search pruned by iterated
-degree-within-cell partition refinement.  It first fixes a base, one
+The main routine runs a backtracking search pruned by equitable partition
+refinement with a queue of splitter cells: a cell is split by its vertices'
+neighbour counts into one splitter at a time, and only the cells a split
+changed are queued as new splitters.  It first fixes a base, one
 individualised vertex per level, and then counts along the chain of point
 stabilisers: the group order is the product over levels of the number of
 vertices the level's base point can be sent to by an automorphism fixing the
@@ -23,6 +25,7 @@ permutations, which is why it refuses n > 8.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -48,32 +51,52 @@ class AutResult:
 
 
 # ---------------------------------------------------------------------------
-# Equitable refinement on ordered partitions of bitmask cells.
+# Equitable refinement on ordered partitions of bitmask cells, driven by a
+# FIFO queue of splitter masks (McKay & Piperno 2014, without Hopcroft's
+# "skip the largest subcell" rule).
 #
-# A cell splits by the signature (neighbour count into every current cell);
-# subcells are ordered by signature value, which is deterministic and
-# isomorphism-invariant, so two sides of a search refine in lockstep.
+# A popped splitter W splits every cell by the neighbour count into W; only
+# the vertices in N(W) are counted, the rest count 0.  Subcells are ordered
+# by count, which is deterministic and isomorphism-invariant, replace the
+# cell in place and join the back of the queue, so two sides of a search
+# refine in lockstep.  A final cell was queued when it was made and has not
+# split since, so the fixed point is equitable.  Individualising v out of an
+# equitable partition leaves {v} the only splitter needed: the counts into
+# the rest of its old cell are the old counts minus adjacency to v.
 # ---------------------------------------------------------------------------
 
-def _refine(rows, cells):
-    """Refine to a fixed point; returns (cells, trace of splits)."""
+def _refine(rows, cells, splitters=None):
+    """Refine to a fixed point, starting from the given splitter masks (every
+    cell when None); returns (cells, trace of splits)."""
     cells = list(cells)
+    queue = deque(cells if splitters is None else splitters)
     trace = []
-    while True:
-        for ci, cell in enumerate(cells):
-            if cell & (cell - 1) == 0:  # singleton
-                continue
-            buckets: dict[tuple, int] = {}
-            for v in bits(cell):
-                sig = tuple((rows[v] & other).bit_count() for other in cells)
-                buckets[sig] = buckets.get(sig, 0) | 1 << v
-            if len(buckets) > 1:
-                ordered = sorted(buckets.items())
-                cells[ci:ci + 1] = [m for _, m in ordered]
-                trace.append((ci, tuple((s, m.bit_count()) for s, m in ordered)))
-                break
-        else:
-            return cells, tuple(trace)
+    n = len(rows)
+    while queue and len(cells) < n:
+        w = queue.popleft()
+        nw = 0
+        for u in bits(w):
+            nw |= rows[u]
+        ci = 0
+        while ci < len(cells):
+            cell = cells[ci]
+            hit = cell & nw
+            if hit and cell & (cell - 1):
+                counts = {0: cell ^ hit} if hit != cell else {}
+                if w & (w - 1) == 0:  # W = {u}: the neighbours of u count 1
+                    counts[1] = hit
+                else:
+                    for v in bits(hit):
+                        c = (rows[v] & w).bit_count()
+                        counts[c] = counts.get(c, 0) | 1 << v
+                if len(counts) > 1:
+                    ordered = sorted(counts.items())
+                    cells[ci:ci + 1] = [m for _, m in ordered]
+                    queue.extend(m for _, m in ordered)
+                    trace.append((ci, tuple((c, m.bit_count()) for c, m in ordered)))
+                    ci += len(ordered) - 1
+            ci += 1
+    return cells, tuple(trace)
 
 
 def _target_cell(cells):
@@ -104,11 +127,12 @@ def _is_mapping(rows_a, rows_b, perm) -> bool:
     return True
 
 
-def _search(rows_a, rows_b, cells_a, cells_b):
+def _search(rows_a, rows_b, cells_a, cells_b, splitters_a=None, splitters_b=None):
     """Find a bijection of rows_a onto rows_b matching the paired ordered
-    partitions cell-for-cell, or None.  rows_a may equal rows_b."""
-    cells_a, tr_a = _refine(rows_a, cells_a)
-    cells_b, tr_b = _refine(rows_b, cells_b)
+    partitions cell-for-cell, or None.  rows_a may equal rows_b.  The
+    splitters are passed to ``_refine`` (every cell when None)."""
+    cells_a, tr_a = _refine(rows_a, cells_a, splitters_a)
+    cells_b, tr_b = _refine(rows_b, cells_b, splitters_b)
     if tr_a != tr_b:
         return None
     ti = _target_cell(cells_a)
@@ -122,7 +146,8 @@ def _search(rows_a, rows_b, cells_a, cells_b):
     for y in bits(cells_b[ti]):
         found = _search(rows_a, rows_b,
                         _individualized(cells_a, ti, x),
-                        _individualized(cells_b, ti, y))
+                        _individualized(cells_b, ti, y),
+                        (1 << x,), (1 << y,))
         if found is not None:
             return found
     return None
@@ -144,7 +169,7 @@ def aut_order(g: Graph) -> AutResult:
     while (ti := _target_cell(cells)) is not None:
         b = (cells[ti] & -cells[ti]).bit_length() - 1
         levels.append((cells, ti, b))
-        cells, _ = _refine(rows, _individualized(cells, ti, b))
+        cells, _ = _refine(rows, _individualized(cells, ti, b), (1 << b,))
     # Deepest level first: every generator found so far fixes this level's
     # earlier base points, so a w already in b's class needs no search.
     parent = list(range(n))
@@ -156,7 +181,8 @@ def aut_order(g: Graph) -> AutResult:
                 continue
             perm = _search(rows, rows,
                            _individualized(cells, ti, b),
-                           _individualized(cells, ti, w))
+                           _individualized(cells, ti, w),
+                           (1 << b,), (1 << w,))
             if perm is not None:
                 gens.append(perm)
                 for v in range(n):

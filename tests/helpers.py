@@ -4,10 +4,13 @@ The oracles here deliberately stay brute force and independent of the
 package's algorithms: orbits, labeled copies and path covers come from
 enumerating all n! permutations, Hamiltonian paths are counted by
 inclusion-exclusion over walks, random graphs are drawn bit by bit, and
-random spanning trees come from Kruskal's rule on shuffled edges.
+random spanning trees come from Kruskal's rule on shuffled edges.  The
+symmetric families (rook, Shrikhande, Paley, hypercube, triangular, Kneser)
+are built from their textbook definitions and shared with
+``scripts/bench.py``.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -66,6 +69,49 @@ def karp_hamiltonian_paths(g: Graph) -> int:
             walks = [sum(walks[u] for u in row) for row in nbrs]
         total += (-1) ** (n - len(members)) * sum(walks)
     return total
+
+
+def rook_graph(k):
+    """K_k x K_k: cells of a k-by-k board, adjacent when in one row or column."""
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            v = k * i + j
+            edges += [(v, k * i + jj) for jj in range(j + 1, k)]
+            edges += [(v, k * ii + j) for ii in range(i + 1, k)]
+    return Graph.from_edges(k * k, edges)
+
+
+def shrikhande_graph():
+    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    edges = {tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+             for a in range(4) for b in range(4) for da, db in conn}
+    return Graph.from_edges(16, edges)
+
+
+def paley_graph(q):
+    residues = {(x * x) % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
+                                if (v - u) % q in residues])
+
+
+def hypercube(d):
+    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d)
+                                     for i in range(d) if v < v ^ (1 << i)])
+
+
+def kneser_graph(m, k):
+    """K(m, k): the k-subsets of {0..m-1}, adjacent when disjoint."""
+    sets = [sum(1 << i for i in c) for c in combinations(range(m), k)]
+    return Graph.from_edges(len(sets), [(i, j) for i in range(len(sets))
+                                        for j in range(i + 1, len(sets))
+                                        if not sets[i] & sets[j]])
+
+
+def triangular_graph(m):
+    """T(m), the line graph of K_m: the 2-subsets of {0..m-1}, adjacent when
+    they meet."""
+    return kneser_graph(m, 2).complement()
 
 
 def graph_from_bits(n: int, bitcode: int) -> Graph:

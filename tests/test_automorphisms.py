@@ -1,13 +1,22 @@
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from autbounds.automorphisms import aut_order, aut_order_naive
+from autbounds.automorphisms import (
+    _individualized,
+    _refine,
+    _search,
+    _target_cell,
+    aut_order,
+    aut_order_naive,
+)
 from autbounds.corpus import all_graphs
 from autbounds.graphs import (
     Graph,
     SizeLimitError,
+    bits,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -15,7 +24,18 @@ from autbounds.graphs import (
     petersen_graph,
 )
 
-from helpers import graphs, is_automorphism, naive_orbits
+from helpers import (
+    graphs,
+    hypercube,
+    is_automorphism,
+    kneser_graph,
+    naive_orbits,
+    paley_graph,
+    permutations_of,
+    rook_graph,
+    shrikhande_graph,
+    triangular_graph,
+)
 
 
 def test_k4():
@@ -128,30 +148,6 @@ def test_identity_iff_trivial(corpus6):
 # Strongly regular graphs where degree refinement alone cannot split any cell;
 # the classical orders pin the backtracking search.
 
-def rook_graph(k):
-    """K_k x K_k: cells of a k-by-k board, adjacent when in one row or column."""
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            v = k * i + j
-            edges += [(v, k * i + jj) for jj in range(j + 1, k)]
-            edges += [(v, k * ii + j) for ii in range(i + 1, k)]
-    return Graph.from_edges(k * k, edges)
-
-
-def shrikhande_graph():
-    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    edges = {tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
-             for a in range(4) for b in range(4) for da, db in conn}
-    return Graph.from_edges(16, edges)
-
-
-def paley_graph(q):
-    residues = {(x * x) % q for x in range(1, q)}
-    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
-                                if (v - u) % q in residues])
-
-
 def test_rook_4x4():
     assert aut_order(rook_graph(4)).order == 1152  # 2 * (4!)^2
 
@@ -170,11 +166,6 @@ def test_large_complete_graph_exact_factorial():
     assert aut_order(complete_graph(64)).order == factorial(64)
 
 
-def hypercube(d):
-    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d)
-                                     for i in range(d) if v < v ^ (1 << i)])
-
-
 # (graph, |Aut|, number of orbits); the orders are the classical ones.
 LARGE_FAMILIES = {
     "K64": (complete_graph(64), factorial(64), 1),
@@ -185,6 +176,9 @@ LARGE_FAMILIES = {
     "Q6": (hypercube(6), 2 ** 6 * factorial(6), 1),
     "C64": (cycle_graph(64), 128, 1),
     "Paley61": (paley_graph(61), 61 * 30, 1),
+    "Q8": (hypercube(8), 2 ** 8 * factorial(8), 1),
+    "T20": (triangular_graph(20), factorial(20), 1),
+    "Kneser10,4": (kneser_graph(10, 4), factorial(10), 1),
 }
 
 
@@ -209,3 +203,69 @@ def test_generator_count_at_most_n_minus_1(g):
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_complete_graph_has_n_minus_1_generators(n):
     assert len(aut_order(complete_graph(n)).generators) == n - 1
+
+
+# Splitter-queue refinement.  A partition is equitable when every vertex of
+# a cell has the same neighbour count into every cell.
+
+def is_equitable(rows, cells):
+    return all(len({(rows[v] & other).bit_count() for v in bits(cell)}) == 1
+               for cell in cells for other in cells)
+
+
+def unit_refined(g):
+    return _refine(g.rows, [(1 << g.n) - 1])[0]
+
+
+def check_refinement(g, perm):
+    rows = g.rows
+    cells, trace = _refine(rows, [(1 << g.n) - 1])
+    assert is_equitable(rows, cells), "unit refinement not equitable"
+    image_cells, image_trace = _refine(g.relabel(perm).rows, [(1 << g.n) - 1])
+    assert image_trace == trace, "trace moved under relabelling"
+    assert image_cells == [sum(1 << perm[v] for v in bits(c)) for c in cells], \
+        "cells do not map onto each other"
+    # Down the base chain: from each equitable partition, individualising
+    # any v of the target cell and refining by {v} alone must reach the same
+    # cells as refining by every cell.
+    while (ti := _target_cell(cells)) is not None:
+        for v in bits(cells[ti]):
+            start = _individualized(cells, ti, v)
+            by_v, _ = _refine(rows, start, (1 << v,))
+            by_all, _ = _refine(rows, start)
+            assert set(by_v) == set(by_all), f"{{v}} alone is not enough for v={v}"
+            assert is_equitable(rows, by_v)
+        b = (cells[ti] & -cells[ti]).bit_length() - 1
+        cells, _ = _refine(rows, _individualized(cells, ti, b), (1 << b,))
+
+
+def test_refinement_properties_corpus7():
+    rng = random.Random(7)
+    extra = [petersen_graph(), hypercube(4), rook_graph(4), shrikhande_graph(),
+             paley_graph(13)]
+    for g in [g for n in range(1, 8) for g in all_graphs(n)] + extra:
+        check_refinement(g, rng.sample(range(g.n), g.n))
+
+
+@given(graphs(max_n=12), st.data())
+def test_refinement_properties_random(g, data):
+    check_refinement(g, data.draw(permutations_of(g.n)))
+
+
+# _search from refined unit partitions, with no splitters, is the isomorphism
+# test corpus deduplication runs on bucket-mates.
+
+def test_search_separates_rook_4x4_from_shrikhande():
+    a, b = rook_graph(4), shrikhande_graph()
+    assert unit_refined(a) == unit_refined(b) == [(1 << 16) - 1]
+    assert _search(a.rows, b.rows, unit_refined(a), unit_refined(b)) is None
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), hypercube(4), paley_graph(13)],
+                         ids=["Petersen", "Q4", "Paley13"])
+def test_search_finds_isomorphism_to_relabelled_copy(g):
+    h = g.relabel(random.Random(g.n).sample(range(g.n), g.n))
+    iso = _search(g.rows, h.rows, unit_refined(g), unit_refined(h))
+    assert iso is not None and sorted(iso) == list(range(g.n))
+    assert all(g.has_edge(u, v) == h.has_edge(iso[u], iso[v])
+               for u in range(g.n) for v in range(g.n))

@@ -44,6 +44,9 @@ def test_bench_aut_quick(tmp_path):
     assert record["label"] == "smoke" and record["cpu_count"] == os.cpu_count()
     assert sorted(record["aut_order_best_s"]) == ["K8", "Q3"]
     assert all(s >= 0 for s in record["aut_order_best_s"].values())
+    # one top-level _search finds each kept generator: n - 1 of them for K8
+    assert sorted(record["search_calls"]) == ["K8", "Q3"]
+    assert record["search_calls"]["K8"] >= 7 and record["search_calls"]["Q3"] >= 3
 
 
 @pytest.mark.parametrize("layer, key, groups", [
