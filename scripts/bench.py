@@ -4,8 +4,8 @@ Layers:
   aut         aut_order on large symmetric graph families (tests/helpers.py
               builds those the package does not name), the known group
               order checked; the cache is cleared before every call.  Also
-              records the _search calls of one cold call per family,
-              recursive ones included.
+              records the _search and the _refine calls of one cold call
+              per family, recursive ones included.
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
@@ -171,10 +171,11 @@ def digest(values):
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
-def search_calls(g):
-    """_search calls, recursive ones included, of one cold aut_order(g)."""
+def spied_calls(g, name):
+    """Calls of automorphisms.<name>, recursive ones included, during one
+    cold aut_order(g)."""
     calls = 0
-    real = automorphisms._search
+    real = getattr(automorphisms, name)
 
     def spy(*args):
         nonlocal calls
@@ -182,22 +183,24 @@ def search_calls(g):
         return real(*args)
 
     aut_order.cache_clear()
-    automorphisms._search = spy
+    setattr(automorphisms, name, spy)
     try:
         aut_order(g)
     finally:
-        automorphisms._search = real
+        setattr(automorphisms, name, real)
     return calls
 
 
 def bench_aut(quick):
-    seconds, calls = {}, {}
+    seconds, searches, refines = {}, {}, {}
     for name, g, order in families(quick):
         seconds[name], res = best_of(lambda: aut_order(g), aut_order.cache_clear)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
-        calls[name] = search_calls(g)
-    return {"aut_order_best_s": seconds, "search_calls": calls}
+        searches[name] = spied_calls(g, "_search")
+        refines[name] = spied_calls(g, "_refine")
+    return {"aut_order_best_s": seconds, "search_calls": searches,
+            "refine_calls": refines}
 
 
 def bench_embeddings(quick):

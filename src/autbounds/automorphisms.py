@@ -3,13 +3,13 @@
 The main routine runs a backtracking search pruned by equitable partition
 refinement with a queue of splitter cells: a cell is split by its vertices'
 neighbour counts into one splitter at a time, and only the cells a split
-changed are queued as new splitters.  It first fixes a base, one
-individualised vertex per level, and then counts along the chain of point
-stabilisers: the group order is the product over levels of the number of
-vertices the level's base point can be sent to by an automorphism fixing the
-earlier base points.  That keeps the order exact without ever enumerating
-group elements, so orders far beyond enumeration range (64! and the like) are
-fine.
+changed are queued as new splitters.  It fixes a base once, the first path:
+one individualised vertex per level with its refinement trace.  The search is
+one-sided: it refines each child on the other side once and goes down only
+where the child's trace equals the first path's.  The group order is the
+product over levels of the number of vertices the level's base point can be
+sent to by an automorphism fixing the earlier base points (the chain of point
+stabilisers), so it is exact without enumerating group elements: 64! is fine.
 
 Levels are processed deepest first, with one union-find over the generators
 found so far (orbit pruning, as in nauty: McKay & Piperno, "Practical graph
@@ -58,11 +58,12 @@ class AutResult:
 # A popped splitter W splits every cell by the neighbour count into W; only
 # the vertices in N(W) are counted, the rest count 0.  Subcells are ordered
 # by count, which is deterministic and isomorphism-invariant, replace the
-# cell in place and join the back of the queue, so two sides of a search
-# refine in lockstep.  A final cell was queued when it was made and has not
-# split since, so the fixed point is equitable.  Individualising v out of an
-# equitable partition leaves {v} the only splitter needed: the counts into
-# the rest of its old cell are the old counts minus adjacency to v.
+# cell in place and join the back of the queue, so the trace of splits is an
+# isomorphism invariant that the search compares.  A final cell was queued
+# when it was made and has not split since, so the fixed point is equitable.
+# Individualising v out of an equitable partition leaves {v} the only
+# splitter needed: the counts into the rest of its old cell are the old
+# counts minus adjacency to v.
 # ---------------------------------------------------------------------------
 
 def _refine(rows, cells, splitters=None):
@@ -127,29 +128,38 @@ def _is_mapping(rows_a, rows_b, perm) -> bool:
     return True
 
 
-def _search(rows_a, rows_b, cells_a, cells_b, splitters_a=None, splitters_b=None):
-    """Find a bijection of rows_a onto rows_b matching the paired ordered
-    partitions cell-for-cell, or None.  rows_a may equal rows_b.  The
-    splitters are passed to ``_refine`` (every cell when None)."""
-    cells_a, tr_a = _refine(rows_a, cells_a, splitters_a)
-    cells_b, tr_b = _refine(rows_b, cells_b, splitters_b)
-    if tr_a != tr_b:
-        return None
-    ti = _target_cell(cells_a)
-    if ti is None:
+def _first_path(rows, cells):
+    """From an equitable partition, individualise the lowest vertex b of the
+    target cell at every level and refine by {b}; returns each level's
+    (cells, ti, b, trace of the refined child) and the discrete leaf."""
+    levels = []
+    while (ti := _target_cell(cells)) is not None:
+        b = (cells[ti] & -cells[ti]).bit_length() - 1
+        child, trace = _refine(rows, _individualized(cells, ti, b), (1 << b,))
+        levels.append((cells, ti, b, trace))
+        cells = child
+    return levels, cells
+
+
+def _search(rows_a, rows_b, first, level, cells_b):
+    """Find a bijection of rows_a onto rows_b, or None, that maps the first
+    path of rows_a from ``level`` down onto a path below cells_b, an
+    equitable partition of rows_b that matches that level cell for cell.
+    rows_a may equal rows_b."""
+    levels, leaf = first
+    if level == len(levels):
         perm = [0] * len(rows_a)
-        for ca, cb in zip(cells_a, cells_b):
+        for ca, cb in zip(leaf, cells_b):
             perm[ca.bit_length() - 1] = cb.bit_length() - 1
         perm = tuple(perm)
         return perm if _is_mapping(rows_a, rows_b, perm) else None
-    x = (cells_a[ti] & -cells_a[ti]).bit_length() - 1
+    _, ti, _, trace = levels[level]
     for y in bits(cells_b[ti]):
-        found = _search(rows_a, rows_b,
-                        _individualized(cells_a, ti, x),
-                        _individualized(cells_b, ti, y),
-                        (1 << x,), (1 << y,))
-        if found is not None:
-            return found
+        child, tr = _refine(rows_b, _individualized(cells_b, ti, y), (1 << y,))
+        if tr == trace:
+            found = _search(rows_a, rows_b, first, level + 1, child)
+            if found is not None:
+                return found
     return None
 
 
@@ -164,25 +174,18 @@ def _orbits_from_partition(parent):
 def aut_order(g: Graph) -> AutResult:
     """Exact automorphism group order, orbit partition, and generators."""
     n, rows = g.n, g.rows
-    cells, _ = _refine(rows, [(1 << n) - 1])
-    levels = []
-    while (ti := _target_cell(cells)) is not None:
-        b = (cells[ti] & -cells[ti]).bit_length() - 1
-        levels.append((cells, ti, b))
-        cells, _ = _refine(rows, _individualized(cells, ti, b), (1 << b,))
+    first = _first_path(rows, _refine(rows, [(1 << n) - 1])[0])
     # Deepest level first: every generator found so far fixes this level's
     # earlier base points, so a w already in b's class needs no search.
     parent = list(range(n))
     order = 1
     gens: list[tuple[int, ...]] = []
-    for cells, ti, b in reversed(levels):
+    for level, (cells, ti, b, trace) in reversed(list(enumerate(first[0]))):
         for w in bits(cells[ti]):
             if _root(parent, w) == _root(parent, b):
                 continue
-            perm = _search(rows, rows,
-                           _individualized(cells, ti, b),
-                           _individualized(cells, ti, w),
-                           (1 << b,), (1 << w,))
+            child, tr = _refine(rows, _individualized(cells, ti, w), (1 << w,))
+            perm = _search(rows, rows, first, level + 1, child) if tr == trace else None
             if perm is not None:
                 gens.append(perm)
                 for v in range(n):

@@ -9,10 +9,10 @@ returns, and any other subset of the orbit gives a graph isomorphic to an
 earlier candidate from the same base, so first-seen-wins output is unchanged.
 Candidates are bucketed on the edge count and the trace of the
 unit-partition refinement, an isomorphism invariant that already carries the
-degrees and the refined cell sizes; bucket-mates are compared with the same
-search that ``aut_order`` uses, started from the equitable cells the bucket
-key already computed.  Known class counts double as integrity checks for
-callers.
+degrees and the refined cell sizes.  A kept graph's first path is built once
+from the equitable cells of its bucket key, and each candidate is compared
+with its bucket-mates by the one-sided search of ``aut_order``.  Known class
+counts double as integrity checks for callers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, _root, _union, is_connected
-from .automorphisms import _refine, _search, aut_order
+from .automorphisms import _first_path, _refine, _search, aut_order
 
 # Non-isomorphic simple graphs / connected graphs on n vertices
 # (OEIS A000088 / A001349).
@@ -65,10 +65,10 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
             e = base.e + nbrs.bit_count()
             cells, trace = _refine(rows, full)
             bucket = buckets.setdefault((e, trace), [])
-            if any(_search(rows, seen, cells, seen_cells) is not None
-                   for seen, seen_cells in bucket):
+            if any(_search(seen, rows, first, 0, cells) is not None
+                   for seen, first in bucket):
                 continue
-            bucket.append((rows, cells))
+            bucket.append((rows, _first_path(rows, cells)))
             kept.append((e, rows))
     kept.sort()
     return tuple(Graph(n, rows) for _, rows in kept)

@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from autbounds import automorphisms
 from autbounds.automorphisms import (
+    _first_path,
     _individualized,
     _refine,
     _search,
@@ -252,20 +254,56 @@ def test_refinement_properties_random(g, data):
     check_refinement(g, data.draw(permutations_of(g.n)))
 
 
-# _search from refined unit partitions, with no splitters, is the isomorphism
-# test corpus deduplication runs on bucket-mates.
+# _search from the first path of one graph's refined unit partition, at level
+# 0, against the other's refined unit partition, is the isomorphism test
+# corpus deduplication runs on bucket-mates.
 
 def test_search_separates_rook_4x4_from_shrikhande():
     a, b = rook_graph(4), shrikhande_graph()
     assert unit_refined(a) == unit_refined(b) == [(1 << 16) - 1]
-    assert _search(a.rows, b.rows, unit_refined(a), unit_refined(b)) is None
+    assert _search(a.rows, b.rows, _first_path(a.rows, unit_refined(a)), 0,
+                   unit_refined(b)) is None
 
 
 @pytest.mark.parametrize("g", [petersen_graph(), hypercube(4), paley_graph(13)],
                          ids=["Petersen", "Q4", "Paley13"])
 def test_search_finds_isomorphism_to_relabelled_copy(g):
     h = g.relabel(random.Random(g.n).sample(range(g.n), g.n))
-    iso = _search(g.rows, h.rows, unit_refined(g), unit_refined(h))
+    iso = _search(g.rows, h.rows, _first_path(g.rows, unit_refined(g)), 0,
+                  unit_refined(h))
     assert iso is not None and sorted(iso) == list(range(g.n))
     assert all(g.has_edge(u, v) == h.has_edge(iso[u], iso[v])
                for u in range(g.n) for v in range(g.n))
+
+
+# The first path is built once and the search refines only side b, so one
+# cold aut_order refines no partition twice with the same splitters.
+REFINE_ONCE = {
+    "K32": complete_graph(32),
+    "K16,16": complete_bipartite_graph(16, 16),
+    "Q6": hypercube(6),
+    "C64": cycle_graph(64),
+    "Paley61": paley_graph(61),
+    "T20": triangular_graph(20),
+    "Kneser10,4": kneser_graph(10, 4),
+    "rook4x4": rook_graph(4),
+    "Shrikhande": shrikhande_graph(),
+}
+
+
+@pytest.mark.parametrize("name", REFINE_ONCE)
+def test_aut_order_refines_each_input_once(name, monkeypatch):
+    calls = []
+    real = automorphisms._refine
+
+    def spy(rows, cells, splitters=None):
+        calls.append((rows, tuple(cells), splitters))
+        return real(rows, cells, splitters)
+
+    monkeypatch.setattr(automorphisms, "_refine", spy)
+    aut_order.cache_clear()
+    try:
+        aut_order(REFINE_ONCE[name])
+    finally:
+        aut_order.cache_clear()
+    assert len(calls) == len(set(calls)) > 1

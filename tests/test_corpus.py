@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from autbounds import corpus
+from autbounds import automorphisms, corpus
 from autbounds.graphs import bits, write_graph6
 from autbounds.verify import greedy_sweep, soundness_sweep
 
@@ -46,6 +46,31 @@ def test_tried_masks_are_orbit_minima(monkeypatch):
     assert len(bases) == 52 and len(tried) == len(bases)
     for base in bases:
         assert tried[base.rows] == subset_orbit_minima(base), write_graph6(base)
+
+
+def test_bucket_mates_refine_no_equitable_partition_again(monkeypatch):
+    # Only a unit partition is refined without splitters; a bucket-mate test
+    # starts from cells that are already equitable and refines by {y} alone.
+    starts = []
+    real = automorphisms._refine
+
+    def spy(rows, cells, splitters=None):
+        starts.append((len(cells), splitters))
+        return real(rows, cells, splitters)
+
+    monkeypatch.setattr(automorphisms, "_refine", spy)
+    monkeypatch.setattr(corpus, "_refine", spy)
+    caches = (corpus.all_graphs, corpus.connected_graphs, automorphisms.aut_order)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        for n in range(1, 7):
+            corpus.all_graphs(n)
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+    assert any(splitters is not None for _, splitters in starts)
+    assert all(size == 1 for size, splitters in starts if splitters is None)
 
 
 def test_generation_limit_refusal():

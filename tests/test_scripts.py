@@ -47,6 +47,10 @@ def test_bench_aut_quick(tmp_path):
     # one top-level _search finds each kept generator: n - 1 of them for K8
     assert sorted(record["search_calls"]) == ["K8", "Q3"]
     assert record["search_calls"]["K8"] >= 7 and record["search_calls"]["Q3"] >= 3
+    # K8: the unit partition, 7 first-path levels, and the search from level
+    # L refines one child at each of levels L..6: 7 + 6 + ... + 1 = 28
+    assert sorted(record["refine_calls"]) == ["K8", "Q3"]
+    assert record["refine_calls"]["K8"] == 1 + 7 + 28
 
 
 @pytest.mark.parametrize("layer, key, groups", [
