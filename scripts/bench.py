@@ -33,6 +33,12 @@ Layers:
               Hamiltonian-path search fails, on K8,10 only after its whole
               budget, and the DP runs); also records the p values of each
               group as counts.
+  naive       automorphisms.aut_order_naive on oracle_suite's inputs (the
+              connected n <= 6 corpus, then 50 verify._random_graph at n = 7
+              and 50 at n = 8 from DEFAULT_SEED), on one representative of
+              each spanning-tree class of every connected graph with n <= 6
+              (the trees theorem1_suite counts), and on K8 and the empty
+              graph on 8 vertices, whose groups are S_8 and prune nothing.
 
 Each group is timed best-of-3.  The record is written to BENCH_<label>.json
 with the Python version, os.cpu_count(), the git sha of the checkout that
@@ -41,7 +47,8 @@ log2 layers also record a SHA-256 over their results, so two checkouts can be
 shown to compute the same values; the corpus layer hashes the graph6 lines
 of all_graphs(1..7) in order, and the trees layer hashes its records in the
 format of tests/test_golden.py's tree_layer_lines; both are digests that
-file pins.  The pathcover layer hashes the p values of every group.
+file pins.  The pathcover layer hashes the p values of every group, and the
+naive layer the orders of every group.
 
 Usage:
     python scripts/bench.py --layer aut --label change [--outdir .] [--quick]
@@ -64,7 +71,7 @@ from pathlib import Path
 
 import autbounds
 from autbounds import automorphisms, bounds, corpus
-from autbounds.automorphisms import aut_order
+from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import ReportOptions, compose_report
 from autbounds.corpus import connected_graphs
 from autbounds.embeddings import count_labeled_embeddings
@@ -86,7 +93,7 @@ from autbounds.trees import (
     tree_aut_upper,
     tree_certificate,
 )
-from autbounds.verify import theorem1_suite
+from autbounds.verify import DEFAULT_SEED, _random_graph, theorem1_suite
 
 REPEATS = 3
 SEED = 20020489
@@ -329,9 +336,42 @@ def bench_pathcover(quick):
             "p_sha256": digest(list(ps.values()))}
 
 
+def naive_groups(quick):
+    """{group name: graphs} for the naive layer, oracle_suite's draws in order."""
+    nmax = 5 if quick else 6
+    rng = random.Random(DEFAULT_SEED)
+    hosts = [g for n in range(1, nmax + 1) for g in connected_graphs(n)]
+    classes = []
+    for g in hosts:
+        reps = {}
+        for t in all_spanning_trees(g):
+            reps.setdefault(tree_certificate(t), t)
+        classes += reps.values()
+    groups = {f"n<={nmax}": hosts,
+              "G(7,1/2)": [_random_graph(7, rng) for _ in range(5 if quick else 50)]}
+    if quick:
+        groups["K6"] = [complete_graph(6)]
+    else:
+        groups["G(8,1/2)"] = [_random_graph(8, rng) for _ in range(50)]
+        groups["K8"] = [complete_graph(8)]
+        groups["E8"] = [Graph(8, (0,) * 8)]
+    groups[f"tree classes n<={nmax}"] = classes
+    return groups
+
+
+def bench_naive(quick):
+    seconds, orders = {}, {}
+    for name, graphs in naive_groups(quick).items():
+        seconds[name], orders[name] = best_of(
+            lambda: [aut_order_naive(g) for g in graphs], lambda: None)
+    return {"aut_order_naive_best_s": seconds,
+            "graphs": {name: len(o) for name, o in orders.items()},
+            "orders_sha256": digest(orders)}
+
+
 LAYERS = {"aut": bench_aut, "embeddings": bench_embeddings, "log2": bench_log2,
           "corpus": bench_corpus, "trees": bench_trees, "theorem1": bench_theorem1,
-          "pathcover": bench_pathcover}
+          "pathcover": bench_pathcover, "naive": bench_naive}
 
 
 def git_sha():
@@ -356,7 +396,9 @@ def main():
     ap.add_argument("--quick", action="store_true",
                     help="a smoke run: K8 and Q3, the n <= 5 corpus (and 5 G(8, m)), "
                          "theorem1 at n <= 4, or path covers of the n <= 5 corpus, "
-                         "analyze-hard seed 0, G(14, 15..18) and K3,5")
+                         "analyze-hard seed 0, G(14, 15..18) and K3,5, or the naive "
+                         "oracle on the n <= 5 corpus and its tree classes, "
+                         "5 G(7, 1/2) and K6")
     args = ap.parse_args()
 
     result = LAYERS[args.layer](args.quick)

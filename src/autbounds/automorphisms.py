@@ -19,8 +19,11 @@ needs no search.  Each kept generator joins two classes, so there are at most
 n - 1 of them, and the final classes are the orbits.  Pruning does not remove
 the exponential worst case of the search itself.
 
-``aut_order_naive`` is the independent cross-check: it literally walks all n!
-permutations, which is why it refuses n > 8.
+``aut_order_naive`` is the independent cross-check: an exhaustive count over
+the permutation tree that places vertices in index order and drops a prefix at
+its first broken adjacency.  It uses no refinement and no orbits, so its worst
+case, a group as large as S_n (K_n or the empty graph), still visits all n!
+leaves, which is why it refuses n > 8.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from .graphs import Graph, SizeLimitError, _root, _union, bits
 
@@ -196,18 +198,30 @@ def aut_order(g: Graph) -> AutResult:
 
 
 def aut_order_naive(g: Graph) -> int:
-    """Count adjacency-preserving permutations by walking all n! of them."""
-    if g.n > NAIVE_VERTEX_LIMIT:
+    """Count adjacency-preserving permutations by an exhaustive walk over the
+    permutation tree that drops a prefix at its first broken adjacency."""
+    n = g.n
+    if n > NAIVE_VERTEX_LIMIT:
         raise SizeLimitError(
-            f"naive oracle enumerates n! permutations; n={g.n} exceeds {NAIVE_VERTEX_LIMIT}")
+            f"naive oracle walks a permutation tree of up to n! leaves; "
+            f"n={n} exceeds {NAIVE_VERTEX_LIMIT}")
     rows = g.rows
-    edge_list = tuple((u, v) for u in range(g.n) for v in bits(rows[u]) if u < v)
-    count = 0
-    for p in permutations(range(g.n)):
-        for u, v in edge_list:
-            if not (rows[p[u]] >> p[v]) & 1:
-                break
-        else:
-            count += 1
-    return count
+    image = [0] * n  # the bit of each placed vertex's image
 
+    def extend(u, used):
+        # u may go to x only if x's neighbours among the images taken so far
+        # are exactly the images of u's earlier neighbours.
+        want = 0
+        for w in bits(rows[u] & ((1 << u) - 1)):
+            want |= image[w]
+        count = 0
+        for x in bits(((1 << n) - 1) & ~used):
+            if rows[x] & used == want:
+                if u == n - 1:
+                    count += 1
+                else:
+                    image[u] = 1 << x
+                    count += extend(u + 1, used | 1 << x)
+        return count
+
+    return extend(0, 0)

@@ -22,9 +22,14 @@ def is_automorphism(g: Graph, p) -> bool:
     return all(g.has_edge(p[u], p[v]) for u, v in g.edges())
 
 
+def naive_automorphisms(g: Graph):
+    """Every automorphism, found by testing all n! permutations (n <= 8)."""
+    return [p for p in permutations(range(g.n)) if is_automorphism(g, p)]
+
+
 def naive_orbits(g: Graph):
     """Vertex orbits by explicit enumeration of all automorphisms (n <= 8)."""
-    autos = [p for p in permutations(range(g.n)) if is_automorphism(g, p)]
+    autos = naive_automorphisms(g)
     orbits = []
     seen = set()
     for v in range(g.n):

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from autbounds import automorphisms
+from autbounds import automorphisms, embeddings, verify
 from autbounds.automorphisms import (
     _first_path,
     _individualized,
@@ -25,12 +25,15 @@ from autbounds.graphs import (
     path_graph,
     petersen_graph,
 )
+from autbounds.trees import all_spanning_trees, tree_certificate
 
 from helpers import (
+    graph_from_bits,
     graphs,
     hypercube,
     is_automorphism,
     kneser_graph,
+    naive_automorphisms,
     naive_orbits,
     paley_graph,
     permutations_of,
@@ -101,6 +104,64 @@ def test_order_matches_naive_all_graphs():
     assert len(ALL_GRAPHS_6) == 208
     for g in ALL_GRAPHS_6:
         assert aut_order(g).order == aut_order_naive(g)
+
+
+# The pruned permutation-tree count against the literal walk that tests all
+# n! permutations: K8 and its complement have the largest group, S_8, so no
+# prefix is ever dropped; K4,4 and C8 keep part of the tree.
+NAIVE_WALK_8 = {
+    "K8": complete_graph(8),
+    "E8": Graph(8, (0,) * 8),
+    "K4,4": complete_bipartite_graph(4, 4),
+    "C8": cycle_graph(8),
+    **{f"G(8,1/2)#{seed}": graph_from_bits(8, random.Random(seed).getrandbits(28))
+       for seed in range(3)},
+}
+
+
+def test_naive_equals_literal_walk_all_graphs():
+    for g in ALL_GRAPHS_6:
+        assert aut_order_naive(g) == len(naive_automorphisms(g)), g
+
+
+@pytest.mark.parametrize("name", NAIVE_WALK_8)
+def test_naive_equals_literal_walk_8(name):
+    g = NAIVE_WALK_8[name]
+    assert aut_order_naive(g) == len(naive_automorphisms(g))
+
+
+def spy_naive(monkeypatch):
+    """Wrap aut_order_naive where its callers, embeddings and verify, bind
+    it; returns the list that collects each call's graph."""
+    calls = []
+    real = automorphisms.aut_order_naive
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (embeddings, verify):
+        monkeypatch.setattr(module, "aut_order_naive", spy)
+    return calls
+
+
+def test_oracle_suite_calls_naive_once_per_graph(monkeypatch):
+    calls = spy_naive(monkeypatch)
+    res = verify.oracle_suite(exhaustive_nmax=4, trials=3)
+    # connected graphs on 1..4 vertices, then 3 seeded graphs each at n = 7, 8
+    assert res.checked == 1 + 1 + 2 + 6 + 2 * 3 and not res.violations
+    assert len(calls) == res.checked
+
+
+def test_count_embeddings_calls_naive_once_per_tree_class(monkeypatch):
+    calls = spy_naive(monkeypatch)
+    g = complete_bipartite_graph(3, 3)
+    classes = {}
+    for t in all_spanning_trees(g):
+        classes.setdefault(tree_certificate(t), t)
+    counts = embeddings.count_embeddings(list(classes.values()), g)
+    assert len(counts) == len(classes) > 1
+    assert calls == list(classes.values())
 
 
 def test_exhaustive_cross_validation_small(corpus6):

@@ -62,6 +62,7 @@ def test_bench_aut_quick(tmp_path):
     ("theorem1", "theorem1_suite_best_s", ["n<=4"]),
     ("pathcover", "path_cover_number_best_s",
      ["G(14,15..18)", "K3,5", "analyze-hard", "n<=5"]),
+    ("naive", "aut_order_naive_best_s", ["G(7,1/2)", "K6", "n<=5", "tree classes n<=5"]),
 ])
 def test_bench_layers_quick(tmp_path, layer, key, groups):
     proc = run_script("bench.py", "--layer", layer, "--quick", "--label", "smoke",
@@ -88,6 +89,12 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
         assert record["p_counts"]["analyze-hard"] == {"1": 3}
         assert record["p_sha256"] == (
             "2080e4cc687270da6a8b7cc7ffc8790ecb1945eafb4e6278cc1f6c418e6586d0")
+    if layer == "naive":
+        assert record["graphs"] == {"n<=5": 31, "G(7,1/2)": 5, "K6": 1,
+                                    "tree classes n<=5": 60}
+        # the orders of every group, the same as the n! walk computed
+        assert record["orders_sha256"] == (
+            "e25b58530d9664ba84547f853815b323006743534507ff150f29df1971f6715e")
 
 
 def test_bench_corpus_quick(tmp_path):

@@ -15,3 +15,15 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def test_naive_oracle_is_independent_of_the_search():
+    # aut_order_naive cross-checks aut_order and, through count_embeddings,
+    # count_labeled_embeddings; sharing the search would make both circular.
+    tree = ast.parse((SRC / "automorphisms.py").read_text(encoding="utf-8"))
+    naive = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "aut_order_naive")
+    names = {node.id for node in ast.walk(naive) if isinstance(node, ast.Name)}
+    assert {"bits", "extend"} <= names  # the walk reaches into the closure
+    assert names.isdisjoint(
+        {"_refine", "_search", "_first_path", "_individualized", "_target_cell", "aut_order"})
