@@ -19,9 +19,11 @@ Layers:
               tried per n (the bucket-key refinements corpus makes, one per
               candidate).
   trees       greedy_spanning_tree and best_greedy_tree from every start
-              vertex of every connected graph with n <= 7, and
-              all_spanning_trees with tree_certificate of every tree for
-              n <= 6.
+              vertex of every connected graph with n <= 7; best_greedy_tree
+              from vertex 0 of the two 24-vertex hosts in tests/helpers.py
+              (the 4x6 grid and a seeded connected G(24, 60)); and
+              all_spanning_trees for n <= 6, then tree_certificate of every
+              tree it returned, timed apart.
   theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
               over every 8th connected n = 7 graph; also records the checks
               and violations of each group.  The aut_order cache is cleared
@@ -47,8 +49,9 @@ log2 layers also record a SHA-256 over their results, so two checkouts can be
 shown to compute the same values; the corpus layer hashes the graph6 lines
 of all_graphs(1..7) in order, and the trees layer hashes its records in the
 format of tests/test_golden.py's tree_layer_lines; both are digests that
-file pins.  The pathcover layer hashes the p values of every group, and the
-naive layer the orders of every group.
+file pins.  The trees layer also hashes the 24-vertex hosts' best greedy
+trees and products under its own key.  The pathcover layer hashes the p
+values of every group, and the naive layer the orders of every group.
 
 Usage:
     python scripts/bench.py --layer aut --label change [--outdir .] [--quick]
@@ -271,6 +274,9 @@ def bench_corpus(quick):
 
 
 def bench_trees(quick):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from helpers import greedy_hosts
+
     hosts = connected_corpus(quick)
     small = [g for g in hosts if g.n <= (5 if quick else 6)]
     starts = [(g, v0) for g in hosts for v0 in range(g.n)]
@@ -279,17 +285,23 @@ def bench_trees(quick):
         lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts], lambda: None)
     seconds["best_greedy"], best = best_of(
         lambda: [best_greedy_tree(g, v0) for g, v0 in starts], lambda: None)
+    seconds["best_greedy n=24"], large = best_of(
+        lambda: [best_greedy_tree(g, 0) for g in greedy_hosts().values()], lambda: None)
     seconds["all_spanning_trees"], trees = best_of(
-        lambda: [(t, tree_certificate(t)) for g in small for t in all_spanning_trees(g)],
-        lambda: None)
+        lambda: [t for g in small for t in all_spanning_trees(g)], lambda: None)
+    seconds["tree_certificate"], certs = best_of(
+        lambda: [tree_certificate(t) for t in trees], lambda: None)
     lines = [f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} {bt.tree.edges()} {product}\n"
              for gt, (bt, product) in zip(greedy, best)]
     lines += [f"{t.edges()} {cert} {tree_aut_exact(t)} "
-              f"{tree_aut_upper(t) if t.n >= 2 else None}\n" for t, cert in trees]
+              f"{tree_aut_upper(t) if t.n >= 2 else None}\n" for t, cert in zip(trees, certs)]
+    large_lines = [f"{bt.tree.edges()} {product}\n" for bt, product in large]
     return {"trees_best_s": seconds,
             "starts": len(starts),
             "spanning_trees": len(trees),
-            "trees_sha256": hashlib.sha256("".join(lines).encode("ascii")).hexdigest()}
+            "trees_sha256": hashlib.sha256("".join(lines).encode("ascii")).hexdigest(),
+            "best_greedy_n24_sha256":
+                hashlib.sha256("".join(large_lines).encode("ascii")).hexdigest()}
 
 
 def bench_theorem1(quick):
@@ -394,7 +406,8 @@ def main():
     ap.add_argument("--label", required=True)
     ap.add_argument("--outdir", default=".")
     ap.add_argument("--quick", action="store_true",
-                    help="a smoke run: K8 and Q3, the n <= 5 corpus (and 5 G(8, m)), "
+                    help="a smoke run: K8 and Q3, the n <= 5 corpus (and 5 G(8, m), or "
+                         "the two 24-vertex greedy hosts), "
                          "theorem1 at n <= 4, or path covers of the n <= 5 corpus, "
                          "analyze-hard seed 0, G(14, 15..18) and K3,5, or the naive "
                          "oracle on the n <= 5 corpus and its tree classes, "

@@ -11,6 +11,11 @@ the current tree) by all of its outward edges, until no leaf reaches outside.
 Each step is recorded as one bitmask: the vertices that expansion attached.
 The covered set is then closed under adjacency, so on a connected host the
 tree spans; SpanningTree's checks would reject it otherwise.
+
+The best greedy tree's DP state is the covered set alone: an expanded vertex
+has every neighbour covered, so the eligible leaves are the covered vertices
+with a neighbour outside, in index order.  Tree codes are rooted at the
+centroid, reached from vertex 0 through child subtrees over half the tree.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .graphs import Graph, SizeLimitError, _union, bits, is_connected
+from .graphs import Graph, SizeLimitError, bits, is_connected, rows_connected
 
 ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts
 
@@ -106,26 +111,24 @@ def best_greedy_tree(g: Graph, v0: int) -> tuple[GreedyTree, int]:
     eligible-leaf choice sequences.  Returns (tree, that product)."""
     _check_start(g, v0)
     rows = g.rows
-    memo: dict[tuple[int, int], tuple[int, int | None]] = {}
+    memo: dict[int, tuple[int, int | None]] = {}
 
-    def rec(covered: int, unexpanded: int) -> tuple[int, int | None]:
-        key = (covered, unexpanded)
-        if key in memo:
-            return memo[key]
+    def rec(covered: int) -> tuple[int, int | None]:
+        if covered in memo:
+            return memo[covered]
         best_val, best_v = 1, None
-        for v in bits(unexpanded):
+        for v in bits(covered):
             new = rows[v] & ~covered
             if not new:
                 continue
-            sub, _ = rec(covered | new, (unexpanded & ~(1 << v)) | new)
-            val = factorial(new.bit_count()) * sub
+            val = factorial(new.bit_count()) * rec(covered | new)[0]
             if best_v is None or val < best_val:
                 best_val, best_v = val, v
-        memo[key] = (best_val, best_v)
+        memo[covered] = best_val, best_v
         return best_val, best_v
 
-    product, _ = rec((1 << v0) | rows[v0], rows[v0])
-    return _grow(g, v0, lambda covered, unexpanded: memo[covered, unexpanded][1]), product
+    product, _ = rec((1 << v0) | rows[v0])
+    return _grow(g, v0, lambda covered, unexpanded: memo[covered][1]), product
 
 
 def verify_greedy_tree(g: Graph, gt: GreedyTree) -> None:
@@ -177,39 +180,6 @@ def verify_greedy_tree(g: Graph, gt: GreedyTree) -> None:
 # joining two isomorphic halves doubles the total.
 # ---------------------------------------------------------------------------
 
-def _centroids(n: int, adj) -> list[int]:
-    if n == 1:
-        return [0]
-    size = [1] * n
-    order = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best, cents = None, []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if best is None or heaviest < best:
-            best, cents = heaviest, [v]
-        elif heaviest == best:
-            cents.append(v)
-    return cents
-
-
 def _rooted_code_aut(root: int, banned: int, adj) -> tuple[tuple, int]:
     """Canonical code and automorphism count of the subtree at root, not
     crossing into ``banned``."""
@@ -229,26 +199,33 @@ def _rooted_code_aut(root: int, banned: int, adj) -> tuple[tuple, int]:
     return tuple(k[0] for k in kids), aut
 
 
-def _centroid_codes(t: SpanningTree) -> list[tuple[tuple, int]]:
-    """Code and automorphism count rooted at the centroid, or at each of the
-    two centroids with the other one's half cut off."""
-    adj = [list(bits(row)) for row in t.rows]
-    cents = _centroids(t.n, adj)
-    if len(cents) == 1:
-        return [_rooted_code_aut(cents[0], -1, adj)]
-    c1, c2 = cents
-    return [_rooted_code_aut(c1, c2, adj), _rooted_code_aut(c2, c1, adj)]
-
-
 def _certificate_aut(t: SpanningTree) -> tuple[tuple, int]:
-    """(tree_certificate(t), tree_aut_exact(t)) from one set of centroid codes."""
-    halves = _centroid_codes(t)
-    codes = [code for code, _ in halves]
-    aut = prod(sub_aut for _, sub_aut in halves)
+    """(tree_certificate(t), tree_aut_exact(t)) from the codes rooted at the
+    centroid, or at each of two centroids with the other's half cut off."""
+    n = t.n
+    adj = [list(bits(row)) for row in t.rows]
+    parent = [-1] * n
+    order = [0]  # BFS order from vertex 0; the list grows while it is walked
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    # Walk into the child subtree holding over half the vertices until none
+    # does: less than half then lies above, so c is a centroid, and a second
+    # one is the child w holding exactly half, if there is one.
+    c, w = -1, 0
+    while w is not None and 2 * size[w] > n:
+        c, w = w, next((x for x in adj[w] if parent[x] == w and 2 * size[x] >= n), None)
+    if w is None:
+        code, aut = _rooted_code_aut(c, -1, adj)
+        return (1, code), aut
+    (a, aut_a), (b, aut_b) = _rooted_code_aut(c, w, adj), _rooted_code_aut(w, c, adj)
     # Two isomorphic halves can also be swapped across the central edge.
-    if len(codes) == 2 and codes[0] == codes[1]:
-        aut *= 2
-    return (len(codes), codes[0] if len(codes) == 1 else tuple(sorted(codes))), aut
+    return (2, tuple(sorted((a, b)))), aut_a * aut_b * (2 if a == b else 1)
 
 
 def tree_aut_exact(t: SpanningTree) -> int:
@@ -282,7 +259,9 @@ def embedding_upper_fs(g: Graph) -> Fraction:
 
 
 def all_spanning_trees(g: Graph) -> list[SpanningTree]:
-    """Every spanning tree exactly once via edge-subset enumeration.
+    """Every spanning tree exactly once via edge-subset enumeration, keeping an
+    (n-1)-edge subset iff it passes SpanningTree's flood fill.  The Laplacian
+    count spanning_tree_count stays its independent oracle.
 
     Hosts with more than 7 vertices are refused, since the subset count
     explodes.
@@ -296,14 +275,11 @@ def all_spanning_trees(g: Graph) -> list[SpanningTree]:
     n = g.n
     trees: list[SpanningTree] = []
     for subset in combinations(g.edges(), n - 1):
-        parent = list(range(n))
         rows = [0] * n
         for u, v in subset:
-            if not _union(parent, u, v):
-                break
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        else:
+        if rows_connected(rows):  # n - 1 edges that connect hold no cycle
             trees.append(SpanningTree(n, tuple(rows)))
     return trees
 

@@ -7,9 +7,10 @@ inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.  The
 symmetric families (rook, Shrikhande, Paley, hypercube, triangular, Kneser)
 are built from their textbook definitions and shared with
-``scripts/bench.py``.
+``scripts/bench.py``, and so are the two 24-vertex greedy-tree hosts.
 """
 
+import random
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
@@ -157,6 +158,20 @@ def connected_gnm(n: int, m: int, rng) -> Graph:
         g = Graph.from_edges(n, rng.sample(pairs, m))
         if is_connected(g):
             return g
+
+
+def grid_graph(a: int, b: int) -> Graph:
+    """The a-by-b grid: cell (r, c) is vertex r*b + c, adjacent to the cells
+    beside, above and below it."""
+    edges = [(r * b + c, r * b + c + 1) for r in range(a) for c in range(b - 1)]
+    edges += [(r * b + c, (r + 1) * b + c) for r in range(a - 1) for c in range(b)]
+    return Graph.from_edges(a * b, edges)
+
+
+def greedy_hosts() -> dict[str, Graph]:
+    """Two 24-vertex hosts on which best_greedy_tree's leaf choices branch
+    widely: the 4x6 grid and a seeded connected G(24, 60)."""
+    return {"grid4x6": grid_graph(4, 6), "G(24,60)": connected_gnm(24, 60, random.Random(24))}
 
 
 @st.composite

@@ -10,10 +10,12 @@ every graph on 1..7 vertices as graph6 lines in order, has one more digest,
 and so do the labeled-copy counts of greedy trees in the connected n <= 7
 graphs and in seeded connected G(8, m), and the tree layer: greedy and best
 greedy trees from every start vertex, and every enumerated spanning tree.
-The last digest pins the theorem1 copy census: labeled copies, subgraph
-copies and aut of one tree per spanning-tree class of every connected graph
-with n <= 6.  A digest that moves means an output byte changed; that is a
-behaviour change, never a refactor.
+The theorem1 copy census has one too: labeled copies, subgraph copies and
+aut of one tree per spanning-tree class of every connected graph with
+n <= 6.  Last, the best greedy tree and its product from every start vertex
+of two 24-vertex hosts, a 4x6 grid and a seeded connected G(24, 60).  A
+digest that moves means an output byte changed; that is a behaviour change,
+never a refactor.
 """
 
 import hashlib
@@ -32,9 +34,10 @@ from autbounds.trees import (
     tree_aut_exact,
     tree_aut_upper,
     tree_certificate,
+    verify_greedy_tree,
 )
 
-from helpers import connected_gnm
+from helpers import connected_gnm, greedy_hosts, hypercube
 
 GOLDEN = [
     (["--output", "json", "--corollary-mode", "both"],
@@ -60,6 +63,12 @@ TREES_DIGEST = "d215424afc1c230c6b2a9a05441202953afa370e56b0f259bca581204606ca1b
 
 # One SHA-256 over census_lines(), in order.
 CENSUS_DIGEST = "8d1afca5d14eadde8a5611739a8a04c6dea82475258f19991678f0499e2ec9f4"
+
+# One SHA-256 per host of helpers.greedy_hosts() over best_greedy_lines(g).
+BEST_GREEDY_DIGESTS = {
+    "grid4x6": "21acd61489d05032fa0073072fc59be3c9bdc40c452338249b160b39ae46a8a1",
+    "G(24,60)": "251b37f3dceff0ed81bd49bd05c53be81e513b5950b2022eb3a115767cbc373a",
+}
 
 PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
 PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
@@ -129,6 +138,13 @@ def census_lines():
                 yield f"{ec.labeled} {ec.copies} {ec.aut_f}\n"
 
 
+def best_greedy_lines(g):
+    """The best greedy tree's edges and product from every start vertex."""
+    for v0 in range(g.n):
+        best, product = best_greedy_tree(g, v0)
+        yield f"{best.tree.edges()} {product}\n"
+
+
 @pytest.fixture(scope="module")
 def golden_file(tmp_path_factory):
     graphs = [g for n in range(1, 7) for g in all_graphs(n)]
@@ -176,3 +192,18 @@ def test_copy_census_matches_golden_digest():
     text = "".join(census_lines())
     assert text.count("\n") == 539
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == CENSUS_DIGEST
+
+
+@pytest.mark.parametrize("name", BEST_GREEDY_DIGESTS)
+def test_best_greedy_on_24_vertex_hosts_matches_golden_digest(name):
+    text = "".join(best_greedy_lines(greedy_hosts()[name]))
+    assert text.count("\n") == 24
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == BEST_GREEDY_DIGESTS[name]
+
+
+@pytest.mark.slow
+def test_best_greedy_on_q5():
+    q5 = hypercube(5)
+    best, product = best_greedy_tree(q5, 0)
+    verify_greedy_tree(q5, best)
+    assert product == 13824

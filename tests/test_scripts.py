@@ -57,8 +57,9 @@ def test_bench_aut_quick(tmp_path):
     ("embeddings", "count_labeled_embeddings_best_s",
      ["G(8,14)", "G(8,20)", "G(8,24)", "G(8,27)", "G(8,8)", "n<=5"]),
     ("log2", "log2_best_s", ["corpus"]),
-    pytest.param("trees", "trees_best_s", ["all_spanning_trees", "best_greedy", "greedy"],
-                 id="trees"),
+    pytest.param("trees", "trees_best_s",
+                 ["all_spanning_trees", "best_greedy", "best_greedy n=24", "greedy",
+                  "tree_certificate"], id="trees"),
     ("theorem1", "theorem1_suite_best_s", ["n<=4"]),
     ("pathcover", "path_cover_number_best_s",
      ["G(14,15..18)", "K3,5", "analyze-hard", "n<=5"]),

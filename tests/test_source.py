@@ -27,3 +27,14 @@ def test_naive_oracle_is_independent_of_the_search():
     assert {"bits", "extend"} <= names  # the walk reaches into the closure
     assert names.isdisjoint(
         {"_refine", "_search", "_first_path", "_individualized", "_target_cell", "aut_order"})
+
+
+def test_greedy_checker_is_independent_of_the_builder():
+    # greedy_sweep trusts verify_greedy_tree to check the builder, so it must
+    # not reach the builder's code.
+    tree = ast.parse((SRC / "trees.py").read_text(encoding="utf-8"))
+    check = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "verify_greedy_tree")
+    names = {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
+    assert "bits" in names  # the walk sees the names the body uses
+    assert names.isdisjoint({"_grow", "greedy_spanning_tree", "best_greedy_tree", "_check_start"})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from autbounds.automorphisms import aut_order_naive
+from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.graphs import (
     Graph,
     SizeLimitError,
@@ -154,6 +154,30 @@ def test_single_edge_is_the_boundary_case():
     assert tree_aut_upper(edge) == 1
 
 
+# (tree, certificate, aut) for trees whose centroids the walk from vertex 0
+# must find: one centroid, two with isomorphic halves, two without.
+CENTROID_CASES = {
+    "P1": (SpanningTree(1, (0,)), (1, ()), 1),
+    "P2": (SpanningTree.from_edges(2, [(0, 1)]), (2, ((), ())), 2),
+    # the walk steps 0 -> 1, where the child 2 holds exactly half: two centroids
+    "P4": (SpanningTree.from_edges(4, [(0, 1), (1, 2), (2, 3)]), (2, (((),), ((),))), 2),
+    # centres 1 and 2 hold four vertices each, a star and a bent path: no swap
+    "double-star": (SpanningTree.from_edges(8, [(0, 1), (1, 3), (1, 4), (1, 2),
+                                                (2, 5), (5, 6), (2, 7)]),
+                    (2, (((), (), ()), ((), ((),)))), 6),
+    # vertex 0 ends a leg of length 2, so the walk moves 0 -> 1 -> 2
+    "spider": (SpanningTree.from_edges(8, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5),
+                                           (2, 6), (6, 7)]),
+               (1, ((), ((),), ((),), ((),))), 6),
+}
+
+
+@pytest.mark.parametrize("t, certificate, aut", CENTROID_CASES.values(), ids=CENTROID_CASES)
+def test_centroid_certificates(t, certificate, aut):
+    assert tree_certificate(t) == certificate
+    assert tree_aut_exact(t) == aut == aut_order_naive(t)
+
+
 @given(random_trees(max_n=8))
 def test_tree_aut_matches_naive(t):
     assert tree_aut_exact(t) == aut_order_naive(t)
@@ -164,8 +188,10 @@ def test_tree_aut_upper_dominates(t):
     assert tree_aut_exact(t) <= tree_aut_upper(t)
 
 
-@given(random_trees(max_n=9), st.data())
+@given(random_trees(min_n=1, max_n=14), st.data())
 def test_tree_certificate_relabel_invariant(t1, data):
+    # Past the naive oracle's n = 8 the search is the independent count.
+    assert tree_aut_exact(t1) == aut_order(t1).order
     perm = tuple(data.draw(st.permutations(list(range(t1.n)))))
     t2 = as_tree(t1.relabel(perm))
     assert tree_certificate(t1) == tree_certificate(t2)
