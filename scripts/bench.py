@@ -18,12 +18,13 @@ Layers:
               aut_order caches cleared first; also records the candidates
               tried per n (the bucket-key refinements corpus makes, one per
               candidate).
-  trees       greedy_spanning_tree and best_greedy_tree from every start
-              vertex of every connected graph with n <= 7; best_greedy_tree
-              from vertex 0 of the two 24-vertex hosts in tests/helpers.py
-              (the 4x6 grid and a seeded connected G(24, 60)); and
-              all_spanning_trees for n <= 6, then tree_certificate of every
-              tree it returned, timed apart.
+  trees       greedy_spanning_tree from every start vertex of every
+              connected graph with n <= 7, and one best_greedy_tree call per
+              graph, which answers every start; one best_greedy_tree call
+              per 24-vertex host in tests/helpers.py (the 4x6 grid and a
+              seeded connected G(24, 60)), of which vertex 0's tree and
+              product are hashed; and all_spanning_trees for n <= 6, then
+              tree_certificate of every tree it returned, timed apart.
   theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
               over every 8th connected n = 7 graph; also records the checks
               and violations of each group.  The aut_order cache is cleared
@@ -49,9 +50,10 @@ log2 layers also record a SHA-256 over their results, so two checkouts can be
 shown to compute the same values; the corpus layer hashes the graph6 lines
 of all_graphs(1..7) in order, and the trees layer hashes its records in the
 format of tests/test_golden.py's tree_layer_lines; both are digests that
-file pins.  The trees layer also hashes the 24-vertex hosts' best greedy
-trees and products under its own key.  The pathcover layer hashes the p
-values of every group, and the naive layer the orders of every group.
+file pins.  The trees layer also hashes the best greedy tree and product
+from vertex 0 of each 24-vertex host under its own key.  The pathcover layer
+hashes the p values of every group, and the naive layer the orders of every
+group.
 
 Usage:
     python scripts/bench.py --layer aut --label change [--outdir .] [--quick]
@@ -284,9 +286,9 @@ def bench_trees(quick):
     seconds["greedy"], greedy = best_of(
         lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts], lambda: None)
     seconds["best_greedy"], best = best_of(
-        lambda: [best_greedy_tree(g, v0) for g, v0 in starts], lambda: None)
+        lambda: [pair for g in hosts for pair in best_greedy_tree(g)], lambda: None)
     seconds["best_greedy n=24"], large = best_of(
-        lambda: [best_greedy_tree(g, 0) for g in greedy_hosts().values()], lambda: None)
+        lambda: [best_greedy_tree(g) for g in greedy_hosts().values()], lambda: None)
     seconds["all_spanning_trees"], trees = best_of(
         lambda: [t for g in small for t in all_spanning_trees(g)], lambda: None)
     seconds["tree_certificate"], certs = best_of(
@@ -295,7 +297,7 @@ def bench_trees(quick):
              for gt, (bt, product) in zip(greedy, best)]
     lines += [f"{t.edges()} {cert} {tree_aut_exact(t)} "
               f"{tree_aut_upper(t) if t.n >= 2 else None}\n" for t, cert in zip(trees, certs)]
-    large_lines = [f"{bt.tree.edges()} {product}\n" for bt, product in large]
+    large_lines = [f"{bt.tree.edges()} {product}\n" for bt, product in (r[0] for r in large)]
     return {"trees_best_s": seconds,
             "starts": len(starts),
             "spanning_trees": len(trees),

@@ -338,7 +338,7 @@ class _Inputs:
         tree from every start vertex."""
         if not self.options.exhaustive_start:
             return (self.greedy,)
-        return tuple(best_greedy_tree(self.host, v0)[0] for v0 in range(self.g.n))
+        return tuple(gt for gt, _ in best_greedy_tree(self.host))
 
 
 def _rows(r: _Inputs, bound_id: str, evaluate) -> list[BoundValue]:

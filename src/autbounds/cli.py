@@ -228,6 +228,12 @@ def render_table(report: BoundReport) -> str:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+def _check_oracle_limit(args, g) -> None:
+    if args.exact_aut and g.n > args.oracle_limit:
+        raise SizeLimitError(f"refusing the exact oracle at n={g.n} > limit {args.oracle_limit}; "
+                             "pass --no-exact-aut or raise --oracle-limit")
+
+
 def cmd_analyze(args) -> int:
     text = _read_input(args.input)
     if args.format == "graph6":
@@ -235,10 +241,7 @@ def cmd_analyze(args) -> int:
         g = parse_graph6(line.strip())
     else:
         g = parse_edgelist(text)
-    if args.exact_aut and g.n > args.oracle_limit:
-        print(f"refusing the exact oracle at n={g.n} > limit {args.oracle_limit}; "
-              "pass --no-exact-aut or raise --oracle-limit", file=sys.stderr)
-        return EXIT_SIZE
+    _check_oracle_limit(args, g)
     report = compose_report(g, _report_options(args))
     if args.output == "table":
         sys.stdout.write(render_table(report))
@@ -264,9 +267,7 @@ def cmd_batch(args) -> int:
             continue
         try:
             g = parse_graph6(line)
-            if args.exact_aut and g.n > args.oracle_limit:
-                raise SizeLimitError(
-                    f"n={g.n} above oracle limit {args.oracle_limit}")
+            _check_oracle_limit(args, g)
             report = compose_report(g, opts)
         except (GraphParseError, SizeLimitError) as exc:
             print(f"line {lineno}: skipped: {exc}", file=sys.stderr)

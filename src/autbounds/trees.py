@@ -14,7 +14,8 @@ tree spans; SpanningTree's checks would reject it otherwise.
 
 The best greedy tree's DP state is the covered set alone: an expanded vertex
 has every neighbour covered, so the eligible leaves are the covered vertices
-with a neighbour outside, in index order.  Tree codes are rooted at the
+with a neighbour outside, in index order.  No state names the start vertex,
+so one memo per host answers every start.  Tree codes are rooted at the
 centroid, reached from vertex 0 through child subtrees over half the tree.
 """
 
@@ -68,13 +69,6 @@ class GreedyTree:
         return tuple(step.bit_count() for step in self.steps[1:])
 
 
-def _check_start(g: Graph, v0: int) -> None:
-    if not 0 <= v0 < g.n:
-        raise ValueError(f"start vertex {v0} out of range")
-    if not is_connected(g):
-        raise ValueError("greedy spanning tree needs a connected host graph")
-
-
 def _grow(g: Graph, v0: int, choose) -> GreedyTree:
     """Run the greedy construction from v0.  ``choose(covered, unexpanded)``
     names the eligible leaf to expand next, or None once there is none."""
@@ -100,16 +94,20 @@ def _grow(g: Graph, v0: int, choose) -> GreedyTree:
 def greedy_spanning_tree(g: Graph, v0: int) -> GreedyTree:
     """Grow the greedy tree from v0, expanding the lowest eligible leaf at
     each step."""
-    _check_start(g, v0)
+    if not 0 <= v0 < g.n:
+        raise ValueError(f"start vertex {v0} out of range")
+    if not is_connected(g):
+        raise ValueError("greedy spanning tree needs a connected host graph")
     rows = g.rows
     return _grow(g, v0, lambda covered, unexpanded: next(
         (v for v in bits(unexpanded) if rows[v] & ~covered), None))
 
 
-def best_greedy_tree(g: Graph, v0: int) -> tuple[GreedyTree, int]:
-    """Greedy tree from v0 minimising the product of (step size)! over all
-    eligible-leaf choice sequences.  Returns (tree, that product)."""
-    _check_start(g, v0)
+def best_greedy_tree(g: Graph) -> tuple[tuple[GreedyTree, int], ...]:
+    """(tree, product) for every start vertex in index order: the greedy tree
+    minimising the product of (step size)! over all eligible-leaf choices."""
+    if not is_connected(g):
+        raise ValueError("greedy spanning tree needs a connected host graph")
     rows = g.rows
     memo: dict[int, tuple[int, int | None]] = {}
 
@@ -127,8 +125,9 @@ def best_greedy_tree(g: Graph, v0: int) -> tuple[GreedyTree, int]:
         memo[covered] = best_val, best_v
         return best_val, best_v
 
-    product, _ = rec((1 << v0) | rows[v0])
-    return _grow(g, v0, lambda covered, unexpanded: memo[covered][1]), product
+    products = [rec((1 << v0) | rows[v0])[0] for v0 in range(g.n)]  # fills the memo
+    return tuple((_grow(g, v0, lambda covered, unexpanded: memo[covered][1]), product)
+                 for v0, product in enumerate(products))
 
 
 def verify_greedy_tree(g: Graph, gt: GreedyTree) -> None:

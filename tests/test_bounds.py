@@ -38,7 +38,7 @@ from autbounds.graphs import (
 )
 from autbounds.trees import SpanningTree, greedy_spanning_tree
 
-from helpers import connected_graphs_st
+from helpers import connected_graphs_st, grid_graph
 
 # log2 of the edge-excess base 2^(7/8) * 6^(1/24), recomputed independently
 EDGE_BASE_LOG2 = 7 / 8 + log2(6) / 24
@@ -284,6 +284,33 @@ def test_report_prerequisites_lazy_and_once(monkeypatch):
     assert calls == []
     compose_report(petersen_graph(), ReportOptions(corollary_mode="both"))
     assert sorted(calls) == sorted(names)
+
+
+GRID_SEQUENCE = (0, 1, 2, 6, 7, 12, 18, 13, 8, 3, 19, 14, 9, 4, 5, 10, 11, 15, 16, 17)
+
+# thm3 rows under exhaustive_start as one best_greedy_tree call per start
+# vertex gave them: (bound id, value, start vertex, expansion sequence).
+EXHAUSTIVE_THM3 = {
+    "K2,3": (complete_bipartite_graph(2, 3),
+             [("thm3_orbit", 12, 0, (0, 2)), ("thm3_plain", 20, 2, (2, 0))]),
+    "grid4x6": (grid_graph(4, 6),
+                [("thm3_orbit", 32, 0, GRID_SEQUENCE), ("thm3_plain", 192, 0, GRID_SEQUENCE)]),
+}
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_THM3)
+def test_exhaustive_start_runs_one_greedy_dp_per_report(monkeypatch, name):
+    import autbounds.bounds as bounds_mod
+    calls = []
+    real = bounds_mod.best_greedy_tree
+    monkeypatch.setattr(bounds_mod, "best_greedy_tree", lambda g: calls.append(g) or real(g))
+    g, rows = EXHAUSTIVE_THM3[name]
+    rep = compose_report(g, ReportOptions(exhaustive_start=True))
+    assert calls == [g]
+    for bid, value, v0, sequence in rows:
+        bv = rep.bound(bid)
+        assert (bv.exact_value, bv.context["v0"], bv.context["sequence"]) == (value, v0, sequence)
+        assert bv.context["exhaustive"] is True
 
 
 def test_report_structural_size_gate():

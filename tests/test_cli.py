@@ -124,6 +124,18 @@ def test_batch_malformed_line_skipped(tmp_path, capsys):
     assert "line 2" in err and "skipped" in err
 
 
+def test_batch_oracle_limit_skips_line(tmp_path, capsys):
+    p = tmp_path / "batch.g6"
+    p.write_text("Bw\nC~\nBw\n")  # K_3, K_4, K_3
+    code, out, err = run_cli(["batch", str(p), "--output", "json", "--oracle-limit", "3"],
+                             capsys)
+    assert code == 0
+    records = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert [r["graph"]["graph6"] for r in records] == ["Bw", "Bw"]
+    assert err == ("line 2: skipped: refusing the exact oracle at n=4 > limit 3; "
+                   "pass --no-exact-aut or raise --oracle-limit\n")
+
+
 def test_batch_empty_file(tmp_path, capsys):
     p = tmp_path / "empty.g6"
     p.write_text("")

@@ -113,9 +113,10 @@ def tree_layer_lines():
     counts (the upper count needs n >= 2)."""
     for n in range(1, 8):
         for g in connected_graphs(n):
+            per_start = best_greedy_tree(g)
             for v0 in range(n):
                 gt = greedy_spanning_tree(g, v0)
-                best, product = best_greedy_tree(g, v0)
+                best, product = per_start[v0]
                 yield (f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} "
                        f"{best.tree.edges()} {product}\n")
     for n in range(1, 7):
@@ -140,8 +141,7 @@ def census_lines():
 
 def best_greedy_lines(g):
     """The best greedy tree's edges and product from every start vertex."""
-    for v0 in range(g.n):
-        best, product = best_greedy_tree(g, v0)
+    for best, product in best_greedy_tree(g):
         yield f"{best.tree.edges()} {product}\n"
 
 
@@ -203,7 +203,11 @@ def test_best_greedy_on_24_vertex_hosts_matches_golden_digest(name):
 
 @pytest.mark.slow
 def test_best_greedy_on_q5():
+    # Q5 is vertex-transitive, so every start reaches the same product.
     q5 = hypercube(5)
-    best, product = best_greedy_tree(q5, 0)
-    verify_greedy_tree(q5, best)
-    assert product == 13824
+    per_start = best_greedy_tree(q5)
+    assert len(per_start) == 32
+    for v0, (best, product) in enumerate(per_start):
+        assert best.root == v0
+        verify_greedy_tree(q5, best)
+        assert product == 13824

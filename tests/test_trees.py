@@ -120,7 +120,7 @@ def test_verify_greedy_tree_rejects(changes, message):
 
 def test_best_greedy_tree_minimises():
     k33 = complete_bipartite_graph(3, 3)
-    gt, prod = best_greedy_tree(k33, 0)
+    gt, prod = best_greedy_tree(k33)[0]
     verify_greedy_tree(k33, gt)
     assert prod == 2  # one expansion adding 2 edges
 
@@ -238,7 +238,7 @@ def test_greedy_invariants_random(g, data):
     v0 = data.draw(st.integers(0, g.n - 1))
     gt = greedy_spanning_tree(g, v0)
     verify_greedy_tree(g, gt)
-    best, prod = best_greedy_tree(g, v0)
+    best, prod = best_greedy_tree(g)[v0]
     verify_greedy_tree(g, best)
     naive_prod = 1
     for k in gt.step_sizes():
