@@ -24,11 +24,14 @@ Layers:
               per 24-vertex host in tests/helpers.py (the 4x6 grid and a
               seeded connected G(24, 60)), of which vertex 0's tree and
               product are hashed; and all_spanning_trees for n <= 6, then
-              tree_certificate of every tree it returned, timed apart.
+              tree_certificate of every tree it returned, timed apart from a
+              cold certificate memo (trees._certificate_aut_rows), whose
+              hits and misses each repeat records.
   theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
               over every 8th connected n = 7 graph; also records the checks
-              and violations of each group.  The aut_order cache is cleared
-              before every repeat.
+              and violations of each group, and the certificate memo's hits
+              and misses per repeat.  The aut_order cache and the
+              certificate memo are cleared before every repeat.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -179,6 +182,27 @@ def best_of(run, reset):
     return best, result
 
 
+def cold_certificate_best_of(run, reset=lambda: None):
+    """best_of(run), the certificate memo cleared after reset() before each
+    repeat; also returns that memo's hits and misses at the end of each."""
+    # an AttributeError here, not a warm timing, if the memo goes
+    memo = autbounds.trees._certificate_aut_rows
+    counts = {"hits": [], "misses": []}
+
+    def counted():
+        result = run()
+        info = memo.cache_info()
+        counts["hits"].append(info.hits)
+        counts["misses"].append(info.misses)
+        return result
+
+    def cold():
+        reset()
+        memo.cache_clear()
+
+    return (*best_of(counted, cold), counts)
+
+
 def digest(values):
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
@@ -291,8 +315,8 @@ def bench_trees(quick):
         lambda: [best_greedy_tree(g) for g in greedy_hosts().values()], lambda: None)
     seconds["all_spanning_trees"], trees = best_of(
         lambda: [t for g in small for t in all_spanning_trees(g)], lambda: None)
-    seconds["tree_certificate"], certs = best_of(
-        lambda: [tree_certificate(t) for t in trees], lambda: None)
+    seconds["tree_certificate"], certs, memo = cold_certificate_best_of(
+        lambda: [tree_certificate(t) for t in trees])
     lines = [f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} {bt.tree.edges()} {product}\n"
              for gt, (bt, product) in zip(greedy, best)]
     lines += [f"{t.edges()} {cert} {tree_aut_exact(t)} "
@@ -301,6 +325,7 @@ def bench_trees(quick):
     return {"trees_best_s": seconds,
             "starts": len(starts),
             "spanning_trees": len(trees),
+            "certificate_memo": {"tree_certificate": memo},
             "trees_sha256": hashlib.sha256("".join(lines).encode("ascii")).hexdigest(),
             "best_greedy_n24_sha256":
                 hashlib.sha256("".join(large_lines).encode("ascii")).hexdigest()}
@@ -314,11 +339,12 @@ def bench_theorem1(quick):
         runs["n=7/8"] = lambda: theorem1_suite(external=sample)
     for n in range(1, nmax + 1):
         connected_graphs(n)  # built and cached outside the timing
-    seconds, checks, violations = {}, {}, {}
+    seconds, checks, violations, memo = {}, {}, {}, {}
     for name, run in runs.items():
-        seconds[name], res = best_of(run, aut_order.cache_clear)
+        seconds[name], res, memo[name] = cold_certificate_best_of(run, aut_order.cache_clear)
         checks[name], violations[name] = res.checked, len(res.violations)
-    return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations}
+    return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations,
+            "certificate_memo": memo}
 
 
 def pathcover_groups(quick):

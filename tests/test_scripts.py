@@ -76,6 +76,12 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
     if layer == "log2":
         # every repeat starts cold and keeps one memo entry per value
         assert record["misses"] == [record["distinct"]] * 3
+    if layer in ("trees", "theorem1"):
+        # every repeat starts from a cold certificate memo and codes each
+        # labeled tree once: all n^(n-2) of them, each spans K_n
+        labeled = {"trees": 1 + 1 + 3 + 16 + 125, "theorem1": 1 + 1 + 3 + 16}[layer]
+        assert [memo["misses"] for memo in record["certificate_memo"].values()] == [
+            [labeled] * 3]
     if layer == "trees":
         # tests/test_golden.py's tree_layer_lines format over n <= 5
         assert record["starts"] == 1 + 2 + 2 * 3 + 6 * 4 + 21 * 5

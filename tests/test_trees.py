@@ -1,9 +1,11 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+from autbounds import trees
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.graphs import (
     Graph,
@@ -16,6 +18,7 @@ from autbounds.graphs import (
 )
 from autbounds.trees import (
     SpanningTree,
+    _certificate_aut,
     all_spanning_trees,
     best_greedy_tree,
     embedding_upper_fs,
@@ -26,6 +29,7 @@ from autbounds.trees import (
     tree_certificate,
     verify_greedy_tree,
 )
+from autbounds.verify import theorem1_suite
 
 from helpers import as_tree, connected_graphs_st, random_trees
 
@@ -190,12 +194,50 @@ def test_tree_aut_upper_dominates(t):
 
 @given(random_trees(min_n=1, max_n=14), st.data())
 def test_tree_certificate_relabel_invariant(t1, data):
+    trees._certificate_aut_rows.cache_clear()
+    cold = (tree_certificate(t1), tree_aut_exact(t1))
     # Past the naive oracle's n = 8 the search is the independent count.
-    assert tree_aut_exact(t1) == aut_order(t1).order
+    assert cold[1] == aut_order(t1).order
     perm = tuple(data.draw(st.permutations(list(range(t1.n)))))
     t2 = as_tree(t1.relabel(perm))
-    assert tree_certificate(t1) == tree_certificate(t2)
-    assert tree_aut_exact(t1) == tree_aut_exact(t2)
+    # t2 is coded cold unless perm fixes t1's rows; t1 is read back warm
+    assert (tree_certificate(t2), tree_aut_exact(t2)) == cold
+    assert (tree_certificate(t1), tree_aut_exact(t1)) == cold
+
+
+def test_certificate_memo_never_changes_a_value(corpus6):
+    spanning = [t for n in range(1, 6) for g in corpus6[n] for t in all_spanning_trees(g)]
+    memo = trees._certificate_aut_rows
+    cold = []
+    for t in spanning:
+        memo.cache_clear()
+        cold.append(_certificate_aut(t))
+    memo.cache_clear()
+    first = [_certificate_aut(t) for t in spanning]
+    warm = [_certificate_aut(t) for t in spanning]
+    assert cold == first == warm
+    assert memo.cache_info().misses == 146  # the labeled trees on n <= 5 vertices
+
+
+def test_certificate_memo_is_bounded():
+    assert trees._certificate_aut_rows.cache_info().maxsize is not None
+
+
+def test_theorem1_codes_each_labeled_tree_once(monkeypatch):
+    # Every labeled tree on n vertices spans K_n, so theorem1_suite over the
+    # connected n <= 5 corpus meets all n^(n-2) of them (Cayley), and a cold
+    # memo codes each once: 1 + 1 + 3 + 16 + 125.
+    body = trees._certificate_aut_rows.__wrapped__
+    coded = []
+
+    def spy(rows):
+        coded.append(rows)
+        return body(rows)
+
+    monkeypatch.setattr(trees, "_certificate_aut_rows", lru_cache(maxsize=8192)(spy))
+    res = theorem1_suite(nmax=5)
+    assert res.checked > 0 and not res.violations
+    assert len(coded) == len(set(coded)) == 1 + sum(n ** (n - 2) for n in range(2, 6)) == 146
 
 
 def test_embedding_upper_fs_examples():
