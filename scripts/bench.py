@@ -4,8 +4,9 @@ Layers:
   aut         aut_order on large symmetric graph families (tests/helpers.py
               builds those the package does not name), the known group
               order checked; the cache is cleared before every call.  Also
-              records the _search and the _refine calls of one cold call
-              per family, recursive ones included.
+              records the _search, the _refine and the _is_mapping (leaf
+              check) calls of one cold call per family, recursive ones
+              included.
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
@@ -228,15 +229,16 @@ def spied_calls(g, name):
 
 
 def bench_aut(quick):
-    seconds, searches, refines = {}, {}, {}
+    seconds, searches, refines, leaves = {}, {}, {}, {}
     for name, g, order in families(quick):
         seconds[name], res = best_of(lambda: aut_order(g), aut_order.cache_clear)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
         searches[name] = spied_calls(g, "_search")
         refines[name] = spied_calls(g, "_refine")
+        leaves[name] = spied_calls(g, "_is_mapping")
     return {"aut_order_best_s": seconds, "search_calls": searches,
-            "refine_calls": refines}
+            "refine_calls": refines, "is_mapping_calls": leaves}
 
 
 def bench_embeddings(quick):

@@ -2,11 +2,14 @@
 
 The main routine runs a backtracking search pruned by equitable partition
 refinement with a queue of splitter cells: a cell is split by its vertices'
-neighbour counts into one splitter at a time, and only the cells a split
-changed are queued as new splitters.  It fixes a base once, the first path:
+neighbour counts into one splitter at a time, only the cells the splitter's
+neighbourhood meets are visited, and only the cells a split changed are
+queued as new splitters.  It fixes a base once, the first path:
 one individualised vertex per level with its refinement trace.  The search is
 one-sided: it refines each child on the other side once and goes down only
-where the child's trace equals the first path's.  The group order is the
+where the child's trace equals the first path's.  A discrete leaf is checked
+row by row, each distinct row mapped once and from its smaller side (its
+neighbours or its non-neighbours).  The group order is the
 product over levels of the number of vertices the level's base point can be
 sent to by an automorphism fixing the earlier base points (the chain of point
 stabilisers), so it is exact without enumerating group elements: 64! is fine.
@@ -58,9 +61,11 @@ class AutResult:
 # "skip the largest subcell" rule).
 #
 # A popped splitter W splits every cell by the neighbour count into W; only
-# the vertices in N(W) are counted, the rest count 0.  Subcells are ordered
-# by count, which is deterministic and isomorphism-invariant, replace the
-# cell in place and join the back of the queue, so the trace of splits is an
+# the vertices in N(W) are counted, the rest count 0, so only the
+# non-singleton cells that meet N(W) can split and only those are visited,
+# in index order.  Subcells are ordered by count, which is deterministic and
+# isomorphism-invariant, replace the cell in place and join the back of the
+# queue, so the trace of splits, each at its cell's index at the time, is an
 # isomorphism invariant that the search compares.  A final cell was queued
 # when it was made and has not split since, so the fixed point is equitable.
 # Individualising v out of an equitable partition leaves {v} the only
@@ -77,28 +82,40 @@ def _refine(rows, cells, splitters=None):
     n = len(rows)
     while queue and len(cells) < n:
         w = queue.popleft()
-        nw = 0
-        for u in bits(w):
-            nw |= rows[u]
-        ci = 0
-        while ci < len(cells):
+        single = w & (w - 1) == 0
+        if single:
+            nw = rows[w.bit_length() - 1]
+        else:
+            nw = 0
+            x = w
+            while x:
+                low = x & -x
+                nw |= rows[low.bit_length() - 1]
+                x ^= low
+        # The non-singleton cells N(W) meets, listed before any of them splits;
+        # each split shifts the later ones right by the parts it added.
+        met = [ci for ci, cell in enumerate(cells) if cell.bit_count() > 1 and cell & nw]
+        shift = 0
+        for ci in met:
+            ci += shift
             cell = cells[ci]
             hit = cell & nw
-            if hit and cell & (cell - 1):
-                counts = {0: cell ^ hit} if hit != cell else {}
-                if w & (w - 1) == 0:  # W = {u}: the neighbours of u count 1
-                    counts[1] = hit
-                else:
-                    for v in bits(hit):
-                        c = (rows[v] & w).bit_count()
-                        counts[c] = counts.get(c, 0) | 1 << v
-                if len(counts) > 1:
-                    ordered = sorted(counts.items())
-                    cells[ci:ci + 1] = [m for _, m in ordered]
-                    queue.extend(m for _, m in ordered)
-                    trace.append((ci, tuple((c, m.bit_count()) for c, m in ordered)))
-                    ci += len(ordered) - 1
-            ci += 1
+            counts = {0: cell ^ hit} if hit != cell else {}
+            if single:  # W = {u}: the neighbours of u count 1
+                counts[1] = hit
+            else:
+                x = hit
+                while x:
+                    low = x & -x
+                    c = (rows[low.bit_length() - 1] & w).bit_count()
+                    counts[c] = counts.get(c, 0) | low
+                    x ^= low
+            if len(counts) > 1:
+                ordered = sorted(counts.items())
+                cells[ci:ci + 1] = [m for _, m in ordered]
+                queue.extend(m for _, m in ordered)
+                trace.append((ci, tuple((c, m.bit_count()) for c, m in ordered)))
+                shift += len(ordered) - 1
     return cells, tuple(trace)
 
 
@@ -121,11 +138,32 @@ def _individualized(cells, ci, v):
 
 
 def _is_mapping(rows_a, rows_b, perm) -> bool:
+    """Whether the bijection perm maps each row of rows_a onto the row of
+    rows_b at its image.  A vertex v with more than n/2 neighbours maps its
+    non-neighbours other than v instead, compared with perm[v]'s: exact
+    because perm is a bijection.  Each distinct mask (twins share one) is
+    mapped once."""
+    n = len(rows_a)
+    full = (1 << n) - 1
+    images = {}
     for v, row in enumerate(rows_a):
-        img = 0
-        for w in bits(row):
-            img |= 1 << perm[w]
-        if img != rows_b[perm[v]]:
+        pv = perm[v]
+        if 2 * row.bit_count() > n:
+            mask = full ^ row ^ (1 << v)
+            want = full ^ rows_b[pv] ^ (1 << pv)
+        else:
+            mask = row
+            want = rows_b[pv]
+        img = images.get(mask)
+        if img is None:
+            img = 0
+            x = mask
+            while x:
+                low = x & -x
+                img |= 1 << perm[low.bit_length() - 1]
+                x ^= low
+            images[mask] = img
+        if img != want:
             return False
     return True
 

@@ -4,23 +4,77 @@ The oracles here deliberately stay brute force and independent of the
 package's algorithms: orbits, labeled copies and path covers come from
 enumerating all n! permutations, Hamiltonian paths are counted by
 inclusion-exclusion over walks, random graphs are drawn bit by bit, and
-random spanning trees come from Kruskal's rule on shuffled edges.  The
+random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
+check is judged pair by pair against the definition of an isomorphism.  One
+oracle is a kept copy rather than a brute force: ``refine_reference`` is the
+refinement that scans every cell for every splitter, which the faster
+``automorphisms._refine`` must match split for split.  The
 symmetric families (rook, Shrikhande, Paley, hypercube, triangular, Kneser)
 are built from their textbook definitions and shared with
 ``scripts/bench.py``, and so are the two 24-vertex greedy-tree hosts.
 """
 
 import random
+from collections import deque
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from autbounds.graphs import Graph, is_connected
+from autbounds.graphs import (
+    Graph,
+    bits,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    is_connected,
+)
 from autbounds.trees import SpanningTree
 
 
 def is_automorphism(g: Graph, p) -> bool:
     return all(g.has_edge(p[u], p[v]) for u, v in g.edges())
+
+
+def is_isomorphism(rows_a, rows_b, perm) -> bool:
+    """The definition, pair by pair: u ~ v in a exactly when perm[u] ~ perm[v]
+    in b, for all n^2 ordered pairs (u = v included)."""
+    n = len(rows_a)
+    return all(((rows_a[u] >> v) & 1) == ((rows_b[perm[u]] >> perm[v]) & 1)
+               for u in range(n) for v in range(n))
+
+
+def refine_reference(rows, cells, splitters=None):
+    """automorphisms._refine as it was before it learned to skip cells: every
+    popped splitter scans every cell.  Same contract, same (cells, trace)."""
+    cells = list(cells)
+    queue = deque(cells if splitters is None else splitters)
+    trace = []
+    n = len(rows)
+    while queue and len(cells) < n:
+        w = queue.popleft()
+        nw = 0
+        for u in bits(w):
+            nw |= rows[u]
+        ci = 0
+        while ci < len(cells):
+            cell = cells[ci]
+            hit = cell & nw
+            if hit and cell & (cell - 1):
+                counts = {0: cell ^ hit} if hit != cell else {}
+                if w & (w - 1) == 0:  # W = {u}: the neighbours of u count 1
+                    counts[1] = hit
+                else:
+                    for v in bits(hit):
+                        c = (rows[v] & w).bit_count()
+                        counts[c] = counts.get(c, 0) | 1 << v
+                if len(counts) > 1:
+                    ordered = sorted(counts.items())
+                    cells[ci:ci + 1] = [m for _, m in ordered]
+                    queue.extend(m for _, m in ordered)
+                    trace.append((ci, tuple((c, m.bit_count()) for c, m in ordered)))
+                    ci += len(ordered) - 1
+            ci += 1
+    return cells, tuple(trace)
 
 
 def naive_automorphisms(g: Graph):
@@ -118,6 +172,24 @@ def triangular_graph(m):
     """T(m), the line graph of K_m: the 2-subsets of {0..m-1}, adjacent when
     they meet."""
     return kneser_graph(m, 2).complement()
+
+
+def aut_families() -> dict[str, Graph]:
+    """Nine vertex-transitive graphs, on which refinement of the unit
+    partition splits nothing and the search finds the whole group: K32 and
+    K16,16 with their wide cells, Q6, C64, Paley 61, T(20), Kneser(10, 4),
+    and rook 4x4 and Shrikhande, strongly regular with equal parameters."""
+    return {
+        "K32": complete_graph(32),
+        "K16,16": complete_bipartite_graph(16, 16),
+        "Q6": hypercube(6),
+        "C64": cycle_graph(64),
+        "Paley61": paley_graph(61),
+        "T20": triangular_graph(20),
+        "Kneser10,4": kneser_graph(10, 4),
+        "rook4x4": rook_graph(4),
+        "Shrikhande": shrikhande_graph(),
+    }
 
 
 def graph_from_bits(n: int, bitcode: int) -> Graph:

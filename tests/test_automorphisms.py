@@ -8,6 +8,7 @@ from autbounds import automorphisms, embeddings, verify
 from autbounds.automorphisms import (
     _first_path,
     _individualized,
+    _is_mapping,
     _refine,
     _search,
     _target_cell,
@@ -28,15 +29,18 @@ from autbounds.graphs import (
 from autbounds.trees import all_spanning_trees, tree_certificate
 
 from helpers import (
+    aut_families,
     graph_from_bits,
     graphs,
     hypercube,
     is_automorphism,
+    is_isomorphism,
     kneser_graph,
     naive_automorphisms,
     naive_orbits,
     paley_graph,
     permutations_of,
+    refine_reference,
     rook_graph,
     shrikhande_graph,
     triangular_graph,
@@ -339,17 +343,7 @@ def test_search_finds_isomorphism_to_relabelled_copy(g):
 
 # The first path is built once and the search refines only side b, so one
 # cold aut_order refines no partition twice with the same splitters.
-REFINE_ONCE = {
-    "K32": complete_graph(32),
-    "K16,16": complete_bipartite_graph(16, 16),
-    "Q6": hypercube(6),
-    "C64": cycle_graph(64),
-    "Paley61": paley_graph(61),
-    "T20": triangular_graph(20),
-    "Kneser10,4": kneser_graph(10, 4),
-    "rook4x4": rook_graph(4),
-    "Shrikhande": shrikhande_graph(),
-}
+REFINE_ONCE = aut_families()
 
 
 @pytest.mark.parametrize("name", REFINE_ONCE)
@@ -368,3 +362,68 @@ def test_aut_order_refines_each_input_once(name, monkeypatch):
     finally:
         aut_order.cache_clear()
     assert len(calls) == len(set(calls)) > 1
+
+
+# _refine visits only the cells a splitter meets; refine_reference scans every
+# cell.  Both must give the same cells and the same trace, split for split.
+
+def check_refine_matches_reference(g, rng):
+    rows, n = g.rows, g.n
+    unit = [(1 << n) - 1]
+    cells, trace = _refine(rows, unit)
+    assert (cells, trace) == refine_reference(rows, unit)
+    # a multi-vertex splitter that is not a cell, on the unit partition
+    w = rng.getrandbits(n) or 1
+    assert _refine(rows, unit, (w,)) == refine_reference(rows, unit, (w,))
+    # down the first path: at each level, individualise every v of the
+    # target cell and refine by {v}, then by every cell of the partition
+    while (ti := _target_cell(cells)) is not None:
+        for v in bits(cells[ti]):
+            start = _individualized(cells, ti, v)
+            assert _refine(rows, start, (1 << v,)) == refine_reference(rows, start, (1 << v,))
+            assert _refine(rows, start) == refine_reference(rows, start)
+        b = (cells[ti] & -cells[ti]).bit_length() - 1
+        cells, _ = _refine(rows, _individualized(cells, ti, b), (1 << b,))
+
+
+def test_refine_matches_reference_corpus7():
+    rng = random.Random(77)
+    for g in [g for n in range(1, 8) for g in all_graphs(n)]:
+        check_refine_matches_reference(g, rng)
+
+
+@pytest.mark.parametrize("name", REFINE_ONCE)
+def test_refine_matches_reference_families(name):
+    check_refine_matches_reference(REFINE_ONCE[name], random.Random(name))
+
+
+# The leaf check against the definition: a true map and the same map broken
+# by one transposition, which may still be an isomorphism (any map of K_n is).
+
+def leaf_check_pairs():
+    rng = random.Random(2002)
+    graphs = [Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < p])
+              for n in range(1, 21) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    graphs += [complete_graph(n) for n in (1, 2, 7, 16)]
+    graphs += [complete_bipartite_graph(m, m) for m in (1, 3, 8)]
+    graphs += [Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]).complement()
+               for m in (1, 3, 8)]
+    for g in graphs:
+        perm = rng.sample(range(g.n), g.n)
+        h = g.relabel(perm)
+        broken = list(perm)
+        if g.n > 1:
+            i, j = rng.sample(range(g.n), 2)
+            broken[i], broken[j] = broken[j], broken[i]
+        yield g, h, tuple(perm), tuple(broken)
+
+
+def test_is_mapping_matches_definition():
+    refused = 0
+    for g, h, perm, broken in leaf_check_pairs():
+        assert _is_mapping(g.rows, h.rows, perm) and is_isomorphism(g.rows, h.rows, perm)
+        truth = is_isomorphism(g.rows, h.rows, broken)
+        assert _is_mapping(g.rows, h.rows, broken) == truth
+        refused += not truth
+    assert refused > 50

@@ -13,7 +13,10 @@ greedy trees from every start vertex, and every enumerated spanning tree.
 The theorem1 copy census has one too: labeled copies, subgraph copies and
 aut of one tree per spanning-tree class of every connected graph with
 n <= 6.  Last, the best greedy tree and its product from every start vertex
-of two 24-vertex hosts, a 4x6 grid and a seeded connected G(24, 60).  A
+of two 24-vertex hosts, a 4x6 grid and a seeded connected G(24, 60).  The
+automorphism search has its own digest over order, orbits and generators of
+every graph with n <= 7 and of nine large symmetric graphs: reports print no
+generators, so nothing else pins which ones the search finds.  A
 digest that moves means an output byte changed; that is a behaviour change,
 never a refactor.
 """
@@ -23,6 +26,7 @@ import random
 
 import pytest
 
+from autbounds.automorphisms import aut_order
 from autbounds.cli import main
 from autbounds.corpus import all_graphs, connected_graphs
 from autbounds.embeddings import count_embeddings, count_labeled_embeddings
@@ -38,7 +42,7 @@ from autbounds.trees import (
     verify_greedy_tree,
 )
 
-from helpers import connected_gnm, greedy_hosts, hypercube
+from helpers import aut_families, connected_gnm, greedy_hosts, hypercube
 
 GOLDEN = [
     (["--output", "json", "--corollary-mode", "both"],
@@ -70,6 +74,9 @@ BEST_GREEDY_DIGESTS = {
     "grid4x6": "21acd61489d05032fa0073072fc59be3c9bdc40c452338249b160b39ae46a8a1",
     "G(24,60)": "251b37f3dceff0ed81bd49bd05c53be81e513b5950b2022eb3a115767cbc373a",
 }
+
+# One SHA-256 over aut_lines(), in order.
+AUT_DIGEST = "ec1a708c8fc2217dc6aa98594f728ac2b07c3e8f89162e4616255aabdb7df82f"
 
 PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
 PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
@@ -140,6 +147,16 @@ def census_lines():
                 yield f"{ec.labeled} {ec.copies} {ec.aut_f}\n"
 
 
+def aut_lines():
+    """aut_order's order, orbits and generators for every graph with n <= 7
+    in corpus order, then for each of helpers.aut_families()."""
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += aut_families().values()
+    for g in graphs:
+        res = aut_order(g)
+        yield f"{res.order} {res.orbits} {res.generators}\n"
+
+
 def best_greedy_lines(g):
     """The best greedy tree's edges and product from every start vertex."""
     for best, product in best_greedy_tree(g):
@@ -197,6 +214,13 @@ def test_copy_census_matches_golden_digest():
     text = "".join(census_lines())
     assert text.count("\n") == 539
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == CENSUS_DIGEST
+
+
+def test_aut_search_matches_golden_digest():
+    aut_order.cache_clear()
+    text = "".join(aut_lines())
+    assert text.count("\n") == 1252 + 9
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == AUT_DIGEST
 
 
 @pytest.mark.parametrize("name", BEST_GREEDY_DIGESTS)

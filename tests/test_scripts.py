@@ -51,6 +51,8 @@ def test_bench_aut_quick(tmp_path):
     # L refines one child at each of levels L..6: 7 + 6 + ... + 1 = 28
     assert sorted(record["refine_calls"]) == ["K8", "Q3"]
     assert record["refine_calls"]["K8"] == 1 + 7 + 28
+    # one leaf check per kept generator (K8: 7, Q3: 3); none fails on them
+    assert record["is_mapping_calls"] == {"K8": 7, "Q3": 3}
 
 
 @pytest.mark.parametrize("layer, key, groups", [
