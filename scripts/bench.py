@@ -1,9 +1,9 @@
 """Time one layer of autbounds and record the result.
 
 Layers:
-  aut         aut_order on large symmetric graph families (tests/helpers.py
-              builds those the package does not name), the known group
-              order checked; the cache is cleared before every call.  Also
+  aut         aut_order on large symmetric graph families from
+              autbounds.graphs.SYMMETRIC_FAMILIES, the known group order
+              checked; the cache is cleared before every call.  Also
               records the _search, the _refine and the _is_mapping (leaf
               check) calls of one cold call per family, recursive ones
               included.
@@ -22,9 +22,9 @@ Layers:
   trees       greedy_spanning_tree from every start vertex of every
               connected graph with n <= 7, and one best_greedy_tree call per
               graph, which answers every start; one best_greedy_tree call
-              per 24-vertex host in tests/helpers.py (the 4x6 grid and a
-              seeded connected G(24, 60)), of which vertex 0's tree and
-              product are hashed; and all_spanning_trees for n <= 6, then
+              per 24-vertex host (the 4x6 grid and a seeded connected
+              G(24, 60)), of which vertex 0's tree and product are hashed;
+              and all_spanning_trees for n <= 6, then
               tree_certificate of every tree it returned, timed apart from a
               cold certificate memo (trees._certificate_aut_rows), whose
               hits and misses each repeat records.
@@ -41,7 +41,7 @@ Layers:
               budget, and the DP runs); also records the p values of each
               group as counts.
   naive       automorphisms.aut_order_naive on oracle_suite's inputs (the
-              connected n <= 6 corpus, then 50 verify._random_graph at n = 7
+              connected n <= 6 corpus, then 50 graphs.random_graph at n = 7
               and 50 at n = 8 from DEFAULT_SEED), on one representative of
               each spanning-tree class of every connected graph with n <= 6
               (the trees theorem1_suite counts), and on K8 and the empty
@@ -75,7 +75,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from math import factorial
 from pathlib import Path
 
 import autbounds
@@ -85,12 +84,14 @@ from autbounds.bounds import ReportOptions, compose_report
 from autbounds.corpus import connected_graphs
 from autbounds.embeddings import count_labeled_embeddings
 from autbounds.graphs import (
+    SYMMETRIC_FAMILIES,
     Graph,
     complete_bipartite_graph,
     complete_graph,
-    cycle_graph,
-    is_connected,
+    connected_gnm,
+    grid_graph,
     parse_graph6,
+    random_graph,
     write_graph6,
 )
 from autbounds.structure import path_cover_number
@@ -102,41 +103,17 @@ from autbounds.trees import (
     tree_aut_upper,
     tree_certificate,
 )
-from autbounds.verify import DEFAULT_SEED, _random_graph, theorem1_suite
+from autbounds.verify import DEFAULT_SEED, theorem1_suite
 
 REPEATS = 3
-SEED = 20020489
 
 
 def families(quick):
-    """(name, graph, known |Aut|) for each timed family."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-    from helpers import hypercube, kneser_graph, paley_graph, rook_graph, triangular_graph
-
+    """The names of the timed SYMMETRIC_FAMILIES rows."""
     if quick:
-        return [("K8", complete_graph(8), factorial(8)),
-                ("Q3", hypercube(3), 2 ** 3 * factorial(3))]
-    return [
-        ("K64", complete_graph(64), factorial(64)),
-        ("K32,32", complete_bipartite_graph(32, 32), 2 * factorial(32) ** 2),
-        ("32xK2", Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]),
-         2 ** 32 * factorial(32)),
-        ("rook8x8", rook_graph(8), 2 * factorial(8) ** 2),
-        ("Q6", hypercube(6), 2 ** 6 * factorial(6)),
-        ("C64", cycle_graph(64), 128),
-        ("Paley61", paley_graph(61), 61 * 30),
-        ("Q8", hypercube(8), 2 ** 8 * factorial(8)),
-        ("T20", triangular_graph(20), factorial(20)),
-        ("Kneser10,4", kneser_graph(10, 4), factorial(10)),
-    ]
-
-
-def connected_gnm(n, m, rng):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    while True:
-        g = Graph.from_edges(n, rng.sample(pairs, m))
-        if is_connected(g):
-            return g
+        return ("K8", "Q3")
+    return ("K64", "K32,32", "32xK2", "rook8x8", "Q6", "C64", "Paley61", "Q8", "T20",
+            "Kneser10,4")
 
 
 def connected_corpus(quick):
@@ -145,7 +122,7 @@ def connected_corpus(quick):
 
 def embedding_groups(quick):
     """{group name: [(tree graph, host graph)]} for the embeddings layer."""
-    rng = random.Random(SEED)
+    rng = random.Random(DEFAULT_SEED)
     hosts = {"n<=5" if quick else "n<=7": connected_corpus(quick)}
     for m in (8, 14, 20, 24, 27):
         hosts[f"G(8,{m})"] = [connected_gnm(8, m, rng) for _ in range(1 if quick else 40)]
@@ -230,7 +207,9 @@ def spied_calls(g, name):
 
 def bench_aut(quick):
     seconds, searches, refines, leaves = {}, {}, {}, {}
-    for name, g, order in families(quick):
+    for name in families(quick):
+        build, order = SYMMETRIC_FAMILIES[name]
+        g = build()
         seconds[name], res = best_of(lambda: aut_order(g), aut_order.cache_clear)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
@@ -302,10 +281,8 @@ def bench_corpus(quick):
 
 
 def bench_trees(quick):
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-    from helpers import greedy_hosts
-
     hosts = connected_corpus(quick)
+    large_hosts = [grid_graph(4, 6), connected_gnm(24, 60, random.Random(24))]
     small = [g for g in hosts if g.n <= (5 if quick else 6)]
     starts = [(g, v0) for g in hosts for v0 in range(g.n)]
     seconds = {}
@@ -314,7 +291,7 @@ def bench_trees(quick):
     seconds["best_greedy"], best = best_of(
         lambda: [pair for g in hosts for pair in best_greedy_tree(g)], lambda: None)
     seconds["best_greedy n=24"], large = best_of(
-        lambda: [best_greedy_tree(g) for g in greedy_hosts().values()], lambda: None)
+        lambda: [best_greedy_tree(g) for g in large_hosts], lambda: None)
     seconds["all_spanning_trees"], trees = best_of(
         lambda: [t for g in small for t in all_spanning_trees(g)], lambda: None)
     seconds["tree_certificate"], certs, memo = cold_certificate_best_of(
@@ -354,7 +331,7 @@ def pathcover_groups(quick):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     from inputs import analyze_hard  # the benchmark's own seeded inputs
 
-    rng = random.Random(SEED)
+    rng = random.Random(DEFAULT_SEED)
     n, seeds, (a, b) = (14, 1, (3, 5)) if quick else (18, 4, (8, 10))
     hard = [parse_graph6(g6) for seed in range(seeds)
             for label, g6, _ in analyze_hard(seed) if label.startswith("random")]
@@ -390,11 +367,11 @@ def naive_groups(quick):
             reps.setdefault(tree_certificate(t), t)
         classes += reps.values()
     groups = {f"n<={nmax}": hosts,
-              "G(7,1/2)": [_random_graph(7, rng) for _ in range(5 if quick else 50)]}
+              "G(7,1/2)": [random_graph(7, rng) for _ in range(5 if quick else 50)]}
     if quick:
         groups["K6"] = [complete_graph(6)]
     else:
-        groups["G(8,1/2)"] = [_random_graph(8, rng) for _ in range(50)]
+        groups["G(8,1/2)"] = [random_graph(8, rng) for _ in range(50)]
         groups["K8"] = [complete_graph(8)]
         groups["E8"] = [Graph(8, (0,) * 8)]
     groups[f"tree classes n<={nmax}"] = classes

@@ -144,14 +144,8 @@ def _exact_str(fr: Fraction | None) -> str | None:
 
 
 def _context_json(ctx: dict):
-    def conv(v):
-        if isinstance(v, Fraction):
-            return _exact_str(v)
-        if isinstance(v, (tuple, list)):
-            return [conv(x) for x in v]
-        return v
-
-    return {k: conv(v) for k, v in ctx.items()}
+    # A context holds Fractions only at the top level; json writes tuples as arrays.
+    return {k: _exact_str(v) if isinstance(v, Fraction) else v for k, v in ctx.items()}
 
 
 def bound_to_dict(bv: BoundValue, gap: float | None) -> dict:

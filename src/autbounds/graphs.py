@@ -3,8 +3,12 @@
 Vertices are always 0..n-1.  Adjacency is one Python int per vertex whose set
 bits are the neighbours; that keeps degree and neighbourhood queries single
 popcounts, makes graphs hashable, and lets every algorithm downstream work on
-plain integers.  The default vertex cap of 64 is a guard for the exponential
-algorithms in this package, not a storage limit.
+plain integers.  The vertex cap of 64 on parsed input is a guard for the
+exponential algorithms in this package, not a storage limit.
+
+The named families close with ``SYMMETRIC_FAMILIES``, vertex-transitive
+graphs with the classical order of their automorphism group: past the
+exhaustive corpus, these orders are the independent check on the search.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import factorial
 
 DEFAULT_VERTEX_CAP = 64
 
@@ -169,12 +175,12 @@ def _union(parent: list[int], a: int, b: int) -> bool:
 # zero-padded to a byte boundary.
 # ---------------------------------------------------------------------------
 
-def _check_cap(n: int, cap: int):
-    if n > cap:
-        raise SizeLimitError(f"graph has {n} vertices, above the cap of {cap}")
+def _check_cap(n: int):
+    if n > DEFAULT_VERTEX_CAP:
+        raise SizeLimitError(f"graph has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}")
 
 
-def parse_graph6(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (optionally prefixed with '>>graph6<<')."""
     line = text.rstrip("\r\n")
     base = 0
@@ -214,7 +220,7 @@ def parse_graph6(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         pos = 1
     if n < 1:
         raise GraphParseError("graph6 vertex count must be at least 1", offset=base)
-    _check_cap(n, cap)
+    _check_cap(n)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -267,7 +273,7 @@ def write_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
-def parse_edgelist(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def parse_edgelist(text: str) -> Graph:
     """Decode the edge-list format: first line n, then one 'u v' pair per line.
 
     Blank lines and lines starting with '#' are skipped; duplicate edges are
@@ -283,7 +289,7 @@ def parse_edgelist(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         raise GraphParseError(f"first line must be the vertex count, got {lines[0]!r}") from None
     if n < 1:
         raise GraphParseError("vertex count must be at least 1")
-    _check_cap(n, cap)
+    _check_cap(n)
     rows = [0] * n
     for ln in lines[1:]:
         parts = ln.split()
@@ -350,3 +356,104 @@ def petersen_graph() -> Graph:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, edges)
+
+
+def rook_graph(k: int) -> Graph:
+    """K_k x K_k: cells of a k-by-k board, adjacent when in one row or column."""
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            v = k * i + j
+            edges += [(v, k * i + jj) for jj in range(j + 1, k)]
+            edges += [(v, k * ii + j) for ii in range(i + 1, k)]
+    return Graph.from_edges(k * k, edges)
+
+
+def shrikhande_graph() -> Graph:
+    """Z_4 x Z_4, adjacent when the difference is +-(1, 0), +-(0, 1) or
+    +-(1, 1): strongly regular with the parameters of the 4x4 rook graph."""
+    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    edges = {tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+             for a in range(4) for b in range(4) for da, db in conn}
+    return Graph.from_edges(16, edges)
+
+
+def paley_graph(q: int) -> Graph:
+    """Z_q, adjacent when the difference is a nonzero square mod the prime q."""
+    residues = {(x * x) % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
+                                if (v - u) % q in residues])
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d: the d-bit words, adjacent when they differ in one bit."""
+    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d)
+                                     for i in range(d) if v < v ^ (1 << i)])
+
+
+def kneser_graph(m: int, k: int) -> Graph:
+    """K(m, k): the k-subsets of {0..m-1}, adjacent when disjoint."""
+    sets = [sum(1 << i for i in c) for c in combinations(range(m), k)]
+    return Graph.from_edges(len(sets), [(i, j) for i in range(len(sets))
+                                        for j in range(i + 1, len(sets))
+                                        if not sets[i] & sets[j]])
+
+
+def triangular_graph(m: int) -> Graph:
+    """T(m), the line graph of K_m: the 2-subsets of {0..m-1}, adjacent when
+    they meet."""
+    return kneser_graph(m, 2).complement()
+
+
+def grid_graph(a: int, b: int) -> Graph:
+    """The a-by-b grid: cell (r, c) is vertex r*b + c, adjacent to the cells
+    beside, above and below it."""
+    edges = [(r * b + c, r * b + c + 1) for r in range(a) for c in range(b - 1)]
+    edges += [(r * b + c, (r + 1) * b + c) for r in range(a - 1) for c in range(b)]
+    return Graph.from_edges(a * b, edges)
+
+
+def random_graph(n: int, rng) -> Graph:
+    """G(n, 1/2): each pair u < v, in order, is an edge when rng.random() < 0.5."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.5:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def connected_gnm(n: int, m: int, rng) -> Graph:
+    """m edges drawn uniformly with rng, redrawn until the graph is connected."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        g = Graph.from_edges(n, rng.sample(pairs, m))
+        if is_connected(g):
+            return g
+
+
+# name -> (builder, classical |Aut|) for vertex-transitive graphs: each has
+# one orbit.  The builders run only when called, so no graph is built at import.
+SYMMETRIC_FAMILIES = {
+    "K8": (lambda: complete_graph(8), factorial(8)),
+    "Q3": (lambda: hypercube(3), 2 ** 3 * factorial(3)),
+    "K64": (lambda: complete_graph(64), factorial(64)),
+    "K32,32": (lambda: complete_bipartite_graph(32, 32), 2 * factorial(32) ** 2),
+    "32xK2": (lambda: Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]),
+              2 ** 32 * factorial(32)),
+    "rook8x8": (lambda: rook_graph(8), 2 * factorial(8) ** 2),
+    "Q6": (lambda: hypercube(6), 2 ** 6 * factorial(6)),
+    "C64": (lambda: cycle_graph(64), 128),
+    "Paley61": (lambda: paley_graph(61), 61 * 30),
+    "Q8": (lambda: hypercube(8), 2 ** 8 * factorial(8)),
+    "T20": (lambda: triangular_graph(20), factorial(20)),
+    "Kneser10,4": (lambda: kneser_graph(10, 4), factorial(10)),
+    "K32": (lambda: complete_graph(32), factorial(32)),
+    "K16,16": (lambda: complete_bipartite_graph(16, 16), 2 * factorial(16) ** 2),
+    "rook4x4": (lambda: rook_graph(4), 2 * factorial(4) ** 2),
+    # same degree sequence and spectrum as rook4x4, a smaller group
+    "Shrikhande": (shrikhande_graph, 192),
+    "Paley13": (lambda: paley_graph(13), 13 * 6),
+    "Paley17": (lambda: paley_graph(17), 17 * 8),
+}

@@ -23,6 +23,7 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
     is_connected,
+    random_graph,
     write_graph6,
 )
 from .trees import (
@@ -146,16 +147,6 @@ def exactness_suite() -> SuiteResult:
     return res
 
 
-def _random_graph(n: int, rng: random.Random) -> Graph:
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.5:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
-
-
 def oracle_suite(exhaustive_nmax: int = 6, trials: int = 200,
                  seed: int = DEFAULT_SEED) -> SuiteResult:
     """Search-based order equals the naive permutation count, exhaustively on
@@ -163,7 +154,7 @@ def oracle_suite(exhaustive_nmax: int = 6, trials: int = 200,
     res = SuiteResult("oracle-cross-validation", 0)
     rng = random.Random(seed)
     exhaustive = (g for n in range(1, exhaustive_nmax + 1) for g in connected_graphs(n))
-    seeded = (_random_graph(n, rng) for n in (7, 8) for _ in range(trials))
+    seeded = (random_graph(n, rng) for n in (7, 8) for _ in range(trials))
     for g in chain(exhaustive, seeded):
         res.checked += 1
         fancy = aut_order(g).order

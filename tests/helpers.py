@@ -8,26 +8,18 @@ random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
 check is judged pair by pair against the definition of an isomorphism.  One
 oracle is a kept copy rather than a brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter, which the faster
-``automorphisms._refine`` must match split for split.  The
-symmetric families (rook, Shrikhande, Paley, hypercube, triangular, Kneser)
-are built from their textbook definitions and shared with
-``scripts/bench.py``, and so are the two 24-vertex greedy-tree hosts.
+``automorphisms._refine`` must match split for split.  The graph families
+themselves, and their known automorphism group orders, come from
+``autbounds.graphs``; the helpers here only pick from them.
 """
 
 import random
 from collections import deque
-from itertools import combinations, permutations
+from itertools import permutations
 
 from hypothesis import strategies as st
 
-from autbounds.graphs import (
-    Graph,
-    bits,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    is_connected,
-)
+from autbounds.graphs import SYMMETRIC_FAMILIES, Graph, bits, connected_gnm, grid_graph
 from autbounds.trees import SpanningTree
 
 
@@ -131,65 +123,14 @@ def karp_hamiltonian_paths(g: Graph) -> int:
     return total
 
 
-def rook_graph(k):
-    """K_k x K_k: cells of a k-by-k board, adjacent when in one row or column."""
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            v = k * i + j
-            edges += [(v, k * i + jj) for jj in range(j + 1, k)]
-            edges += [(v, k * ii + j) for ii in range(i + 1, k)]
-    return Graph.from_edges(k * k, edges)
-
-
-def shrikhande_graph():
-    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    edges = {tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
-             for a in range(4) for b in range(4) for da, db in conn}
-    return Graph.from_edges(16, edges)
-
-
-def paley_graph(q):
-    residues = {(x * x) % q for x in range(1, q)}
-    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
-                                if (v - u) % q in residues])
-
-
-def hypercube(d):
-    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d)
-                                     for i in range(d) if v < v ^ (1 << i)])
-
-
-def kneser_graph(m, k):
-    """K(m, k): the k-subsets of {0..m-1}, adjacent when disjoint."""
-    sets = [sum(1 << i for i in c) for c in combinations(range(m), k)]
-    return Graph.from_edges(len(sets), [(i, j) for i in range(len(sets))
-                                        for j in range(i + 1, len(sets))
-                                        if not sets[i] & sets[j]])
-
-
-def triangular_graph(m):
-    """T(m), the line graph of K_m: the 2-subsets of {0..m-1}, adjacent when
-    they meet."""
-    return kneser_graph(m, 2).complement()
-
-
 def aut_families() -> dict[str, Graph]:
     """Nine vertex-transitive graphs, on which refinement of the unit
     partition splits nothing and the search finds the whole group: K32 and
     K16,16 with their wide cells, Q6, C64, Paley 61, T(20), Kneser(10, 4),
     and rook 4x4 and Shrikhande, strongly regular with equal parameters."""
-    return {
-        "K32": complete_graph(32),
-        "K16,16": complete_bipartite_graph(16, 16),
-        "Q6": hypercube(6),
-        "C64": cycle_graph(64),
-        "Paley61": paley_graph(61),
-        "T20": triangular_graph(20),
-        "Kneser10,4": kneser_graph(10, 4),
-        "rook4x4": rook_graph(4),
-        "Shrikhande": shrikhande_graph(),
-    }
+    names = ("K32", "K16,16", "Q6", "C64", "Paley61", "T20", "Kneser10,4",
+             "rook4x4", "Shrikhande")
+    return {name: SYMMETRIC_FAMILIES[name][0]() for name in names}
 
 
 def graph_from_bits(n: int, bitcode: int) -> Graph:
@@ -221,23 +162,6 @@ def random_spanning_tree(g: Graph, rng) -> SpanningTree:
             comp = [cu if c == cv else c for c in comp]
             kept.append((u, v))
     return SpanningTree.from_edges(g.n, kept)
-
-
-def connected_gnm(n: int, m: int, rng) -> Graph:
-    """m edges drawn uniformly with rng, redrawn until the graph is connected."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    while True:
-        g = Graph.from_edges(n, rng.sample(pairs, m))
-        if is_connected(g):
-            return g
-
-
-def grid_graph(a: int, b: int) -> Graph:
-    """The a-by-b grid: cell (r, c) is vertex r*b + c, adjacent to the cells
-    beside, above and below it."""
-    edges = [(r * b + c, r * b + c + 1) for r in range(a) for c in range(b - 1)]
-    edges += [(r * b + c, (r + 1) * b + c) for r in range(a - 1) for c in range(b)]
-    return Graph.from_edges(a * b, edges)
 
 
 def greedy_hosts() -> dict[str, Graph]:

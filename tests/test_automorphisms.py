@@ -1,5 +1,4 @@
 import random
-from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,14 +16,19 @@ from autbounds.automorphisms import (
 )
 from autbounds.corpus import all_graphs
 from autbounds.graphs import (
+    SYMMETRIC_FAMILIES,
     Graph,
     SizeLimitError,
     bits,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    hypercube,
+    paley_graph,
     path_graph,
     petersen_graph,
+    rook_graph,
+    shrikhande_graph,
 )
 from autbounds.trees import all_spanning_trees, tree_certificate
 
@@ -32,18 +36,12 @@ from helpers import (
     aut_families,
     graph_from_bits,
     graphs,
-    hypercube,
     is_automorphism,
     is_isomorphism,
-    kneser_graph,
     naive_automorphisms,
     naive_orbits,
-    paley_graph,
     permutations_of,
     refine_reference,
-    rook_graph,
-    shrikhande_graph,
-    triangular_graph,
 )
 
 
@@ -212,49 +210,17 @@ def test_identity_iff_trivial(corpus6):
         assert (res.order == 1) == trivial
 
 
-# Strongly regular graphs where degree refinement alone cannot split any cell;
-# the classical orders pin the backtracking search.
+# The symmetric families against their classical orders.  Strongly regular
+# graphs such as rook 4x4, Shrikhande and the Paley graphs give degree
+# refinement nothing to split, so the orders pin the backtracking search.
 
-def test_rook_4x4():
-    assert aut_order(rook_graph(4)).order == 1152  # 2 * (4!)^2
-
-
-def test_shrikhande():
-    # same degree sequence and spectrum as the rook graph, different group
-    assert aut_order(shrikhande_graph()).order == 192
-
-
-def test_paley_graphs():
-    assert aut_order(paley_graph(13)).order == 78    # 13 * 12 / 2
-    assert aut_order(paley_graph(17)).order == 136   # 17 * 16 / 2
-
-
-def test_large_complete_graph_exact_factorial():
-    assert aut_order(complete_graph(64)).order == factorial(64)
-
-
-# (graph, |Aut|, number of orbits); the orders are the classical ones.
-LARGE_FAMILIES = {
-    "K64": (complete_graph(64), factorial(64), 1),
-    "K32,32": (complete_bipartite_graph(32, 32), 2 * factorial(32) ** 2, 1),
-    "32xK2": (Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]),
-              2 ** 32 * factorial(32), 1),
-    "rook8x8": (rook_graph(8), 2 * factorial(8) ** 2, 1),
-    "Q6": (hypercube(6), 2 ** 6 * factorial(6), 1),
-    "C64": (cycle_graph(64), 128, 1),
-    "Paley61": (paley_graph(61), 61 * 30, 1),
-    "Q8": (hypercube(8), 2 ** 8 * factorial(8), 1),
-    "T20": (triangular_graph(20), factorial(20), 1),
-    "Kneser10,4": (kneser_graph(10, 4), factorial(10), 1),
-}
-
-
-@pytest.mark.parametrize("name", LARGE_FAMILIES)
+@pytest.mark.parametrize("name", SYMMETRIC_FAMILIES)
 def test_large_families_known_orders(name):
-    g, order, orbit_count = LARGE_FAMILIES[name]
+    build, order = SYMMETRIC_FAMILIES[name]
+    g = build()
     res = aut_order(g)
     assert res.order == order
-    assert len(res.orbits) == orbit_count
+    assert len(res.orbits) == 1
     assert len(res.generators) <= g.n - 1
     for p in res.generators:
         assert is_automorphism(g, p)

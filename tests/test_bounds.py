@@ -32,13 +32,14 @@ from autbounds.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     petersen_graph,
     star_graph,
 )
 from autbounds.trees import SpanningTree, greedy_spanning_tree
 
-from helpers import connected_graphs_st, grid_graph
+from helpers import connected_graphs_st
 
 # log2 of the edge-excess base 2^(7/8) * 6^(1/24), recomputed independently
 EDGE_BASE_LOG2 = 7 / 8 + log2(6) / 24

@@ -13,6 +13,7 @@ from autbounds.graphs import (
     Graph,
     SizeLimitError,
     complete_graph,
+    connected_gnm,
     cycle_graph,
     path_graph,
     star_graph,
@@ -22,7 +23,6 @@ from autbounds.trees import SpanningTree, all_spanning_trees, tree_certificate
 from helpers import (
     as_tree,
     brute_labeled_embeddings,
-    connected_gnm,
     connected_graphs_st,
     random_spanning_tree,
 )

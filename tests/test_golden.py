@@ -30,7 +30,14 @@ from autbounds.automorphisms import aut_order
 from autbounds.cli import main
 from autbounds.corpus import all_graphs, connected_graphs
 from autbounds.embeddings import count_embeddings, count_labeled_embeddings
-from autbounds.graphs import Graph, cycle_graph, petersen_graph, write_graph6
+from autbounds.graphs import (
+    Graph,
+    connected_gnm,
+    cycle_graph,
+    hypercube,
+    petersen_graph,
+    write_graph6,
+)
 from autbounds.trees import (
     _certificate_aut_rows,
     all_spanning_trees,
@@ -42,7 +49,7 @@ from autbounds.trees import (
     verify_greedy_tree,
 )
 
-from helpers import aut_families, connected_gnm, greedy_hosts, hypercube
+from helpers import aut_families, greedy_hosts
 
 GOLDEN = [
     (["--output", "json", "--corollary-mode", "both"],

@@ -91,7 +91,7 @@ def test_graph6_long_form_roundtrip():
     g = path_graph(63)
     s = write_graph6(g)
     assert s.startswith("~")
-    assert parse_graph6(s, cap=70) == g
+    assert parse_graph6(s) == g
 
 
 def test_parse_edgelist_path():

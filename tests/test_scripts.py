@@ -89,6 +89,9 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
         assert record["starts"] == 1 + 2 + 2 * 3 + 6 * 4 + 21 * 5
         assert record["trees_sha256"] == (
             "208592e51756c2c0e40b70d8ff2b8c4c0ac2138703b5efa67c67d3b64a706290")
+        # the two 24-vertex hosts, the same graphs as helpers.greedy_hosts()
+        assert record["best_greedy_n24_sha256"] == (
+            "0a0dadb5d630f37f8b6cc5baf921af9b89ace3d3c22af066688d90c86ffa93b7")
     if layer == "theorem1":
         # one check per spanning-tree class: 1, 1 and 2 at n = 1..3, 9 at n = 4
         assert record["checks"] == {"n<=4": 13} and record["violations"] == {"n<=4": 0}

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "autbounds"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "autbounds"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -41,3 +42,19 @@ def test_greedy_checker_is_independent_of_the_builder():
     # a builder name that no longer exists would check nothing
     assert builder <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert names.isdisjoint(builder)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_scripts_do_not_reach_into_tests(path):
+    # The scripts build from the package; the test helpers are not an API.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "helpers" not in imported
+    path_edits = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and ast.unparse(node.func.value) == "sys.path"]
+    for call in path_edits:
+        strings = {n.value for n in ast.walk(call) if isinstance(n, ast.Constant)}
+        assert "tests" not in strings, f"{path.name}:{call.lineno} puts tests/ on sys.path"

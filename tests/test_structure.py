@@ -9,6 +9,7 @@ from autbounds.graphs import (
     SizeLimitError,
     complete_bipartite_graph,
     complete_graph,
+    connected_gnm,
     cycle_graph,
     path_graph,
     star_graph,
@@ -18,7 +19,6 @@ from autbounds.structure import _hamiltonian_path, path_cover_number, star_free_
 
 from helpers import (
     brute_path_cover,
-    connected_gnm,
     connected_graphs_st,
     graphs,
     karp_hamiltonian_paths,
