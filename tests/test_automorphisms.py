@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -224,6 +225,14 @@ def test_large_families_known_orders(name):
     assert len(res.generators) <= g.n - 1
     for p in res.generators:
         assert is_automorphism(g, p)
+
+
+# 64! has 90 digits: the order must come back as an exact int, not a float.
+
+def test_large_complete_graph_exact_factorial():
+    order = aut_order(complete_graph(64)).order
+    assert type(order) is int
+    assert order == factorial(64)
 
 
 # Each generator the orbit-pruned search keeps joins two orbit classes.
