@@ -25,14 +25,16 @@ Layers:
               per 24-vertex host (the 4x6 grid and a seeded connected
               G(24, 60)), of which vertex 0's tree and product are hashed;
               and all_spanning_trees for n <= 6, then
-              tree_certificate of every tree it returned, timed apart from a
-              cold certificate memo (trees._certificate_aut_rows), whose
-              hits and misses each repeat records.
+              tree_certificate of every tree it returned, timed apart.
+              Every group starts from cold tree memos (the intern table,
+              the tree_aut_upper memo and the certificate memo, all keyed
+              on a tree's bit rows), whose hits and misses each repeat
+              records.
   theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
               over every 8th connected n = 7 graph; also records the checks
-              and violations of each group, and the certificate memo's hits
-              and misses per repeat.  The aut_order cache and the
-              certificate memo are cleared before every repeat.
+              and violations of each group, and the tree memos' hits and
+              misses per repeat.  The aut_order cache and the tree memos
+              are cleared before every repeat.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -161,22 +163,27 @@ def best_of(run, reset):
 
 
 def cold_certificate_best_of(run, reset=lambda: None):
-    """best_of(run), the certificate memo cleared after reset() before each
-    repeat; also returns that memo's hits and misses at the end of each."""
-    # an AttributeError here, not a warm timing, if the memo goes
-    memo = autbounds.trees._certificate_aut_rows
-    counts = {"hits": [], "misses": []}
+    """best_of(run), the tree memos cleared after reset() before each repeat:
+    the intern table, the tree_aut_upper memo and the certificate memo.  Also
+    returns each memo's hits and misses at the end of each repeat."""
+    # an AttributeError here, not a warm timing, if a memo goes
+    memos = {"intern": autbounds.trees._interned_tree,
+             "aut_upper": autbounds.trees._aut_upper_rows,
+             "certificate": autbounds.trees._certificate_aut_rows}
+    counts = {name: {"hits": [], "misses": []} for name in memos}
 
     def counted():
         result = run()
-        info = memo.cache_info()
-        counts["hits"].append(info.hits)
-        counts["misses"].append(info.misses)
+        for name, memo in memos.items():
+            info = memo.cache_info()
+            counts[name]["hits"].append(info.hits)
+            counts[name]["misses"].append(info.misses)
         return result
 
     def cold():
         reset()
-        memo.cache_clear()
+        for memo in memos.values():
+            memo.cache_clear()
 
     return (*best_of(counted, cold), counts)
 
@@ -285,16 +292,16 @@ def bench_trees(quick):
     large_hosts = [grid_graph(4, 6), connected_gnm(24, 60, random.Random(24))]
     small = [g for g in hosts if g.n <= (5 if quick else 6)]
     starts = [(g, v0) for g in hosts for v0 in range(g.n)]
-    seconds = {}
-    seconds["greedy"], greedy = best_of(
-        lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts], lambda: None)
-    seconds["best_greedy"], best = best_of(
-        lambda: [pair for g in hosts for pair in best_greedy_tree(g)], lambda: None)
-    seconds["best_greedy n=24"], large = best_of(
-        lambda: [best_greedy_tree(g) for g in large_hosts], lambda: None)
-    seconds["all_spanning_trees"], trees = best_of(
-        lambda: [t for g in small for t in all_spanning_trees(g)], lambda: None)
-    seconds["tree_certificate"], certs, memo = cold_certificate_best_of(
+    seconds, memos = {}, {}
+    seconds["greedy"], greedy, memos["greedy"] = cold_certificate_best_of(
+        lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts])
+    seconds["best_greedy"], best, memos["best_greedy"] = cold_certificate_best_of(
+        lambda: [pair for g in hosts for pair in best_greedy_tree(g)])
+    seconds["best_greedy n=24"], large, memos["best_greedy n=24"] = cold_certificate_best_of(
+        lambda: [best_greedy_tree(g) for g in large_hosts])
+    seconds["all_spanning_trees"], trees, memos["all_spanning_trees"] = (
+        cold_certificate_best_of(lambda: [t for g in small for t in all_spanning_trees(g)]))
+    seconds["tree_certificate"], certs, memos["tree_certificate"] = cold_certificate_best_of(
         lambda: [tree_certificate(t) for t in trees])
     lines = [f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} {bt.tree.edges()} {product}\n"
              for gt, (bt, product) in zip(greedy, best)]
@@ -304,7 +311,7 @@ def bench_trees(quick):
     return {"trees_best_s": seconds,
             "starts": len(starts),
             "spanning_trees": len(trees),
-            "certificate_memo": {"tree_certificate": memo},
+            "tree_memos": memos,
             "trees_sha256": hashlib.sha256("".join(lines).encode("ascii")).hexdigest(),
             "best_greedy_n24_sha256":
                 hashlib.sha256("".join(large_lines).encode("ascii")).hexdigest()}
@@ -318,12 +325,12 @@ def bench_theorem1(quick):
         runs["n=7/8"] = lambda: theorem1_suite(external=sample)
     for n in range(1, nmax + 1):
         connected_graphs(n)  # built and cached outside the timing
-    seconds, checks, violations, memo = {}, {}, {}, {}
+    seconds, checks, violations, memos = {}, {}, {}, {}
     for name, run in runs.items():
-        seconds[name], res, memo[name] = cold_certificate_best_of(run, aut_order.cache_clear)
+        seconds[name], res, memos[name] = cold_certificate_best_of(run, aut_order.cache_clear)
         checks[name], violations[name] = res.checked, len(res.violations)
     return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations,
-            "certificate_memo": memo}
+            "tree_memos": memos}
 
 
 def pathcover_groups(quick):

@@ -112,9 +112,10 @@ def _refine(rows, cells, splitters=None):
                     x ^= low
             if len(counts) > 1:
                 ordered = sorted(counts.items())
-                cells[ci:ci + 1] = [m for _, m in ordered]
-                queue.extend(m for _, m in ordered)
-                trace.append((ci, tuple((c, m.bit_count()) for c, m in ordered)))
+                parts = [m for _, m in ordered]
+                cells[ci:ci + 1] = parts
+                queue.extend(parts)
+                trace.append((ci, tuple([(c, m.bit_count()) for c, m in ordered])))
                 shift += len(ordered) - 1
     return cells, tuple(trace)
 

@@ -39,8 +39,27 @@ class SizeLimitError(ValueError):
     """Input exceeds a documented exact-computation size cap."""
 
 
+def _bit_table() -> tuple[tuple[int, ...], ...]:
+    """bits(m) for every m < 256: each bit i doubles the table, appending i."""
+    table = [()]
+    for i in range(8):
+        table += [indices + (i,) for indices in table]
+    return tuple(table)
+
+
+_BITS = _bit_table()  # every row and cell of a graph on n <= 8 vertices
+
+
 def bits(mask: int):
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
+    """The indices of the set bits of ``mask`` in increasing order, to iterate
+    over: a shared tuple for 0 <= mask < 256, a generator for larger masks,
+    so callers may loop over the result but not call next() on it."""
+    if 0 <= mask < 256:
+        return _BITS[mask]
+    return _bits_above(mask)
+
+
+def _bits_above(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -123,7 +123,7 @@ def path_cover_number(g: Graph) -> PathCoverResult:
         ends[mask] = tips
     paths, path, mask, tips = [], [], full, ends[full]
     while mask:
-        v = next(bits(tips))
+        v = (tips & -tips).bit_length() - 1
         path.append(v)
         prev = mask ^ (1 << v)
         if cover[prev] == cover[mask]:

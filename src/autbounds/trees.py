@@ -16,9 +16,13 @@ The best greedy tree's DP state is the covered set alone: an expanded vertex
 has every neighbour covered, so the eligible leaves are the covered vertices
 with a neighbour outside, in index order.  No state names the start vertex,
 so one memo per host answers every start.  Tree codes are rooted at the
-centroid, reached from vertex 0 through child subtrees over half the tree;
-the certificate and exact aut are memoised on the tree's bit rows, so each
-labeled tree is coded once per process.
+centroid, reached from vertex 0 through child subtrees over half the tree.
+
+The builders take each SpanningTree from an intern table keyed on its bit
+rows, and the certificate, exact aut and degree-product ceiling are memoised
+on the same key, so each labeled tree is validated, coded and measured once
+per process while it stays among 8,192 entries; a direct SpanningTree call
+still runs the checks.
 """
 
 from __future__ import annotations
@@ -91,7 +95,14 @@ def _grow(g: Graph, v0: int, choose) -> GreedyTree:
         covered |= new
         unexpanded = (unexpanded & ~(1 << v)) | new
         v = choose(covered, unexpanded)
-    return GreedyTree(SpanningTree(g.n, tuple(tree)), tuple(sequence), tuple(steps))
+    return GreedyTree(_interned_tree(tuple(tree)), tuple(sequence), tuple(steps))
+
+
+@lru_cache(maxsize=8192)
+def _interned_tree(rows: tuple[int, ...]) -> SpanningTree:
+    """The one SpanningTree with these bit rows, checked when first built;
+    a frozen Graph, so every builder that meets the rows may share it."""
+    return SpanningTree(len(rows), rows)
 
 
 def greedy_spanning_tree(g: Graph, v0: int) -> GreedyTree:
@@ -258,7 +269,14 @@ def tree_aut_upper(t: SpanningTree) -> int:
     """
     if t.n < 2:
         raise ValueError("degree-product bound needs at least two vertices")
-    return t.delta_max * prod(factorial(d - 1) for d in t.degrees)
+    return _aut_upper_rows(t.rows)
+
+
+@lru_cache(maxsize=8192)
+def _aut_upper_rows(rows: tuple[int, ...]) -> int:
+    """tree_aut_upper of the tree with these bit rows."""
+    degrees = [row.bit_count() for row in rows]
+    return max(degrees) * prod(factorial(d - 1) for d in degrees)
 
 
 def embedding_upper_fs(g: Graph) -> Fraction:
@@ -271,8 +289,10 @@ def embedding_upper_fs(g: Graph) -> Fraction:
 
 def all_spanning_trees(g: Graph) -> list[SpanningTree]:
     """Every spanning tree exactly once via edge-subset enumeration, keeping an
-    (n-1)-edge subset iff it passes SpanningTree's flood fill.  The Laplacian
-    count spanning_tree_count stays its independent oracle.
+    (n-1)-edge subset iff its rows connect, and taking the tree from the
+    intern table, so SpanningTree's checks run once per labeled tree, not on
+    every keep.  The Laplacian count spanning_tree_count stays its
+    independent oracle.
 
     Hosts with more than 7 vertices are refused, since the subset count
     explodes.
@@ -291,7 +311,7 @@ def all_spanning_trees(g: Graph) -> list[SpanningTree]:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         if rows_connected(rows):  # n - 1 edges that connect hold no cycle
-            trees.append(SpanningTree(n, tuple(rows)))
+            trees.append(_interned_tree(tuple(rows)))
     return trees
 
 

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -7,6 +8,7 @@ from autbounds.graphs import (
     Graph,
     GraphParseError,
     SizeLimitError,
+    bits,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -138,6 +140,21 @@ def test_degree_stats_star():
 def test_degree_stats_c5():
     g = cycle_graph(5)
     assert g.delta_max == g.delta_min == 2 and g.d_avg == 2
+
+
+def test_bits_matches_its_definition():
+    def low_bit_loop(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+    rng = random.Random(64)
+    for mask in [*range(1024), *(rng.getrandbits(64) for _ in range(200))]:
+        assert list(bits(mask)) == low_bit_loop(mask)
+    assert list(bits(0)) == []
 
 
 def test_is_connected():

@@ -18,6 +18,18 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_next_on_bits(path):
+    # bits(mask) is a tuple for mask < 256, which next() rejects, and a
+    # generator above: a caller iterates it and never calls next() on it.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "next"
+             and node.args and isinstance(node.args[0], ast.Call)
+             and ast.unparse(node.args[0].func) == "bits"]
+    assert lines == [], f"{path.name}: next(bits(...)) at lines {lines}"
+
+
 def test_naive_oracle_is_independent_of_the_search():
     # aut_order_naive cross-checks aut_order and, through count_embeddings,
     # count_labeled_embeddings; sharing the search would make both circular.

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +30,7 @@ from autbounds.trees import (
     tree_certificate,
     verify_greedy_tree,
 )
-from autbounds.verify import theorem1_suite
+from autbounds.verify import greedy_sweep, theorem1_suite
 
 from helpers import as_tree, connected_graphs_st, random_trees
 
@@ -219,8 +220,49 @@ def test_certificate_memo_never_changes_a_value(corpus6):
     assert memo.cache_info().misses == 146  # the labeled trees on n <= 5 vertices
 
 
-def test_certificate_memo_is_bounded():
-    assert trees._certificate_aut_rows.cache_info().maxsize is not None
+def test_aut_upper_memo_never_changes_a_value(corpus6):
+    spanning = [t for n in range(2, 6) for g in corpus6[n] for t in all_spanning_trees(g)]
+    memo = trees._aut_upper_rows
+    cold = []
+    for t in spanning:
+        memo.cache_clear()
+        cold.append(tree_aut_upper(t))
+    memo.cache_clear()
+    first = [tree_aut_upper(t) for t in spanning]
+    warm = [tree_aut_upper(t) for t in spanning]
+    assert cold == first == warm == [
+        t.delta_max * prod(factorial(d - 1) for d in t.degrees) for t in spanning]
+    assert memo.cache_info().misses == 145  # the labeled trees on 2 <= n <= 5 vertices
+
+
+def test_tree_memos_are_bounded():
+    greedy_sweep(7)
+    theorem1_suite(6)
+    for memo in (trees._interned_tree, trees._aut_upper_rows, trees._certificate_aut_rows):
+        info = memo.cache_info()
+        assert info.maxsize == 8192 and 0 < info.currsize <= info.maxsize
+
+
+def test_equal_rows_share_one_tree():
+    # vertex 0's star is its greedy tree in K4 and in K1,3, and a tree of K4
+    star = greedy_spanning_tree(complete_graph(4), 0).tree
+    assert greedy_spanning_tree(star_graph(3), 0).tree is star
+    assert best_greedy_tree(star_graph(3))[0][0].tree is star
+    first, second = all_spanning_trees(complete_graph(4)), all_spanning_trees(complete_graph(4))
+    assert len(first) == 16 and all(a is b for a, b in zip(first, second))
+    assert sum(t is star for t in first) == 1
+
+
+@pytest.mark.parametrize("rows, match", [
+    ((0b0110, 0b0101, 0b0011, 0), "closes a cycle"),  # a triangle and vertex 3
+    ((0b0010, 0b0001, 0b1000, 0b0100), "needs 3 edges"),  # two disjoint edges
+    ((0b1010, 0b0101, 0b1010, 0b0101), "needs 3 edges"),  # the 4-cycle
+])
+def test_interning_keeps_the_checks(rows, match):
+    with pytest.raises(ValueError, match=match):
+        SpanningTree(4, rows)
+    with pytest.raises(ValueError, match=match):
+        trees._interned_tree(rows)
 
 
 def test_theorem1_codes_each_labeled_tree_once(monkeypatch):
@@ -284,6 +326,5 @@ def test_greedy_invariants_random(g, data):
     verify_greedy_tree(g, best)
     naive_prod = 1
     for k in gt.step_sizes():
-        from math import factorial
         naive_prod *= factorial(k)
     assert prod <= naive_prod
