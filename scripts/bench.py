@@ -25,16 +25,17 @@ Layers:
               per 24-vertex host (the 4x6 grid and a seeded connected
               G(24, 60)), of which vertex 0's tree and product are hashed;
               and all_spanning_trees for n <= 6, then
-              tree_certificate of every tree it returned, timed apart.
-              Every group starts from cold tree memos (the intern table,
-              the tree_aut_upper memo and the certificate memo, all keyed
-              on a tree's bit rows), whose hits and misses each repeat
-              records.
+              tree_certificate of every tree it returned, timed apart on
+              new tree objects built before each repeat.  Every group starts
+              from a cold intern table (the one SpanningTree per bit rows,
+              which caches its certificate, aut and degree-product
+              ceiling); each repeat records the table's hits and misses
+              and the trees it coded.
   theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
               over every 8th connected n = 7 graph; also records the checks
-              and violations of each group, and the tree memos' hits and
-              misses per repeat.  The aut_order cache and the tree memos
-              are cleared before every repeat.
+              and violations of each group, and the intern table's hits and
+              misses and the trees coded per repeat.  The aut_order cache
+              and the intern table are cleared before every repeat.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -163,29 +164,38 @@ def best_of(run, reset):
 
 
 def cold_certificate_best_of(run, reset=lambda: None):
-    """best_of(run), the tree memos cleared after reset() before each repeat:
-    the intern table, the tree_aut_upper memo and the certificate memo.  Also
-    returns each memo's hits and misses at the end of each repeat."""
-    # an AttributeError here, not a warm timing, if a memo goes
-    memos = {"intern": autbounds.trees._interned_tree,
-             "aut_upper": autbounds.trees._aut_upper_rows,
-             "certificate": autbounds.trees._certificate_aut_rows}
-    counts = {name: {"hits": [], "misses": []} for name in memos}
+    """best_of(run), the intern table of trees cleared before each repeat and
+    reset() called after it.  Also returns, per repeat, the table's hits and
+    misses and the trees the repeat coded (trees._centroid_code calls)."""
+    # an AttributeError here, not a warm timing, if the table goes
+    intern, code = autbounds.trees._interned_tree, autbounds.trees._centroid_code
+    counts = {"intern": {"hits": [], "misses": []}, "codings": []}
+    codings = 0
+
+    def spy(rows):
+        nonlocal codings
+        codings += 1
+        return code(rows)
 
     def counted():
+        nonlocal codings
+        codings = 0
         result = run()
-        for name, memo in memos.items():
-            info = memo.cache_info()
-            counts[name]["hits"].append(info.hits)
-            counts[name]["misses"].append(info.misses)
+        info = intern.cache_info()
+        counts["intern"]["hits"].append(info.hits)
+        counts["intern"]["misses"].append(info.misses)
+        counts["codings"].append(codings)
         return result
 
     def cold():
+        intern.cache_clear()
         reset()
-        for memo in memos.values():
-            memo.cache_clear()
 
-    return (*best_of(counted, cold), counts)
+    autbounds.trees._centroid_code = spy
+    try:
+        return (*best_of(counted, cold), counts)
+    finally:
+        autbounds.trees._centroid_code = code
 
 
 def digest(values):
@@ -301,8 +311,13 @@ def bench_trees(quick):
         lambda: [best_greedy_tree(g) for g in large_hosts])
     seconds["all_spanning_trees"], trees, memos["all_spanning_trees"] = (
         cold_certificate_best_of(lambda: [t for g in small for t in all_spanning_trees(g)]))
+    fresh = []
+
+    def rebuild():  # new tree objects, so no repeat reads a certificate cached on the last
+        fresh[:] = [t for g in small for t in all_spanning_trees(g)]
+
     seconds["tree_certificate"], certs, memos["tree_certificate"] = cold_certificate_best_of(
-        lambda: [tree_certificate(t) for t in trees])
+        lambda: [tree_certificate(t) for t in fresh], rebuild)
     lines = [f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} {bt.tree.edges()} {product}\n"
              for gt, (bt, product) in zip(greedy, best)]
     lines += [f"{t.edges()} {cert} {tree_aut_exact(t)} "

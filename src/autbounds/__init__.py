@@ -8,7 +8,7 @@ exponent), which are reported in the log2 domain.
 """
 
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
+    VERTEX_CAP,
     Graph,
     GraphParseError,
     SizeLimitError,

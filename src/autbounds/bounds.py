@@ -84,13 +84,6 @@ def _log2_memo(x) -> mpmath.mpf:
         return mpmath.log(mpmath.mpf(x), 2)
 
 
-@lru_cache(maxsize=1)
-def _edge_excess_log2() -> mpmath.mpf:
-    # log2 of 2^(7/8) * 6^(1/24), a constant at WORKING_PRECISION_BITS
-    with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
-        return mpmath.mpf(7) / 8 + mpmath.log(mpmath.mpf(6), 2) / 24
-
-
 def _exact(bound_id: str, value, context: dict) -> BoundValue:
     fr = value if isinstance(value, Fraction) else Fraction(value)
     return BoundValue(bound_id, True, None, fr, float(_log2(fr)), context)
@@ -156,7 +149,8 @@ def eval_eq3(g: Graph, p: int) -> BoundValue:
     if excess == 0:
         return _exact("eq3_pathcover", rational_part, ctx)
     return _logonly("eq3_pathcover",
-                    lambda: _log2(rational_part) + excess * _edge_excess_log2(), ctx)
+                    lambda: _log2(rational_part)
+                    + excess * (mpmath.mpf(7) / 8 + _log2(6) / 24), ctx)
 
 
 def eval_eq4(g: Graph) -> BoundValue:

@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import combinations
 from math import factorial
 
-DEFAULT_VERTEX_CAP = 64
+VERTEX_CAP = 64
 
 _GRAPH6_HEADER = ">>graph6<<"
 
@@ -195,8 +195,8 @@ def _union(parent: list[int], a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _check_cap(n: int):
-    if n > DEFAULT_VERTEX_CAP:
-        raise SizeLimitError(f"graph has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}")
+    if n > VERTEX_CAP:
+        raise SizeLimitError(f"graph has {n} vertices, above the cap of {VERTEX_CAP}")
 
 
 def parse_graph6(text: str) -> Graph:

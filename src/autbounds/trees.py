@@ -19,17 +19,17 @@ so one memo per host answers every start.  Tree codes are rooted at the
 centroid, reached from vertex 0 through child subtrees over half the tree.
 
 The builders take each SpanningTree from an intern table keyed on its bit
-rows, and the certificate, exact aut and degree-product ceiling are memoised
-on the same key, so each labeled tree is validated, coded and measured once
-per process while it stays among 8,192 entries; a direct SpanningTree call
-still runs the checks.
+rows, and each tree caches its own certificate, exact aut and degree-product
+ceiling, so each labeled tree is validated, coded and measured once per
+process while it stays among the table's 8,192 entries.  A direct
+SpanningTree call still runs the checks and computes its own values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -52,6 +52,16 @@ class SpanningTree(Graph):
 
     def spans(self, g: Graph) -> bool:
         return self.n == g.n and all(not r & ~h for r, h in zip(self.rows, g.rows))
+
+    @cached_property
+    def certificate_aut(self) -> tuple[tuple, int]:
+        """(tree_certificate, tree_aut_exact), coded once per tree."""
+        return _centroid_code(self.rows)
+
+    @cached_property
+    def aut_ceiling(self) -> int:
+        """tree_aut_upper: max degree times the product of (degree - 1)!."""
+        return self.delta_max * prod(factorial(d - 1) for d in self.degrees)
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,10 @@ def _grow(g: Graph, v0: int, choose) -> GreedyTree:
 @lru_cache(maxsize=8192)
 def _interned_tree(rows: tuple[int, ...]) -> SpanningTree:
     """The one SpanningTree with these bit rows, checked when first built;
-    a frozen Graph, so every builder that meets the rows may share it."""
+    a frozen Graph, so every builder that meets the rows may share it, and
+    with it the values the tree caches.  8192 entries hold every labeled tree
+    on n <= 6 vertices (1,442) with the distinct greedy trees of the
+    connected n = 8 corpus (3,942)."""
     return SpanningTree(len(rows), rows)
 
 
@@ -212,18 +225,10 @@ def _rooted_code_aut(root: int, banned: int, adj) -> tuple[tuple, int]:
     return tuple(k[0] for k in kids), aut
 
 
-def _certificate_aut(t: SpanningTree) -> tuple[tuple, int]:
-    """(tree_certificate(t), tree_aut_exact(t)), coded once per labeled tree."""
-    return _certificate_aut_rows(t.rows)
-
-
-@lru_cache(maxsize=8192)
-def _certificate_aut_rows(rows: tuple[int, ...]) -> tuple[tuple, int]:
+def _centroid_code(rows: tuple[int, ...]) -> tuple[tuple, int]:
     """The certificate and aut of the tree with these bit rows, from the codes
     rooted at the centroid, or at each of two centroids with the other's half
-    cut off.  Keyed on the rows, not the tree, so the memo keeps no tree
-    alive; 8192 entries hold every labeled tree on n <= 6 vertices (1,442)
-    with the distinct greedy trees of the connected n = 8 corpus (3,942)."""
+    cut off."""
     n = len(rows)
     adj = [list(bits(row)) for row in rows]
     parent = [-1] * n
@@ -252,12 +257,12 @@ def _certificate_aut_rows(rows: tuple[int, ...]) -> tuple[tuple, int]:
 
 def tree_aut_exact(t: SpanningTree) -> int:
     """Exact automorphism count of the tree as an abstract graph."""
-    return _certificate_aut(t)[1]
+    return t.certificate_aut[1]
 
 
 def tree_certificate(t: SpanningTree):
     """Hashable canonical form: equal certificates iff isomorphic trees."""
-    return _certificate_aut(t)[0]
+    return t.certificate_aut[0]
 
 
 def tree_aut_upper(t: SpanningTree) -> int:
@@ -269,14 +274,7 @@ def tree_aut_upper(t: SpanningTree) -> int:
     """
     if t.n < 2:
         raise ValueError("degree-product bound needs at least two vertices")
-    return _aut_upper_rows(t.rows)
-
-
-@lru_cache(maxsize=8192)
-def _aut_upper_rows(rows: tuple[int, ...]) -> int:
-    """tree_aut_upper of the tree with these bit rows."""
-    degrees = [row.bit_count() for row in rows]
-    return max(degrees) * prod(factorial(d - 1) for d in degrees)
+    return t.aut_ceiling
 
 
 def embedding_upper_fs(g: Graph) -> Fraction:

@@ -27,13 +27,13 @@ from .graphs import (
     write_graph6,
 )
 from .trees import (
-    _certificate_aut,
     all_spanning_trees,
     embedding_upper_fs,
     greedy_spanning_tree,
     spanning_tree_count,
     tree_aut_exact,
     tree_aut_upper,
+    tree_certificate,
     verify_greedy_tree,
 )
 
@@ -194,8 +194,7 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
             fs_cap = embedding_upper_fs(g) if g.n >= 2 else None
             classes: dict = {}
             for t in trees:
-                cert, aut_t = _certificate_aut(t)
-                classes.setdefault(cert, []).append((t, aut_t))
+                classes.setdefault(tree_certificate(t), []).append((t, tree_aut_exact(t)))
             reps = [members[0][0] for members in classes.values()]
             for members, ec in zip(classes.values(), count_embeddings(reps, g)):
                 rep_tree, rep_aut = members[0]

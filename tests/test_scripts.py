@@ -79,19 +79,20 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
         # every repeat starts cold and keeps one memo entry per value
         assert record["misses"] == [record["distinct"]] * 3
     if layer in ("trees", "theorem1"):
-        # every repeat starts from cold tree memos, so each repeat counts the
-        # same hits and misses; a warm memo would add hits on later repeats
+        # every repeat starts from a cold intern table and new tree objects,
+        # so each repeat counts the same hits, misses and codings; a warm
+        # table or a tree with values cached on it would change later repeats
         for memos in record["tree_memos"].values():
-            assert sorted(memos) == ["aut_upper", "certificate", "intern"]
-            for counts in memos.values():
-                assert counts["hits"] == [counts["hits"][0]] * 3
-                assert counts["misses"] == [counts["misses"][0]] * 3
+            assert sorted(memos) == ["codings", "intern"]
+            for counts in (memos["intern"]["hits"], memos["intern"]["misses"], memos["codings"]):
+                assert counts == [counts[0]] * 3
     if layer == "trees":
         # each labeled tree is built once and coded once: all n^(n-2) of
         # them, since each spans K_n
         memos = record["tree_memos"]
         assert memos["all_spanning_trees"]["intern"]["misses"] == [1 + 1 + 3 + 16 + 125] * 3
-        assert memos["tree_certificate"]["certificate"]["misses"] == [1 + 1 + 3 + 16 + 125] * 3
+        assert memos["tree_certificate"]["intern"]["misses"] == [1 + 1 + 3 + 16 + 125] * 3
+        assert memos["tree_certificate"]["codings"] == [1 + 1 + 3 + 16 + 125] * 3
         # tests/test_golden.py's tree_layer_lines format over n <= 5
         assert record["starts"] == 1 + 2 + 2 * 3 + 6 * 4 + 21 * 5
         assert record["trees_sha256"] == (
@@ -101,8 +102,7 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
             "0a0dadb5d630f37f8b6cc5baf921af9b89ace3d3c22af066688d90c86ffa93b7")
     if layer == "theorem1":
         memos = record["tree_memos"]["n<=4"]
-        assert memos["intern"]["misses"] == memos["certificate"]["misses"] == [1 + 1 + 3 + 16] * 3
-        assert memos["aut_upper"]["misses"] == [3 + 16] * 3  # the ceiling is taken at n >= 3
+        assert memos["intern"]["misses"] == memos["codings"] == [1 + 1 + 3 + 16] * 3
         # one check per spanning-tree class: 1, 1 and 2 at n = 1..3, 9 at n = 4
         assert record["checks"] == {"n<=4": 13} and record["violations"] == {"n<=4": 0}
     if layer == "pathcover":

@@ -1,6 +1,5 @@
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 
 import pytest
@@ -19,7 +18,6 @@ from autbounds.graphs import (
 )
 from autbounds.trees import (
     SpanningTree,
-    _certificate_aut,
     all_spanning_trees,
     best_greedy_tree,
     embedding_upper_fs,
@@ -195,52 +193,64 @@ def test_tree_aut_upper_dominates(t):
 
 @given(random_trees(min_n=1, max_n=14), st.data())
 def test_tree_certificate_relabel_invariant(t1, data):
-    trees._certificate_aut_rows.cache_clear()
-    cold = (tree_certificate(t1), tree_aut_exact(t1))
+    cold = (tree_certificate(t1), tree_aut_exact(t1))  # a fresh tree, coded cold
     # Past the naive oracle's n = 8 the search is the independent count.
     assert cold[1] == aut_order(t1).order
     perm = tuple(data.draw(st.permutations(list(range(t1.n)))))
     t2 = as_tree(t1.relabel(perm))
-    # t2 is coded cold unless perm fixes t1's rows; t1 is read back warm
+    # t2 is a fresh tree too, so it is coded cold; t1 is read back warm
     assert (tree_certificate(t2), tree_aut_exact(t2)) == cold
     assert (tree_certificate(t1), tree_aut_exact(t1)) == cold
 
 
-def test_certificate_memo_never_changes_a_value(corpus6):
-    spanning = [t for n in range(1, 6) for g in corpus6[n] for t in all_spanning_trees(g)]
-    memo = trees._certificate_aut_rows
+def certificate_aut(t):
+    return tree_certificate(t), tree_aut_exact(t)
+
+
+def spanning_trees_from_cold(corpus6, ns, value):
+    """(trees, cold, first, warm) over every spanning tree of the connected
+    graphs on ns vertices: each cold value read from a tree interned into an
+    empty table, the first pass from one cleared table, the second warm."""
+    intern = trees._interned_tree
+    rows = [t.rows for n in ns for g in corpus6[n] for t in all_spanning_trees(g)]
     cold = []
-    for t in spanning:
-        memo.cache_clear()
-        cold.append(_certificate_aut(t))
-    memo.cache_clear()
-    first = [_certificate_aut(t) for t in spanning]
-    warm = [_certificate_aut(t) for t in spanning]
+    for r in rows:
+        intern.cache_clear()
+        cold.append(value(intern(r)))
+    intern.cache_clear()
+    spanning = [t for n in ns for g in corpus6[n] for t in all_spanning_trees(g)]
+    assert [t.rows for t in spanning] == rows
+    return spanning, cold, [value(t) for t in spanning], [value(t) for t in spanning]
+
+
+def test_certificate_memo_never_changes_a_value(corpus6):
+    _, cold, first, warm = spanning_trees_from_cold(corpus6, range(1, 6), certificate_aut)
     assert cold == first == warm
-    assert memo.cache_info().misses == 146  # the labeled trees on n <= 5 vertices
+    # the labeled trees on n <= 5 vertices
+    assert trees._interned_tree.cache_info().misses == 146
 
 
 def test_aut_upper_memo_never_changes_a_value(corpus6):
-    spanning = [t for n in range(2, 6) for g in corpus6[n] for t in all_spanning_trees(g)]
-    memo = trees._aut_upper_rows
-    cold = []
-    for t in spanning:
-        memo.cache_clear()
-        cold.append(tree_aut_upper(t))
-    memo.cache_clear()
-    first = [tree_aut_upper(t) for t in spanning]
-    warm = [tree_aut_upper(t) for t in spanning]
+    spanning, cold, first, warm = spanning_trees_from_cold(corpus6, range(2, 6), tree_aut_upper)
     assert cold == first == warm == [
         t.delta_max * prod(factorial(d - 1) for d in t.degrees) for t in spanning]
-    assert memo.cache_info().misses == 145  # the labeled trees on 2 <= n <= 5 vertices
+    # the labeled trees on 2 <= n <= 5 vertices
+    assert trees._interned_tree.cache_info().misses == 145
+
+
+def test_direct_tree_matches_the_interned_one(corpus6):
+    for t in {t.rows: t for g in corpus6[5] for t in all_spanning_trees(g)}.values():
+        direct = SpanningTree(t.n, t.rows)
+        assert direct is not t
+        assert certificate_aut(direct) == certificate_aut(t)
+        assert tree_aut_upper(direct) == tree_aut_upper(t)
 
 
 def test_tree_memos_are_bounded():
     greedy_sweep(7)
     theorem1_suite(6)
-    for memo in (trees._interned_tree, trees._aut_upper_rows, trees._certificate_aut_rows):
-        info = memo.cache_info()
-        assert info.maxsize == 8192 and 0 < info.currsize <= info.maxsize
+    info = trees._interned_tree.cache_info()
+    assert info.maxsize == 8192 and 0 < info.currsize <= info.maxsize
 
 
 def test_equal_rows_share_one_tree():
@@ -267,16 +277,17 @@ def test_interning_keeps_the_checks(rows, match):
 
 def test_theorem1_codes_each_labeled_tree_once(monkeypatch):
     # Every labeled tree on n vertices spans K_n, so theorem1_suite over the
-    # connected n <= 5 corpus meets all n^(n-2) of them (Cayley), and a cold
-    # memo codes each once: 1 + 1 + 3 + 16 + 125.
-    body = trees._certificate_aut_rows.__wrapped__
+    # connected n <= 5 corpus meets all n^(n-2) of them (Cayley), and from a
+    # cold intern table codes each once: 1 + 1 + 3 + 16 + 125.
+    body = trees._centroid_code
     coded = []
 
     def spy(rows):
         coded.append(rows)
         return body(rows)
 
-    monkeypatch.setattr(trees, "_certificate_aut_rows", lru_cache(maxsize=8192)(spy))
+    monkeypatch.setattr(trees, "_centroid_code", spy)
+    trees._interned_tree.cache_clear()
     res = theorem1_suite(nmax=5)
     assert res.checked > 0 and not res.violations
     assert len(coded) == len(set(coded)) == 1 + sum(n ** (n - 2) for n in range(2, 6)) == 146
