@@ -78,6 +78,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import autbounds
@@ -133,23 +134,33 @@ def embedding_groups(quick):
             for name, gs in hosts.items()}
 
 
+@contextmanager
+def spy(module, name):
+    """Record the positional arguments of every call of module.<name> made
+    while the block runs, recursive calls included; yields the list of
+    argument tuples.  An AttributeError, not a silent empty list, if the
+    name goes."""
+    calls = []
+    real = getattr(module, name)
+
+    def spied(*args):
+        calls.append(args)
+        return real(*args)
+
+    setattr(module, name, spied)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, real)
+
+
 def log2_arguments(quick):
     """The argument of every _log2 call made by the corpus reports."""
-    calls = []
-    real = bounds._log2
-
-    def spy(x):
-        calls.append(x)
-        return real(x)
-
-    bounds._log2 = spy
-    try:
-        opts = ReportOptions(corollary_mode="both")
+    opts = ReportOptions(corollary_mode="both")
+    with spy(bounds, "_log2") as calls:
         for g in connected_corpus(quick):
             compose_report(g, opts)
-    finally:
-        bounds._log2 = real
-    return calls
+    return [x for (x,) in calls]
 
 
 def best_of(run, reset):
@@ -167,35 +178,24 @@ def cold_certificate_best_of(run, reset=lambda: None):
     """best_of(run), the intern table of trees cleared before each repeat and
     reset() called after it.  Also returns, per repeat, the table's hits and
     misses and the trees the repeat coded (trees._centroid_code calls)."""
-    # an AttributeError here, not a warm timing, if the table goes
-    intern, code = autbounds.trees._interned_tree, autbounds.trees._centroid_code
+    intern = autbounds.trees._interned_tree  # an AttributeError, not a warm timing, if it goes
     counts = {"intern": {"hits": [], "misses": []}, "codings": []}
-    codings = 0
-
-    def spy(rows):
-        nonlocal codings
-        codings += 1
-        return code(rows)
-
-    def counted():
-        nonlocal codings
-        codings = 0
-        result = run()
-        info = intern.cache_info()
-        counts["intern"]["hits"].append(info.hits)
-        counts["intern"]["misses"].append(info.misses)
-        counts["codings"].append(codings)
-        return result
 
     def cold():
         intern.cache_clear()
         reset()
 
-    autbounds.trees._centroid_code = spy
-    try:
+    def counted():
+        codings.clear()
+        result = run()
+        info = intern.cache_info()
+        counts["intern"]["hits"].append(info.hits)
+        counts["intern"]["misses"].append(info.misses)
+        counts["codings"].append(len(codings))
+        return result
+
+    with spy(autbounds.trees, "_centroid_code") as codings:
         return (*best_of(counted, cold), counts)
-    finally:
-        autbounds.trees._centroid_code = code
 
 
 def digest(values):
@@ -205,21 +205,10 @@ def digest(values):
 def spied_calls(g, name):
     """Calls of automorphisms.<name>, recursive ones included, during one
     cold aut_order(g)."""
-    calls = 0
-    real = getattr(automorphisms, name)
-
-    def spy(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
     aut_order.cache_clear()
-    setattr(automorphisms, name, spy)
-    try:
+    with spy(automorphisms, name) as calls:
         aut_order(g)
-    finally:
-        setattr(automorphisms, name, real)
-    return calls
+    return len(calls)
 
 
 def bench_aut(quick):
@@ -272,20 +261,11 @@ def clear_corpus_caches():
 
 def bench_corpus(quick):
     nmax = 5 if quick else 7
-    candidates = {}
-    real = corpus._refine
-
-    def spy(rows, cells):
-        candidates[len(rows)] = candidates.get(len(rows), 0) + 1
-        return real(rows, cells)
-
-    corpus._refine = spy
-    try:
-        clear_corpus_caches()
+    clear_corpus_caches()
+    with spy(corpus, "_refine") as calls:
         for n in range(1, nmax + 1):
             corpus.all_graphs(n)
-    finally:
-        corpus._refine = real
+    candidates = Counter(len(rows) for rows, _ in calls)
     seconds, graphs = best_of(
         lambda: [g for n in range(1, nmax + 1) for g in corpus.all_graphs(n)],
         clear_corpus_caches)

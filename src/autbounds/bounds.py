@@ -102,6 +102,16 @@ def _logonly(bound_id: str, log2_expr, context: dict) -> BoundValue:
     return BoundValue(bound_id, True, None, None, log2v, context)
 
 
+@lru_cache(maxsize=1)
+def _edge_excess_log2() -> mpmath.mpf:
+    """log2 of the edge-excess base 2^(7/8) * 6^(1/24), built once.  Called
+    inside a log-only expression, so at the precision ``_logonly`` has set."""
+    if mpmath.mp.prec != WORKING_PRECISION_BITS:
+        raise RuntimeError(f"edge-excess constant built at {mpmath.mp.prec} bits, "
+                           f"not {WORKING_PRECISION_BITS}")
+    return mpmath.mpf(7) / 8 + _log2(6) / 24
+
+
 def _gated(bound_id: str, reason: str, context: dict | None = None) -> BoundValue:
     return BoundValue(bound_id, False, reason, None, None, context or {})
 
@@ -149,8 +159,7 @@ def eval_eq3(g: Graph, p: int) -> BoundValue:
     if excess == 0:
         return _exact("eq3_pathcover", rational_part, ctx)
     return _logonly("eq3_pathcover",
-                    lambda: _log2(rational_part)
-                    + excess * (mpmath.mpf(7) / 8 + _log2(6) / 24), ctx)
+                    lambda: _log2(rational_part) + excess * _edge_excess_log2(), ctx)
 
 
 def eval_eq4(g: Graph) -> BoundValue:

@@ -3,6 +3,8 @@ and run the verification suites.
 
 Exit codes: 0 ok, 1 verification violation, 2 input error, 3 size refusal,
 4 internal error (any other exception raised inside a command, i.e. a bug).
+Commands raise on failure and return only 0 or 1; ``main`` alone turns an
+exception into an exit code and one stderr line.
 Exact values serialise as decimal strings ("24", "64/27") so downstream
 consumers never overflow; log2 values are plain floats that re-parse
 bit-exactly.
@@ -11,6 +13,7 @@ bit-exactly.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -63,6 +66,17 @@ def _id_list(item: str, empty: str, known: tuple[str, ...], aliases: dict[str, s
     return parse
 
 
+def _int_at_least(least: int):
+    """argparse type for an integer flag that must be at least ``least``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse words a non-integer as "invalid int value"
+    return parse
+
+
 _parse_bounds = _id_list("bound id", "empty bound list", BOUND_IDS, BOUND_ALIASES)
 _parse_suites = _id_list("suite", "empty suite list", tuple(sorted(SUITES)), {})
 
@@ -102,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_report_flags(b)
 
     v = sub.add_parser("verify", help="run the verification suites")
-    v.add_argument("--nmax", type=int, default=6,
+    v.add_argument("--nmax", type=_int_at_least(1), default=6,
                    help=f"exhaustive corpus limit (at most {GENERATION_LIMIT})")
     v.add_argument("--suites", type=_parse_suites, default=tuple(sorted(SUITES)),
                    help="comma-separated subset of: " + ", ".join(sorted(SUITES)))
-    v.add_argument("--random-trials", type=int, default=50,
+    v.add_argument("--random-trials", type=_int_at_least(0), default=50,
                    help="random graphs per size for the oracle suite")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--corpus", default=None,
@@ -177,21 +191,16 @@ CSV_COLUMNS = ("graph6", "n", "e", "aut", "bound_id", "applicable", "reason",
 
 
 def _csv_rows(report: BoundReport):
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     for bv in report.bounds:
         gap = report.gaps.get(bv.bound_id)
-        writer.writerow([
+        yield [
             report.graph_id, report.n, report.e,
             "" if report.aut_exact is None else str(report.aut_exact),
             bv.bound_id, int(bv.applicable), bv.reason or "",
             _exact_str(bv.exact_value) or "",
             "" if bv.log2_value is None else repr(bv.log2_value),
             "" if gap is None else repr(gap),
-        ])
-    return buf.getvalue()
+        ]
 
 
 def render_table(report: BoundReport) -> str:
@@ -218,6 +227,20 @@ def render_table(report: BoundReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(report: BoundReport, output: str, header: bool) -> None:
+    """Write one report to stdout as a table, one JSON line, or CSV rows led
+    by the column header when ``header``."""
+    if output == "table":
+        sys.stdout.write(render_table(report))
+    elif output == "json":
+        sys.stdout.write(json.dumps(report_to_dict(report)) + "\n")
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        if header:
+            writer.writerow(CSV_COLUMNS)
+        writer.writerows(_csv_rows(report))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -236,25 +259,14 @@ def cmd_analyze(args) -> int:
     else:
         g = parse_edgelist(text)
     _check_oracle_limit(args, g)
-    report = compose_report(g, _report_options(args))
-    if args.output == "table":
-        sys.stdout.write(render_table(report))
-    elif args.output == "csv":
-        sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
-        sys.stdout.write(_csv_rows(report))
-    else:
-        sys.stdout.write(json.dumps(report_to_dict(report)) + "\n")
+    _write(compose_report(g, _report_options(args)), args.output, header=True)
     return EXIT_OK
 
 
 def cmd_batch(args) -> int:
-    try:
-        text = _read_input(args.input)
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    text = _read_input(args.input)
     opts = _report_options(args)
-    first = True
+    header = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -266,44 +278,26 @@ def cmd_batch(args) -> int:
         except (GraphParseError, SizeLimitError) as exc:
             print(f"line {lineno}: skipped: {exc}", file=sys.stderr)
             continue
-        if args.output == "json":
-            sys.stdout.write(json.dumps(report_to_dict(report)) + "\n")
-        else:
-            if first:
-                sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
-                first = False
-            sys.stdout.write(_csv_rows(report))
+        _write(report, args.output, header)
+        header = False
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.nmax > GENERATION_LIMIT:
-        print(f"exhaustive suites are capped at nmax <= {GENERATION_LIMIT}, got {args.nmax}",
-              file=sys.stderr)
-        return EXIT_SIZE
-    if args.nmax < 1:
-        print(f"--nmax must be at least 1, got {args.nmax}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.random_trials < 0:
-        print(f"--random-trials must be at least 0, got {args.random_trials}", file=sys.stderr)
-        return EXIT_INPUT
+        raise SizeLimitError(
+            f"exhaustive suites are capped at nmax <= {GENERATION_LIMIT}, got {args.nmax}")
     external = None
     if args.corpus is not None:
-        try:
-            text = _read_input(args.corpus)
-        except OSError as exc:
-            print(f"cannot read {args.corpus}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        text = _read_input(args.corpus)
         external = [parse_graph6(ln.strip()) for ln in text.splitlines() if ln.strip()]
         if not external:
-            print(f"{args.corpus}: the corpus file holds no graphs", file=sys.stderr)
-            return EXIT_INPUT
+            raise GraphParseError(f"{args.corpus}: the corpus file holds no graphs")
         big = next((g for g in external if g.n > ENUM_VERTEX_LIMIT), None)
         if "theorem1" in args.suites and big is not None:
-            print(f"theorem1 enumerates spanning trees only for n <= {ENUM_VERTEX_LIMIT}; "
-                  f"{write_graph6(big)} has n={big.n} (drop theorem1 from --suites)",
-                  file=sys.stderr)
-            return EXIT_SIZE
+            raise SizeLimitError(
+                f"theorem1 enumerates spanning trees only for n <= {ENUM_VERTEX_LIMIT}; "
+                f"{write_graph6(big)} has n={big.n} (drop theorem1 from --suites)")
     results = run_suites(args.suites, nmax=args.nmax, trials=args.random_trials,
                          seed=args.seed, external=external)
     failed = False

@@ -87,12 +87,12 @@ class GreedyTree:
 
 
 def _grow(g: Graph, v0: int, choose) -> GreedyTree:
-    """Run the greedy construction from v0.  ``choose(covered, unexpanded)``
-    names the eligible leaf to expand next, or None once there is none."""
+    """Run the greedy construction from v0.  ``choose(covered)`` names the
+    eligible leaf to expand next, a covered vertex with a neighbour outside
+    (an expanded vertex has none), or None once there is none."""
     rows = g.rows
     tree = [0] * g.n
     covered = 1 << v0
-    unexpanded = 0  # tree leaves that may still have outward edges
     sequence, steps = [], []
     v = v0
     while v is not None:
@@ -103,8 +103,7 @@ def _grow(g: Graph, v0: int, choose) -> GreedyTree:
         sequence.append(v)
         steps.append(new)
         covered |= new
-        unexpanded = (unexpanded & ~(1 << v)) | new
-        v = choose(covered, unexpanded)
+        v = choose(covered)
     return GreedyTree(_interned_tree(tuple(tree)), tuple(sequence), tuple(steps))
 
 
@@ -126,8 +125,14 @@ def greedy_spanning_tree(g: Graph, v0: int) -> GreedyTree:
     if not is_connected(g):
         raise ValueError("greedy spanning tree needs a connected host graph")
     rows = g.rows
-    return _grow(g, v0, lambda covered, unexpanded: next(
-        (v for v in bits(unexpanded) if rows[v] & ~covered), None))
+
+    def lowest_eligible(covered: int) -> int | None:
+        for v in bits(covered):
+            if rows[v] & ~covered:
+                return v
+        return None
+
+    return _grow(g, v0, lowest_eligible)
 
 
 def best_greedy_tree(g: Graph) -> tuple[tuple[GreedyTree, int], ...]:
@@ -153,7 +158,7 @@ def best_greedy_tree(g: Graph) -> tuple[tuple[GreedyTree, int], ...]:
         return best_val, best_v
 
     products = [rec((1 << v0) | rows[v0])[0] for v0 in range(g.n)]  # fills the memo
-    return tuple((_grow(g, v0, lambda covered, unexpanded: memo[covered][1]), product)
+    return tuple((_grow(g, v0, lambda covered: memo[covered][1]), product)
                  for v0, product in enumerate(products))
 
 

@@ -11,6 +11,7 @@ from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import (
     BOUND_IDS,
     WORKING_PRECISION_BITS,
+    _edge_excess_log2,
     _log2,
     _log2_memo,
     ReportOptions,
@@ -97,6 +98,19 @@ def test_eq3_k4():
 def test_eq3_claw():
     bv = eval_eq3(star_graph(3), 2)
     assert bv.log2_value == pytest.approx(10 - EDGE_BASE_LOG2, abs=1e-9)
+
+
+def test_edge_excess_constant_refuses_a_foreign_precision():
+    # eq3 builds the constant once, so it must be built at the working
+    # precision: at any other it raises (also under -O) and caches nothing.
+    _edge_excess_log2.cache_clear()
+    for prec in (53, 200):
+        with mpmath.workprec(prec), pytest.raises(RuntimeError, match=f"at {prec} bits"):
+            _edge_excess_log2()
+    assert _edge_excess_log2.cache_info().currsize == 0
+    eval_eq3(complete_graph(4), 1)  # builds it inside the log-only expression
+    with mpmath.workprec(WORKING_PRECISION_BITS):
+        assert _edge_excess_log2() == mpmath.mpf(7) / 8 + mpmath.log(6, 2) / 24
 
 
 def test_eq8_examples():

@@ -144,8 +144,16 @@ def test_batch_empty_file(tmp_path, capsys):
 
 
 def test_batch_unreadable_exit_2(tmp_path, capsys):
-    code, _, err = run_cli(["batch", str(tmp_path / "missing.g6")], capsys)
-    assert code == 2
+    code, out, err = run_cli(["batch", str(tmp_path / "missing.g6")], capsys)
+    assert code == 2 and out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--corpus"]], ids=["analyze", "verify"])
+def test_missing_file_exit_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run_cli([*argv, str(missing)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and str(missing) in err
 
 
 def test_batch_non_ascii_exit_2(tmp_path, capsys):
@@ -193,21 +201,27 @@ def test_verify_small_pass(capsys):
 
 def test_verify_nmax_refusal(capsys):
     from autbounds.corpus import GENERATION_LIMIT
-    code, _, err = run_cli(["verify", "--nmax", str(GENERATION_LIMIT + 1)], capsys)
-    assert code == 3 and f"nmax <= {GENERATION_LIMIT}" in err
+    code, out, err = run_cli(["verify", "--nmax", str(GENERATION_LIMIT + 1)], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"size refusal: exhaustive suites are capped at nmax <= {GENERATION_LIMIT}, "
+                   f"got {GENERATION_LIMIT + 1}\n")
 
 
 @pytest.mark.parametrize("nmax", ["0", "-2"])
 def test_verify_vacuous_nmax_exit_2(nmax, capsys):
-    code, out, err = run_cli(["verify", "--nmax", nmax], capsys)
-    assert code == 2
-    assert "PASS" not in out and "--nmax must be at least 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nmax", nmax])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "PASS" not in out and f"argument --nmax: must be at least 1, got {nmax}" in err
 
 
 def test_verify_negative_trials_exit_2(capsys):
-    code, out, err = run_cli(["verify", "--random-trials", "-5"], capsys)
-    assert code == 2
-    assert "PASS" not in out and "--random-trials must be at least 0" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--random-trials", "-5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "PASS" not in out and "argument --random-trials: must be at least 0, got -5" in err
 
 
 def test_bound_aliases_come_from_the_registry():
@@ -268,7 +282,8 @@ def test_verify_external_corpus_too_large_for_theorem1(tmp_path, capsys):
     p.write_text("C~\nG~~~~{\n")
     code, out, err = run_cli(["verify", "--corpus", str(p)], capsys)
     assert code == 3 and out == ""
-    assert "G~~~~{ has n=8" in err and "n <= 7" in err
+    assert err.startswith("size refusal: theorem1 enumerates spanning trees only for n <= 7; ")
+    assert "G~~~~{ has n=8" in err
     code, out, err = run_cli(["verify", "--suites", "soundness", "--corpus", str(p)], capsys)
     assert code == 0 and err == ""
     assert "[soundness] PASS: 2 checks" in out
