@@ -122,15 +122,11 @@ def _gated(bound_id: str, reason: str, context: dict | None = None) -> BoundValu
 # ---------------------------------------------------------------------------
 
 def eval_eq1(g: Graph) -> BoundValue:
-    """n * delta! * (delta-1)^(n-delta-1); exponent 0 always yields factor 1."""
+    """n * delta! * (delta-1)^(n-delta-1); the exponent is >= 0 as delta <= n - 1."""
     n, delta = g.n, g.delta_max
     exponent = n - delta - 1
     ctx = {"delta": delta, "exponent": exponent}
-    if exponent < 0:
-        return _gated("eq1_nashwilliams", "needs n >= max degree + 1", ctx)
-    base = delta - 1
-    value = n * factorial(delta) * (base ** exponent if exponent > 0 else 1)
-    return _exact("eq1_nashwilliams", value, ctx)
+    return _exact("eq1_nashwilliams", n * factorial(delta) * (delta - 1) ** exponent, ctx)
 
 
 def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
@@ -270,8 +266,6 @@ def eval_corollary(g: Graph, mode: str = "corrected") -> BoundValue:
     n, delta = g.n, g.delta_max
     if delta < 2:
         return _gated("corollary", "requires max degree >= 2", {"mode": mode})
-    if n < delta + 1:
-        return _gated("corollary", "requires n >= max degree + 1", {"mode": mode})
     r = (n - delta - 1) // (delta - 1)
     alpha = n - r * (delta - 1) if mode == "verbatim" else n - delta - 1 - r * (delta - 1)
     value = n * factorial(alpha) * factorial(delta) * factorial(delta - 1) ** r

@@ -4,11 +4,15 @@ Each suite returns a SuiteResult whose ``violations`` list is empty on
 success; every violation string starts with the offending graph in graph6
 form so a failure is immediately reproducible.  All randomness is seeded, so
 repeated runs print identical results.
+
+The corpus is the connected graphs with n <= nmax, or an external list that
+``run_suites`` refuses, before any suite runs, if theorem1 cannot take it.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from math import factorial
@@ -20,6 +24,7 @@ from .corpus import CONNECTED_GRAPH_COUNTS, connected_graphs
 from .embeddings import count_embeddings
 from .graphs import (
     Graph,
+    SizeLimitError,
     complete_bipartite_graph,
     complete_graph,
     is_connected,
@@ -27,6 +32,7 @@ from .graphs import (
     write_graph6,
 )
 from .trees import (
+    ENUM_VERTEX_LIMIT,
     all_spanning_trees,
     embedding_upper_fs,
     greedy_spanning_tree,
@@ -45,7 +51,7 @@ class SuiteResult:
     name: str
     checked: int
     violations: list[str] = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+    corpus_counts: dict[int, int] | None = None
 
     @property
     def passed(self) -> bool:
@@ -56,10 +62,10 @@ class SuiteResult:
         return f"[{self.name}] {state}: {self.checked} checks, {len(self.violations)} violations"
 
 
-def _corpus(nmax: int, external: list[Graph] | None = None):
+def _corpus(nmax: int, external: list[Graph] | None = None) -> list[Graph]:
     if external is not None:
-        return {0: list(external)}
-    return {n: list(connected_graphs(n)) for n in range(1, nmax + 1)}
+        return list(external)
+    return [g for n in range(1, nmax + 1) for g in connected_graphs(n)]
 
 
 def soundness_sweep(nmax: int = 7, external: list[Graph] | None = None) -> SuiteResult:
@@ -68,26 +74,24 @@ def soundness_sweep(nmax: int = 7, external: list[Graph] | None = None) -> Suite
     Orbit sizes dividing the order ride along on the same pass."""
     res = SuiteResult("soundness", 0)
     opts = ReportOptions(corollary_mode="both")
-    counts = {}
-    for n, graphs in _corpus(nmax, external).items():
-        counts[n] = len(graphs)
-        for g in graphs:
-            rep = compose_report(g, opts)
-            res.checked += 1
-            for bid in rep.soundness_violations():
-                bv = rep.bound(bid)
+    graphs = _corpus(nmax, external)
+    for g in graphs:
+        rep = compose_report(g, opts)
+        res.checked += 1
+        for bid in rep.soundness_violations():
+            bv = rep.bound(bid)
+            res.violations.append(
+                f"{rep.graph_id}: {bid} = {bv.exact_value or bv.log2_value} "
+                f"< aut = {rep.aut_exact}")
+        for orb in rep.orbits:
+            if rep.aut_exact % len(orb) != 0:
                 res.violations.append(
-                    f"{rep.graph_id}: {bid} = {bv.exact_value or bv.log2_value} "
-                    f"< aut = {rep.aut_exact}")
-            for orb in rep.orbits:
-                if rep.aut_exact % len(orb) != 0:
-                    res.violations.append(
-                        f"{rep.graph_id}: orbit size {len(orb)} does not divide {rep.aut_exact}")
-    res.info["corpus_counts"] = counts
+                    f"{rep.graph_id}: orbit size {len(orb)} does not divide {rep.aut_exact}")
+    res.corpus_counts = dict(sorted(Counter(g.n for g in graphs).items()))
     if external is None:
-        expected = {n: CONNECTED_GRAPH_COUNTS[n] for n in counts}
-        if counts != expected:
-            res.violations.append(f"corpus counts {counts} != expected {expected}")
+        expected = {n: CONNECTED_GRAPH_COUNTS[n] for n in range(1, nmax + 1)}
+        if res.corpus_counts != expected:
+            res.violations.append(f"corpus counts {res.corpus_counts} != expected {expected}")
     return res
 
 
@@ -96,20 +100,19 @@ def greedy_sweep(nmax: int = 7, external: list[Graph] | None = None) -> SuiteRes
     the degree-sum identity 1 + d(v0) + sum(step sizes) = n; the resulting
     trees must also sit below the degree-product automorphism estimate."""
     res = SuiteResult("greedy-construction", 0)
-    for _, graphs in _corpus(nmax, external).items():
-        for g in graphs:
-            gid = write_graph6(g)
-            for v0 in range(g.n):
-                res.checked += 1
-                try:
-                    gt = greedy_spanning_tree(g, v0)
-                    verify_greedy_tree(g, gt)
-                except ValueError as exc:
-                    res.violations.append(f"{gid}: start {v0}: {exc}")
-                    continue
-                if g.n >= 3 and tree_aut_exact(gt.tree) > tree_aut_upper(gt.tree):
-                    res.violations.append(
-                        f"{gid}: greedy tree from {v0} above the degree-product estimate")
+    for g in _corpus(nmax, external):
+        gid = write_graph6(g)
+        for v0 in range(g.n):
+            res.checked += 1
+            try:
+                gt = greedy_spanning_tree(g, v0)
+                verify_greedy_tree(g, gt)
+            except ValueError as exc:
+                res.violations.append(f"{gid}: start {v0}: {exc}")
+                continue
+            if g.n >= 3 and tree_aut_exact(gt.tree) > tree_aut_upper(gt.tree):
+                res.violations.append(
+                    f"{gid}: greedy tree from {v0} above the degree-product estimate")
     return res
 
 
@@ -179,45 +182,50 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
     is also checked against the reduced-Laplacian determinant.
     """
     res = SuiteResult("theorem1-embeddings", 0)
-    for _, graphs in _corpus(nmax, external).items():
-        for g in graphs:
-            gid = write_graph6(g)
-            if not is_connected(g):
-                res.checked += 1
-                res.violations.append(f"{gid}: disconnected, so it has no spanning tree")
-                continue
-            trees = all_spanning_trees(g)
-            det = spanning_tree_count(g)
-            if det != len(trees):
-                res.violations.append(f"{gid}: determinant {det} != enumerated {len(trees)}")
-            aut_g = aut_order(g).order
-            fs_cap = embedding_upper_fs(g) if g.n >= 2 else None
-            classes: dict = {}
-            for t in trees:
-                classes.setdefault(tree_certificate(t), []).append((t, tree_aut_exact(t)))
-            reps = [members[0][0] for members in classes.values()]
-            for members, ec in zip(classes.values(), count_embeddings(reps, g)):
-                rep_tree, rep_aut = members[0]
-                res.checked += 1
-                if ec.copies != len(members):
+    for g in _corpus(nmax, external):
+        gid = write_graph6(g)
+        if not is_connected(g):
+            res.checked += 1
+            res.violations.append(f"{gid}: disconnected, so it has no spanning tree")
+            continue
+        trees = all_spanning_trees(g)
+        det = spanning_tree_count(g)
+        if det != len(trees):
+            res.violations.append(f"{gid}: determinant {det} != enumerated {len(trees)}")
+        aut_g = aut_order(g).order
+        fs_cap = embedding_upper_fs(g) if g.n >= 2 else None
+        classes: dict = {}
+        for t in trees:
+            classes.setdefault(tree_certificate(t), []).append((t, tree_aut_exact(t)))
+        reps = [members[0][0] for members in classes.values()]
+        try:
+            counts = count_embeddings(reps, g)
+        except RuntimeError as exc:  # the counting identity failed
+            res.checked += 1
+            res.violations.append(f"{gid}: {exc}")
+            continue
+        for members, ec in zip(classes.values(), counts):
+            rep_tree, rep_aut = members[0]
+            res.checked += 1
+            if ec.copies != len(members):
+                res.violations.append(
+                    f"{gid}: class of {rep_tree.edges()}: subset+iso count "
+                    f"{ec.copies} != certificate census {len(members)}")
+            if aut_g > ec.labeled:
+                res.violations.append(
+                    f"{gid}: aut {aut_g} > labeled copies {ec.labeled} "
+                    f"of {rep_tree.edges()}")
+            if ec.aut_f != rep_aut:
+                res.violations.append(
+                    f"{gid}: naive tree count {ec.aut_f} != centroid count {rep_aut}")
+            if fs_cap is not None and ec.copies > fs_cap:
+                res.violations.append(
+                    f"{gid}: copies {ec.copies} above degree-product cap {fs_cap}")
+            for t, aut_t in members:
+                if t.n >= 3 and aut_t > tree_aut_upper(t):
                     res.violations.append(
-                        f"{gid}: class of {rep_tree.edges()}: subset+iso count "
-                        f"{ec.copies} != certificate census {len(members)}")
-                if aut_g > ec.labeled:
-                    res.violations.append(
-                        f"{gid}: aut {aut_g} > labeled copies {ec.labeled} "
-                        f"of {rep_tree.edges()}")
-                if ec.aut_f != rep_aut:
-                    res.violations.append(
-                        f"{gid}: naive tree count {ec.aut_f} != centroid count {rep_aut}")
-                if fs_cap is not None and ec.copies > fs_cap:
-                    res.violations.append(
-                        f"{gid}: copies {ec.copies} above degree-product cap {fs_cap}")
-                for t, aut_t in members:
-                    if t.n >= 3 and aut_t > tree_aut_upper(t):
-                        res.violations.append(
-                            f"{gid}: tree {t.edges()}: exact {aut_t} "
-                            f"> estimate {tree_aut_upper(t)}")
+                        f"{gid}: tree {t.edges()}: exact {aut_t} "
+                        f"> estimate {tree_aut_upper(t)}")
     return res
 
 
@@ -238,10 +246,15 @@ SUITES = {
 
 def run_suites(names, nmax: int = 6, trials: int = 50,
                seed: int = DEFAULT_SEED, external: list[Graph] | None = None):
-    """Run the named suites, all names checked first; returns a list of SuiteResults."""
+    """Run the named suites, every check done first; returns a list of SuiteResults."""
     runs = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         runs.extend(SUITES[name])
+    big = next((g for g in external or () if g.n > ENUM_VERTEX_LIMIT), None)
+    if big is not None and "theorem1" in names:
+        raise SizeLimitError(
+            f"theorem1 enumerates spanning trees only for n <= {ENUM_VERTEX_LIMIT}; "
+            f"{write_graph6(big)} has n={big.n} (drop theorem1 from --suites)")
     return [run(nmax, trials, seed, external) for run in runs]

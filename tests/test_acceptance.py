@@ -33,7 +33,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_soundness_sweep():
     res = soundness_sweep(nmax=7)
-    counts = res.info["corpus_counts"]
+    counts = res.corpus_counts
     assert counts == EXPECTED_COUNTS, counts
     assert sum(counts.values()) == 996
     _report("criterion 1: soundness sweep over 996 connected graphs (n <= 7)",

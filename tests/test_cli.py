@@ -156,6 +156,25 @@ def test_missing_file_exit_2(tmp_path, capsys, argv):
     assert err.startswith("input error: ") and str(missing) in err
 
 
+def test_analyze_edgelist_input_error_exit_2(capsys, monkeypatch):
+    code, out, err = run_cli(["analyze", "--format", "edgelist"], capsys,
+                             stdin_text="3\n0 a\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "input error: non-integer vertex in '0 a'\n"
+
+
+def test_analyze_table_writes_a_long_value_as_a_power_of_two(capsys, monkeypatch):
+    # eq1 on K20 is 20!, 19 digits: too wide for the 16-character value column.
+    from autbounds.graphs import complete_graph, write_graph6
+    code, out, _ = run_cli(["analyze", "--bounds", "eq1"], capsys,
+                           stdin_text=write_graph6(complete_graph(20)) + "\n",
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert "aut = 2432902008176640000\n" in out
+    row = next(ln for ln in out.splitlines() if ln.startswith("eq1_nashwilliams"))
+    assert row.split() == ["eq1_nashwilliams", "~2^61.0774", "61.0774", "0.0000", "tight"]
+
+
 def test_batch_non_ascii_exit_2(tmp_path, capsys):
     p = tmp_path / "batch.g6"
     p.write_bytes("C~\n\u00e9\n".encode("utf-8"))
@@ -246,10 +265,13 @@ def test_verify_suite_subset(capsys):
 
 
 def test_verify_external_corpus(tmp_path, capsys):
+    # K_5, K_4 and C_4: the corpus line counts the graphs of each order, smallest first.
     p = tmp_path / "corpus.g6"
-    p.write_text("C~\nCl\n")
+    p.write_text("D~{\nC~\nCl\n")
     code, out, _ = run_cli(["verify", "--suites", "soundness", "--corpus", str(p)], capsys)
-    assert code == 0 and "2 checks" in out
+    assert code == 0
+    assert out.splitlines()[:2] == ["[soundness] PASS: 3 checks, 0 violations",
+                                    "  corpus: {4: 2, 5: 1}"]
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
@@ -368,3 +390,38 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert code == 1
     assert "[soundness] FAIL" in out
     assert "counterexample" in out and "eq1_nashwilliams" in out
+
+
+def test_verify_broken_counting_identity_is_a_counterexample(capsys, monkeypatch):
+    # One labeled copy too many breaks labeled = copies * aut(T) on every
+    # graph: theorem1 reports each in graph6 form and the run exits 1, not 4.
+    import autbounds.embeddings as embeddings_mod
+
+    real = embeddings_mod.count_labeled_embeddings
+    monkeypatch.setattr(embeddings_mod, "count_labeled_embeddings",
+                        lambda f, g: real(f, g) + 1)
+    code, out, err = run_cli(["verify", "--nmax", "3", "--suites", "theorem1"], capsys)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "[theorem1-embeddings] FAIL: 4 checks, 4 violations",
+        "  counterexample: @: counting identity violated: labeled=2, copies=1, aut=1",
+        "  counterexample: A_: counting identity violated: labeled=3, copies=1, aut=2",
+        "  counterexample: BW: counting identity violated: labeled=3, copies=1, aut=2",
+        "  counterexample: Bw: counting identity violated: labeled=7, copies=3, aut=2",
+    ]
+
+
+def test_verify_prints_ten_counterexamples_then_a_count(capsys, monkeypatch):
+    from autbounds import verify
+
+    def twelve_violations():
+        return verify.SuiteResult("exactness", 12, [f"A_: violation {i}" for i in range(12)])
+
+    monkeypatch.setattr(verify, "exactness_suite", twelve_violations)
+    code, out, _ = run_cli(["verify", "--suites", "exactness"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "[exactness] FAIL: 12 checks, 12 violations",
+        *(f"  counterexample: A_: violation {i}" for i in range(10)),
+        "  ... and 2 more",
+    ]

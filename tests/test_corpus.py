@@ -90,7 +90,7 @@ def test_corpus8_counts_and_digest():
 @pytest.mark.slow
 def test_corpus8_soundness_and_greedy_sweeps():
     sound = soundness_sweep(nmax=8)
-    assert sound.info["corpus_counts"][8] == 11117
+    assert sound.corpus_counts[8] == 11117
     assert sound.passed, sound.violations[:3]
     greedy = greedy_sweep(nmax=8)
     assert greedy.checked == sum(n * corpus.CONNECTED_GRAPH_COUNTS[n] for n in range(1, 9))

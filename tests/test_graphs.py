@@ -89,6 +89,26 @@ def test_graph6_cap():
         parse_graph6("~" + chr(63) + chr(65) + chr(63))  # n = 128
 
 
+@pytest.mark.parametrize("text,message,offset", [
+    (">>graph6<<", "empty graph6 input", 10),
+    ("~~??", "truncated 8-byte vertex count", 4),
+    ("~?", "truncated 4-byte vertex count", 2),
+    ("?", "graph6 vertex count must be at least 1", 0),
+])
+def test_graph6_vertex_count_errors(text, message, offset):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph6(text)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_graph6_eight_byte_count_above_cap():
+    # '~~' then six 6-bit digits 0, 0, 0, 0, 1, 1: n = 65.
+    with pytest.raises(SizeLimitError) as exc:
+        parse_graph6("~~????@@")
+    assert str(exc.value) == "graph has 65 vertices, above the cap of 64"
+
+
 def test_graph6_long_form_roundtrip():
     g = path_graph(63)
     s = write_graph6(g)
@@ -114,6 +134,19 @@ def test_parse_edgelist_loop_rejected():
 def test_parse_edgelist_range_rejected():
     with pytest.raises(GraphParseError, match="out of range"):
         parse_edgelist("2\n0 5")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty edge-list input"),
+    ("x", "first line must be the vertex count, got 'x'"),
+    ("0", "vertex count must be at least 1"),
+    ("3\n0 1 2", "expected 'u v', got '0 1 2'"),
+    ("3\n0 a", "non-integer vertex in '0 a'"),
+])
+def test_parse_edgelist_errors(text, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_edgelist(text)
+    assert str(exc.value) == message and exc.value.offset is None
 
 
 def test_parse_edgelist_duplicate_warns():
@@ -226,6 +259,10 @@ def test_graph_validation():
         Graph(2, (2, 0))
     with pytest.raises(ValueError):
         Graph(0, ())
+    with pytest.raises(ValueError, match=r"^adjacency row count must equal n$"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match=r"^row 0 mentions vertices >= n$"):
+        Graph(2, (0b100, 0))
 
 
 def test_complement_and_relabel():

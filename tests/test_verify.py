@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from autbounds import cli, verify
+from autbounds.graphs import SizeLimitError, complete_graph
 
 SUITE_FUNCTIONS = ("soundness_sweep", "greedy_sweep", "exactness_suite",
                    "oracle_suite", "theorem1_suite")
@@ -32,6 +33,20 @@ def test_unknown_suite_fails_before_any_suite_runs(monkeypatch):
     assert str(exc.value) == ("unknown suite 'nope'; choose from "
                               "['exactness', 'oracle', 'soundness', 'theorem1']")
     assert calls == []
+
+
+def test_theorem1_size_refusal_comes_before_any_suite(monkeypatch):
+    # theorem1 cannot enumerate the spanning trees of K_8; the refusal comes
+    # before soundness runs, and without theorem1 K_8 is an ordinary graph.
+    calls = _record_calls(monkeypatch)
+    k8 = [complete_graph(8)]
+    with pytest.raises(SizeLimitError) as exc:
+        verify.run_suites(["soundness", "theorem1"], external=k8)
+    assert str(exc.value) == ("theorem1 enumerates spanning trees only for n <= 7; "
+                              "G~~~~{ has n=8 (drop theorem1 from --suites)")
+    assert calls == []
+    verify.run_suites(["soundness"], external=k8)
+    assert [name for name, _ in calls] == ["soundness_sweep", "greedy_sweep"]
 
 
 def test_each_suite_gets_its_own_arguments(monkeypatch):
