@@ -422,6 +422,7 @@ def main():
                          "oracle on the n <= 5 corpus and its tree classes, "
                          "5 G(7, 1/2) and K6")
     args = ap.parse_args()
+    Path(args.outdir).mkdir(parents=True, exist_ok=True)
 
     result = LAYERS[args.layer](args.quick)
     for key, value in result.items():

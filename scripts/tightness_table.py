@@ -11,7 +11,7 @@ import argparse
 import statistics
 from collections import defaultdict
 
-from autbounds.bounds import ReportOptions, compose_report
+from autbounds.bounds import LOG2_COMPARISON_SLACK, ReportOptions, compose_report
 from autbounds.corpus import connected_graphs
 
 
@@ -39,9 +39,9 @@ def main():
                 for bid, gap in live.items():
                     applicable[bid] += 1
                     gaps[bid].append(gap)
-                    if abs(gap) < 1e-9:
+                    if abs(gap) < LOG2_COMPARISON_SLACK:
                         tight[bid] += 1
-                    if abs(gap - best_gap) < 1e-9:
+                    if abs(gap - best_gap) < LOG2_COMPARISON_SLACK:
                         best[bid] += 1
         print(f"n={n} done ({total} graphs so far)")
 

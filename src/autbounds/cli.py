@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .bounds import (
     BOUND_IDS,
+    LOG2_COMPARISON_SLACK,
     REGISTRY,
     BoundReport,
     BoundValue,
@@ -221,7 +222,7 @@ def render_table(report: BoundReport) -> str:
             value = f"~2^{bv.log2_value:.4f}"
         gap = report.gaps.get(bv.bound_id)
         gap_s = f"{gap:.4f}" if gap is not None else "-"
-        tight = "tight" if gap is not None and abs(gap) < 1e-9 else ""
+        tight = "tight" if gap is not None and abs(gap) < LOG2_COMPARISON_SLACK else ""
         lines.append(f"{bv.bound_id:<22} {value:>16} {bv.log2_value:>12.4f} {gap_s:>10}  {tight}")
     return "\n".join(lines) + "\n"
 
@@ -289,7 +290,12 @@ def cmd_verify(args) -> int:
     external = None
     if args.corpus is not None:
         text = _read_input(args.corpus)
-        external = [parse_graph6(ln.strip()) for ln in text.splitlines() if ln.strip()]
+        external = []
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+            try:
+                external += [parse_graph6(line)] if line else []
+            except GraphParseError as exc:
+                raise GraphParseError(f"{args.corpus} line {lineno}: {exc}") from exc
         if not external:
             raise GraphParseError(f"{args.corpus}: the corpus file holds no graphs")
     results = run_suites(args.suites, nmax=args.nmax, trials=args.random_trials,

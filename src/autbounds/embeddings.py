@@ -49,8 +49,6 @@ def count_labeled_embeddings(f: SpanningTree, g: Graph) -> int:
     tree f to an edge of g (non-edges of f are unconstrained)."""
     _check_pair(f, g)
     n = f.n
-    if n == 1:
-        return 1
     f_rows = f.rows
     # Sibling leaves are not searched: the k >= 2 leaves of f on one
     # neighbour p.

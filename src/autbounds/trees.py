@@ -319,8 +319,8 @@ def all_spanning_trees(g: Graph) -> list[SpanningTree]:
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees by the reduced-Laplacian determinant
-    (integer-exact Bareiss elimination); the independent count oracle."""
+    """Spanning trees of g, 0 if it is disconnected, by the reduced-Laplacian
+    determinant (exact Bareiss, no row swaps); the independent count oracle."""
     n = g.n
     if n == 1:
         return 1
@@ -331,17 +331,13 @@ def spanning_tree_count(g: Graph) -> int:
             if w >= 1:
                 m[v - 1][w - 1] -= 1
     prev = 1
-    sign = 1
     size = n - 1
     for k in range(size - 1):
+        # PSD: a zero leading minor leaves a zero column below it, so det = 0
         if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
+            return 0
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[size - 1][size - 1]
+    return m[size - 1][size - 1]

@@ -1,9 +1,9 @@
 """Verification sweeps over the exhaustive small-graph corpora.
 
 Each suite returns a SuiteResult whose ``violations`` list is empty on
-success; every violation string starts with the offending graph in graph6
-form so a failure is immediately reproducible.  All randomness is seeded, so
-repeated runs print identical results.
+success; every violation about one graph starts with it in graph6 form, so a
+failure is reproducible (the corpus-count line, about the whole corpus, is
+the one exception).  All randomness is seeded: repeated runs print the same.
 
 The corpus is the connected graphs with n <= nmax, or an external list that
 ``run_suites`` refuses, before any suite runs, if theorem1 cannot take it.
@@ -156,9 +156,8 @@ def oracle_suite(exhaustive_nmax: int = 6, trials: int = 200,
     small connected graphs and on seeded random graphs at n = 7 and 8."""
     res = SuiteResult("oracle-cross-validation", 0)
     rng = random.Random(seed)
-    exhaustive = (g for n in range(1, exhaustive_nmax + 1) for g in connected_graphs(n))
     seeded = (random_graph(n, rng) for n in (7, 8) for _ in range(trials))
-    for g in chain(exhaustive, seeded):
+    for g in chain(_corpus(exhaustive_nmax), seeded):
         res.checked += 1
         fancy = aut_order(g).order
         naive = aut_order_naive(g)
@@ -176,10 +175,11 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
       copy count, and (for trees with an internal vertex) the degree-product
       estimate dominates the true tree automorphism count.
 
-    Spanning trees are enumerated twice over (subset+acyclicity here, one
-    subset+isomorphism pass per graph inside the copy census over the class
-    representatives) and reconciled per isomorphism class; the class census
-    is also checked against the reduced-Laplacian determinant.
+    Trees are enumerated twice (subset+acyclicity here, subset+isomorphism in
+    the copy census), reconciled per class and checked against the Laplacian
+    determinant.  Each check runs once per class, on its first member:
+    isomorphic trees share aut(T) and degrees, so the ceiling too, and the
+    census catches a certificate that merges non-isomorphic trees.
     """
     res = SuiteResult("theorem1-embeddings", 0)
     for g in _corpus(nmax, external):
@@ -196,16 +196,16 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
         fs_cap = embedding_upper_fs(g) if g.n >= 2 else None
         classes: dict = {}
         for t in trees:
-            classes.setdefault(tree_certificate(t), []).append((t, tree_aut_exact(t)))
-        reps = [members[0][0] for members in classes.values()]
+            classes.setdefault(tree_certificate(t), []).append(t)
         try:
-            counts = count_embeddings(reps, g)
+            counts = count_embeddings([members[0] for members in classes.values()], g)
         except RuntimeError as exc:  # the counting identity failed
             res.checked += 1
             res.violations.append(f"{gid}: {exc}")
             continue
         for members, ec in zip(classes.values(), counts):
-            rep_tree, rep_aut = members[0]
+            rep_tree = members[0]
+            rep_aut = tree_aut_exact(rep_tree)
             res.checked += 1
             if ec.copies != len(members):
                 res.violations.append(
@@ -221,11 +221,10 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
             if fs_cap is not None and ec.copies > fs_cap:
                 res.violations.append(
                     f"{gid}: copies {ec.copies} above degree-product cap {fs_cap}")
-            for t, aut_t in members:
-                if t.n >= 3 and aut_t > tree_aut_upper(t):
-                    res.violations.append(
-                        f"{gid}: tree {t.edges()}: exact {aut_t} "
-                        f"> estimate {tree_aut_upper(t)}")
+            if g.n >= 3 and rep_aut > tree_aut_upper(rep_tree):
+                res.violations.append(
+                    f"{gid}: tree {rep_tree.edges()}: exact {rep_aut} "
+                    f"> estimate {tree_aut_upper(rep_tree)}")
     return res
 
 

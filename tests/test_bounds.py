@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from math import log2
 
@@ -10,10 +11,12 @@ from hypothesis import given, strategies as st
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import (
     BOUND_IDS,
+    LOG2_COMPARISON_SLACK,
     WORKING_PRECISION_BITS,
     _edge_excess_log2,
     _log2,
     _log2_memo,
+    BoundValue,
     ReportOptions,
     compose_report,
     eval_corollary,
@@ -467,6 +470,28 @@ def test_concurrent_reports_keep_precision():
 def test_report_sound_on_random_graphs(g):
     rep = compose_report(g, ReportOptions(corollary_mode="both"))
     assert rep.soundness_violations() == []
+
+
+@pytest.mark.parametrize("exact, below, flagged", [
+    (None, 2 * LOG2_COMPARISON_SLACK, True),
+    (None, LOG2_COMPARISON_SLACK / 2, False),
+    (Fraction(23), 0.0, True),
+    (Fraction(24), 0.0, False),
+], ids=["log-below-slack", "log-within-slack", "exact-below", "exact-equal"])
+def test_soundness_violations_slack(exact, below, flagged):
+    # K_4 has aut 24: an exact row compares exactly, a log-only row gets the slack.
+    rep = compose_report(complete_graph(4), ReportOptions(bounds=("eq1_nashwilliams",)))
+    log2_value = float(_log2(exact if exact is not None else 24)) - below
+    row = BoundValue("eq1_nashwilliams", True, None, exact, log2_value)
+    assert replace(rep, bounds=[row]).soundness_violations() == (
+        ["eq1_nashwilliams"] if flagged else [])
+
+
+def test_soundness_violations_need_the_exact_order():
+    rep = compose_report(complete_graph(4), ReportOptions(exact_aut=False))
+    assert rep.aut_exact is None
+    low = BoundValue("eq1_nashwilliams", True, None, Fraction(1), 0.0)
+    assert replace(rep, bounds=[low]).soundness_violations() == []
 
 
 @given(connected_graphs_st(max_n=7))

@@ -283,6 +283,15 @@ def test_verify_empty_external_corpus_exit_2(tmp_path, capsys, text):
     assert f"{p}: the corpus file holds no graphs" in err
 
 
+def test_verify_corpus_parse_error_names_the_line(tmp_path, capsys):
+    # K_4, then a byte outside graph6's range: the error names file and line.
+    p = tmp_path / "bad.g6"
+    p.write_text("C~\nC!\n")
+    code, out, err = run_cli(["verify", "--corpus", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"input error: {p} line 2: invalid graph6 byte 33 (byte offset 1)\n"
+
+
 def test_verify_external_corpus_disconnected(tmp_path, capsys):
     # K_4 plus a disconnected 4-vertex graph: every suite still prints, and
     # the disconnected graph is one theorem1 violation, not an aborted run.

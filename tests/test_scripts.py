@@ -37,10 +37,12 @@ def test_export_corpus_runs(tmp_path):
 
 
 def test_bench_aut_quick(tmp_path):
+    # --outdir names a directory that does not exist yet: bench.py makes it
+    outdir = tmp_path / "new" / "dir"
     proc = run_script("bench.py", "--layer", "aut", "--quick", "--label", "smoke",
-                      "--outdir", str(tmp_path))
+                      "--outdir", str(outdir))
     assert proc.returncode == 0, proc.stderr
-    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    record = json.loads((outdir / "BENCH_smoke.json").read_text())
     assert record["label"] == "smoke" and record["cpu_count"] == os.cpu_count()
     assert sorted(record["aut_order_best_s"]) == ["K8", "Q3"]
     assert all(s >= 0 for s in record["aut_order_best_s"].values())

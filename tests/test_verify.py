@@ -1,12 +1,20 @@
 """The verify suite table: which suites run_suites calls, and with what."""
 
 import inspect
+from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from autbounds import cli, verify
-from autbounds.graphs import SizeLimitError, complete_graph
+from autbounds.corpus import connected_graphs
+from autbounds.graphs import (
+    SizeLimitError,
+    complete_bipartite_graph,
+    complete_graph,
+    write_graph6,
+)
 
 SUITE_FUNCTIONS = ("soundness_sweep", "greedy_sweep", "exactness_suite",
                    "oracle_suite", "theorem1_suite")
@@ -85,3 +93,101 @@ def test_tracer_sees_every_suite_under_run_suites(monkeypatch, capsys):
         assert len(mine) == 1, fn_name
         parent = mine[0][3]
         assert parent >= 0 and spans[parent][0] == "verify.run_suites", fn_name
+
+
+def _counts_with(**changes):
+    """count_embeddings with the given fields of every count replaced."""
+    real = verify.count_embeddings
+    return lambda trees, g: [replace(ec, **changes) for ec in real(trees, g)]
+
+
+def _reports_with(change):
+    """compose_report with the exact order replaced by change(order)."""
+    real = verify.compose_report
+
+    def fake(g, opts):
+        rep = real(g, opts)
+        return replace(rep, aut_exact=change(rep.aut_exact))
+    return fake
+
+
+def _bad_record(g, gt):
+    raise ValueError("bad record")
+
+
+def _theorem1():
+    return verify.theorem1_suite(nmax=4)
+
+
+def _greedy():
+    return verify.greedy_sweep(nmax=4)
+
+
+def _soundness():
+    return verify.soundness_sweep(nmax=4)
+
+
+CORPUS4 = {write_graph6(g) for n in range(1, 5) for g in connected_graphs(n)}
+EXACTNESS_CASES = {write_graph6(g) for g in chain(
+    (complete_graph(n) for n in range(3, 8)),
+    (complete_bipartite_graph(m, m) for m in range(2, 5)),
+    (complete_bipartite_graph(p, q) for q in range(2, 6) for p in range(1, q)))}
+
+# case id -> (suite, its graphs, name on verify, the name's replacement,
+# phrases): every violation starts with one of the graphs and holds one of
+# the phrases, and each phrase is in some violation.
+BROKEN = {
+    "theorem1-disconnected": (_theorem1, CORPUS4, "is_connected", lambda g: False,
+                              ["disconnected, so it has no spanning tree"]),
+    "theorem1-determinant": (_theorem1, CORPUS4, "spanning_tree_count", lambda g: -1,
+                             ["determinant -1 != enumerated"]),
+    "theorem1-census": (_theorem1, CORPUS4, "tree_certificate", lambda t: 0,
+                        ["!= certificate census"]),
+    "theorem1-labeled": (_theorem1, CORPUS4, "count_embeddings", _counts_with(labeled=0),
+                         ["> labeled copies 0 of"]),
+    "theorem1-tree-aut": (_theorem1, CORPUS4, "count_embeddings", _counts_with(aut_f=0),
+                          ["naive tree count 0 != centroid count"]),
+    "theorem1-copies-cap": (_theorem1, CORPUS4, "embedding_upper_fs", lambda g: 0,
+                            ["above degree-product cap 0"]),
+    "theorem1-tree-ceiling": (_theorem1, CORPUS4, "tree_aut_upper", lambda t: 0,
+                              ["> estimate 0"]),
+    "greedy-record": (_greedy, CORPUS4, "verify_greedy_tree", _bad_record, [": bad record"]),
+    "greedy-ceiling": (_greedy, CORPUS4, "tree_aut_upper", lambda t: 0,
+                       ["above the degree-product estimate"]),
+    "soundness-bound": (_soundness, CORPUS4, "compose_report",
+                        _reports_with(lambda aut: aut * 10 ** 6), [" < aut = "]),
+    "soundness-orbit": (_soundness, CORPUS4, "compose_report", _reports_with(lambda aut: 1),
+                        ["does not divide 1"]),
+    "oracle": (lambda: verify.oracle_suite(exhaustive_nmax=4, trials=0), CORPUS4,
+               "aut_order_naive", lambda g: 0, ["!= naive 0"]),
+    "exactness": (verify.exactness_suite, EXACTNESS_CASES, "factorial", lambda n: 0,
+                  ["): aut ", "): thm3_orbit ", "): eq1 "]),
+}
+
+
+@pytest.mark.parametrize("suite, graphs, name, fake, phrases", BROKEN.values(), ids=BROKEN)
+def test_each_check_fires(monkeypatch, suite, graphs, name, fake, phrases):
+    monkeypatch.setattr(verify, name, fake)
+    res = suite()
+    assert not res.passed
+    for v in res.violations:
+        assert v.split()[0].rstrip(":") in graphs, v
+        assert any(phrase in v for phrase in phrases), v
+    for phrase in phrases:
+        assert any(phrase in v for v in res.violations), phrase
+
+
+def test_corpus_count_check_fires(monkeypatch):
+    monkeypatch.setattr(verify, "CONNECTED_GRAPH_COUNTS", dict.fromkeys(range(1, 8), 0))
+    res = verify.soundness_sweep(nmax=4)
+    assert res.violations == [
+        "corpus counts {1: 1, 2: 1, 3: 2, 4: 6} != expected {1: 0, 2: 0, 3: 0, 4: 0}"]
+
+
+def test_tree_ceiling_is_checked_once_per_class(monkeypatch):
+    # With a ceiling of 0 every tree on n >= 3 vertices breaks it: theorem1
+    # reports each spanning-tree class of the n <= 4 corpus once (K_3 and P_3
+    # one class each, the six 4-vertex graphs nine), greedy each start vertex.
+    monkeypatch.setattr(verify, "tree_aut_upper", lambda t: 0)
+    assert len(verify.theorem1_suite(nmax=4).violations) == 2 + 9
+    assert len(verify.greedy_sweep(nmax=4).violations) == 2 * 3 + 6 * 4
