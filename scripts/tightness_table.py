@@ -11,14 +11,14 @@ import argparse
 import statistics
 from collections import defaultdict
 
-from autbounds.bounds import LOG2_COMPARISON_SLACK, ReportOptions, compose_report
+from autbounds.bounds import COROLLARY_MODES, LOG2_COMPARISON_SLACK, ReportOptions, compose_report
 from autbounds.corpus import connected_graphs
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nmax", type=int, default=7)
-    ap.add_argument("--corollary-mode", choices=("corrected", "verbatim", "both"),
+    ap.add_argument("--corollary-mode", choices=(*COROLLARY_MODES, "both"),
                     default="both")
     args = ap.parse_args()
 

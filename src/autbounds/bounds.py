@@ -255,13 +255,17 @@ def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None) -> BoundValue:
     return _exact(bound_id, value, ctx)
 
 
+# The corollary's alpha as printed, and as corrected; a report may ask for both.
+COROLLARY_MODES = ("corrected", "verbatim")
+
+
 def eval_corollary(g: Graph, mode: str = "corrected") -> BoundValue:
     """n * alpha! * delta! * ((delta-1)!)^r with r = floor((n-delta-1)/(delta-1)).
 
     verbatim mode uses alpha = n - r*(delta-1) as printed in the source
     statement; corrected mode uses alpha = n - delta - 1 - r*(delta-1), the
     remainder that actually satisfies 0 <= alpha < delta - 1."""
-    if mode not in ("corrected", "verbatim"):
+    if mode not in COROLLARY_MODES:
         raise ValueError(f"unknown corollary mode {mode!r}")
     n, delta = g.n, g.delta_max
     if delta < 2:
@@ -365,7 +369,7 @@ def _corollary(r: _Inputs) -> BoundValue | list[BoundValue]:
     mode = r.options.corollary_mode
     if mode != "both":
         return eval_corollary(r.host, mode)
-    return [replace(bv, bound_id=f"corollary_{m}") for m in ("corrected", "verbatim")
+    return [replace(bv, bound_id=f"corollary_{m}") for m in COROLLARY_MODES
             for bv in _rows(r, "corollary", lambda r, m=m: eval_corollary(r.host, m))]
 
 
@@ -399,14 +403,14 @@ class ReportOptions:
     exact_aut: bool = True
     exhaustive_start: bool = False
     class5_asserted: bool = False
-    corollary_mode: str = "corrected"  # corrected | verbatim | both
+    corollary_mode: str = "corrected"  # one of COROLLARY_MODES, or both
 
     def __post_init__(self):
         if self.bounds is not None:
             unknown = [b for b in self.bounds if b not in BOUND_IDS]
             if unknown:
                 raise ValueError(f"unknown bound ids: {unknown}")
-        if self.corollary_mode not in ("corrected", "verbatim", "both"):
+        if self.corollary_mode not in (*COROLLARY_MODES, "both"):
             raise ValueError(f"unknown corollary mode {self.corollary_mode!r}")
 
 

@@ -66,22 +66,18 @@ def count_labeled_embeddings(f: SpanningTree, g: Graph) -> int:
             grouped |= sib
             factor *= factorial(sib.bit_count())
 
-    # One BFS from the lowest vertex outside the groups places every other
-    # vertex after an already-placed neighbour: the grouped vertices are
-    # leaves, so the rest of the tree stays connected.
+    # One BFS from the lowest vertex outside the groups (leaves, so the rest
+    # of the tree stays connected) places each other vertex after its parent
+    # up[i], its one earlier neighbour in f: a second would close a cycle.
     low = ~grouped & (grouped + 1)
     placed = grouped | low
     order = [low.bit_length() - 1]
+    up = [None]
     for v in order:
         new = f_rows[v] & ~placed
         placed |= new
         order.extend(bits(new))
-    # earlier[i]: neighbours of order[i] that are placed before it
-    earlier = []
-    before = 0
-    for v in order:
-        earlier.append(list(bits(f_rows[v] & before)))
-        before |= 1 << v
+        up.extend([v] * new.bit_count())
 
     image = [0] * n
     g_rows = g.rows
@@ -89,11 +85,8 @@ def count_labeled_embeddings(f: SpanningTree, g: Graph) -> int:
     tail = _sibling_tail(order[last], groups, image, g_rows) if groups else None
 
     def place(i: int, free: int) -> int:
-        # Candidates for order[i]: free vertices adjacent in g to the image of
-        # every earlier-placed neighbour.
-        cand = free
-        for w in earlier[i]:
-            cand &= g_rows[image[w]]
+        # Candidates for order[i]: free vertices adjacent to its parent's image.
+        cand = free & g_rows[image[up[i]]] if i else free
         if i == last:
             return cand.bit_count() if tail is None else tail(free, cand)
         v = order[i]

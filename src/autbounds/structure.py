@@ -160,4 +160,4 @@ def star_free_parameter(g: Graph) -> StarFreeParam:
             best, best_vertex, best_mask = size, v, wmask
     if best == 0:
         return StarFreeParam(2, None, None)
-    return StarFreeParam(max(2, best + 1), best_vertex, tuple(bits(best_mask)))
+    return StarFreeParam(best + 1, best_vertex, tuple(bits(best_mask)))

@@ -6,7 +6,8 @@ failure is reproducible (the corpus-count line, about the whole corpus, is
 the one exception).  All randomness is seeded: repeated runs print the same.
 
 The corpus is the connected graphs with n <= nmax, or an external list that
-``run_suites`` refuses, before any suite runs, if theorem1 cannot take it.
+``run_suites`` refuses, before any suite runs, if theorem1 or the oracle
+cannot take it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from itertools import chain
 from math import factorial
 
 from . import bounds as bounds_mod
-from .automorphisms import aut_order, aut_order_naive
+from .automorphisms import NAIVE_VERTEX_LIMIT, aut_order, aut_order_naive
 from .bounds import ReportOptions, compose_report
-from .corpus import CONNECTED_GRAPH_COUNTS, connected_graphs
+from .corpus import CONNECTED_GRAPH_COUNTS, GENERATION_LIMIT, connected_graphs
 from .embeddings import count_embeddings
 from .graphs import (
     Graph,
@@ -151,13 +152,14 @@ def exactness_suite() -> SuiteResult:
 
 
 def oracle_suite(exhaustive_nmax: int = 6, trials: int = 200,
-                 seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Search-based order equals the naive permutation count, exhaustively on
-    small connected graphs and on seeded random graphs at n = 7 and 8."""
+                 seed: int = DEFAULT_SEED, external: list[Graph] | None = None) -> SuiteResult:
+    """Search-based order equals the naive permutation count on the corpus
+    (the connected graphs with n <= exhaustive_nmax, or the external list)
+    and on ``trials`` seeded random graphs each at n = 7 and 8."""
     res = SuiteResult("oracle-cross-validation", 0)
     rng = random.Random(seed)
     seeded = (random_graph(n, rng) for n in (7, 8) for _ in range(trials))
-    for g in chain(_corpus(exhaustive_nmax), seeded):
+    for g in chain(_corpus(exhaustive_nmax, external), seeded):
         res.checked += 1
         fancy = aut_order(g).order
         naive = aut_order_naive(g)
@@ -237,7 +239,7 @@ SUITES = {
         lambda nmax, trials, seed, external: greedy_sweep(nmax=nmax, external=external)),
     "exactness": (lambda nmax, trials, seed, external: exactness_suite(),),
     "oracle": (lambda nmax, trials, seed, external: oracle_suite(
-        exhaustive_nmax=min(nmax, 6), trials=trials, seed=seed),),
+        exhaustive_nmax=min(nmax, 6), trials=trials, seed=seed, external=external),),
     "theorem1": (lambda nmax, trials, seed, external: theorem1_suite(
         nmax=min(nmax, 6), external=external),),
 }
@@ -245,15 +247,26 @@ SUITES = {
 
 def run_suites(names, nmax: int = 6, trials: int = 50,
                seed: int = DEFAULT_SEED, external: list[Graph] | None = None):
-    """Run the named suites, every check done first; returns a list of SuiteResults."""
+    """Run the named suites, every check done first: unknown names, nmax
+    outside 1..GENERATION_LIMIT (a ValueError, a SizeLimitError above), and
+    an external graph too large for theorem1 or the oracle.  Returns a list
+    of SuiteResults."""
     runs = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         runs.extend(SUITES[name])
-    big = next((g for g in external or () if g.n > ENUM_VERTEX_LIMIT), None)
-    if big is not None and "theorem1" in names:
+    if nmax > GENERATION_LIMIT:
         raise SizeLimitError(
-            f"theorem1 enumerates spanning trees only for n <= {ENUM_VERTEX_LIMIT}; "
-            f"{write_graph6(big)} has n={big.n} (drop theorem1 from --suites)")
+            f"exhaustive suites are capped at nmax <= {GENERATION_LIMIT}, got {nmax}")
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    # theorem1 first: its refusal is the one the default suites give.
+    for name, what, limit in (("theorem1", "enumerates spanning trees", ENUM_VERTEX_LIMIT),
+                              ("oracle", "counts permutations", NAIVE_VERTEX_LIMIT)):
+        big = next((g for g in external or () if g.n > limit), None)
+        if big is not None and name in names:
+            raise SizeLimitError(
+                f"{name} {what} only for n <= {limit}; "
+                f"{write_graph6(big)} has n={big.n} (drop {name} from --suites)")
     return [run(nmax, trials, seed, external) for run in runs]

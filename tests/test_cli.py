@@ -114,6 +114,15 @@ def test_batch_three_records(tmp_path, capsys):
     assert auts == {"Bw": "6", "Cl": "8", "C~": "24"}
 
 
+def test_batch_blank_lines_are_skipped_silently(tmp_path, capsys):
+    p = tmp_path / "batch.g6"
+    p.write_text("Bw\nCl\nC~\n")
+    _, plain, _ = run_cli(["batch", str(p)], capsys)
+    p.write_text("\nBw\n\n  \nCl\n\t\nC~\n\n")
+    code, out, err = run_cli(["batch", str(p)], capsys)
+    assert code == 0 and err == "" and out == plain
+
+
 def test_batch_malformed_line_skipped(tmp_path, capsys):
     p = tmp_path / "batch.g6"
     p.write_text("Bw\nnot-a-graph~~~\nC~\n")
@@ -272,6 +281,17 @@ def test_verify_external_corpus(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[:2] == ["[soundness] PASS: 3 checks, 0 violations",
                                     "  corpus: {4: 2, 5: 1}"]
+
+
+def test_verify_oracle_reads_the_external_corpus(tmp_path, capsys):
+    # K_4 and C_4, no random graphs: the oracle checks the file's two graphs,
+    # not the generated n <= 6 corpus.
+    p = tmp_path / "corpus.g6"
+    p.write_text("C~\nCl\n")
+    code, out, _ = run_cli(["verify", "--suites", "oracle", "--random-trials", "0",
+                            "--corpus", str(p)], capsys)
+    assert code == 0
+    assert out == "[oracle-cross-validation] PASS: 2 checks, 0 violations\n"
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])

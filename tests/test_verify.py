@@ -13,6 +13,7 @@ from autbounds.graphs import (
     SizeLimitError,
     complete_bipartite_graph,
     complete_graph,
+    path_graph,
     write_graph6,
 )
 
@@ -57,6 +58,29 @@ def test_theorem1_size_refusal_comes_before_any_suite(monkeypatch):
     assert [name for name, _ in calls] == ["soundness_sweep", "greedy_sweep"]
 
 
+P9 = [path_graph(9)]
+REFUSALS = {
+    "nmax-0": (["soundness"], {"nmax": 0}, ValueError, "nmax must be at least 1, got 0"),
+    "nmax-9": (["exactness", "soundness"], {"nmax": 9}, SizeLimitError,
+               "exhaustive suites are capped at nmax <= 8, got 9"),
+    "oracle-n9": (["oracle"], {"external": P9}, SizeLimitError,
+                  "oracle counts permutations only for n <= 8; "
+                  "HhCGGC@ has n=9 (drop oracle from --suites)"),
+    "theorem1-first": (["oracle", "theorem1"], {"external": P9}, SizeLimitError,
+                       "theorem1 enumerates spanning trees only for n <= 7; "
+                       "HhCGGC@ has n=9 (drop theorem1 from --suites)"),
+}
+
+
+@pytest.mark.parametrize("names, kwargs, exc_type, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_come_before_any_suite(monkeypatch, names, kwargs, exc_type, message):
+    calls = _record_calls(monkeypatch)
+    with pytest.raises(exc_type) as exc:
+        verify.run_suites(names, **kwargs)
+    assert type(exc.value) is exc_type and str(exc.value) == message
+    assert calls == []
+
+
 def test_each_suite_gets_its_own_arguments(monkeypatch):
     # theorem1 and the exhaustive oracle are capped at n <= 6; soundness and
     # greedy take nmax as given; exactness takes no size at all.
@@ -65,7 +89,7 @@ def test_each_suite_gets_its_own_arguments(monkeypatch):
                                 nmax=7, trials=5, seed=1)
     assert calls == [
         ("exactness_suite", {}),
-        ("oracle_suite", {"exhaustive_nmax": 6, "trials": 5, "seed": 1}),
+        ("oracle_suite", {"exhaustive_nmax": 6, "trials": 5, "seed": 1, "external": None}),
         ("soundness_sweep", {"nmax": 7, "external": None}),
         ("greedy_sweep", {"nmax": 7, "external": None}),
         ("theorem1_suite", {"nmax": 6, "external": None}),
