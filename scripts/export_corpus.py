@@ -7,13 +7,14 @@ Usage:
 import argparse
 from pathlib import Path
 
-from autbounds.corpus import connected_graphs
+from autbounds.corpus import GENERATION_LIMIT, connected_graphs
 from autbounds.graphs import write_graph6
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmax", type=int, default=7)
+    ap.add_argument("--nmax", type=int, default=7,
+                    choices=range(1, GENERATION_LIMIT + 1))
     ap.add_argument("--outdir", type=Path, default=Path("corpus"))
     args = ap.parse_args()
 

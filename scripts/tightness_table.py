@@ -12,12 +12,13 @@ import statistics
 from collections import defaultdict
 
 from autbounds.bounds import COROLLARY_MODES, LOG2_COMPARISON_SLACK, ReportOptions, compose_report
-from autbounds.corpus import connected_graphs
+from autbounds.corpus import GENERATION_LIMIT, connected_graphs
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmax", type=int, default=7)
+    ap.add_argument("--nmax", type=int, default=7,
+                    choices=range(1, GENERATION_LIMIT + 1))
     ap.add_argument("--corollary-mode", choices=(*COROLLARY_MODES, "both"),
                     default="both")
     args = ap.parse_args()
@@ -33,10 +34,9 @@ def main():
         for g in connected_graphs(n):
             rep = compose_report(g, opts)
             total += 1
-            live = {bid: gap for bid, gap in rep.gaps.items()}
-            if live:
-                best_gap = min(live.values())
-                for bid, gap in live.items():
+            if rep.gaps:
+                best_gap = min(rep.gaps.values())
+                for bid, gap in rep.gaps.items():
                     applicable[bid] += 1
                     gaps[bid].append(gap)
                     if abs(gap) < LOG2_COMPARISON_SLACK:

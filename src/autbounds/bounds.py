@@ -1,17 +1,16 @@
 """Evaluation of the upper-bound catalogue and report assembly.
 
-Arithmetic policy: every row whose value is rational in the graph data is
-evaluated exactly over Fractions, its log2 taken at 120 bits and rounded to
-a float once.  A row whose closed form leaves the rationals is log-only: the
-whole log2 expression is evaluated at 120 bits and rounded once, and
-soundness comparisons on it use a documented 1e-9 slack.  That happens for
-eq3 and eq8 when e != n (the edge-excess base 2^(7/8) * 6^(1/24)), for eq4
-when its exponent is not a non-negative integer, for eq5 when n is odd, and
-for eq6 when m - 2 does not divide n.
+Arithmetic policy: eq3-eq6 are products of rational powers, eq3 and eq8
+times a power of the edge-excess base 2^(7/8) * 6^(1/24).  ``_power_product``
+keeps such a row exact over Fractions when every exponent is an integer and
+the excess is 0.  Otherwise the row is log-only: its whole log2 sum is
+evaluated at 120 bits and rounded once, and soundness comparisons on it use
+a documented 1e-9 slack.  Every other row is exact.  An exact row's log2 is
+taken at 120 bits and rounded to a float once.
 
 The precision rule lives in two functions, ``_log2`` (in its memo) and
-``_logonly``.  No other code changes mpmath's precision, and both hold one
-re-entrant lock while they do, because that precision is process-wide.
+``_power_product``.  No other code changes mpmath's precision, and both hold
+one re-entrant lock while they do, because that precision is process-wide.
 ``_log2`` is memoised on the value in a bounded cache, so a repeated
 argument returns the very same mpf.
 
@@ -49,7 +48,7 @@ from .structure import (
 WORKING_PRECISION_BITS = 120
 LOG2_COMPARISON_SLACK = 1e-9
 
-# Held around every precision switch.  Re-entrant: a log-only expression
+# Held around every precision switch.  Re-entrant: a log-only sum
 # calls _log2, which may switch again on a memo miss.
 _PRECISION_LOCK = RLock()
 
@@ -89,23 +88,32 @@ def _exact(bound_id: str, value, context: dict) -> BoundValue:
     return BoundValue(bound_id, True, None, fr, float(_log2(fr)), context)
 
 
-def _logonly(bound_id: str, log2_expr, context: dict) -> BoundValue:
-    """A row with no exact value: the zero-argument ``log2_expr`` is
-    evaluated at WORKING_PRECISION_BITS and rounded to a float once.
-
-    The catalogue takes this route exactly when the closed form leaves the
-    rationals: eq3 and eq8 when e != n; eq4 when its exponent is not a
-    non-negative integer; eq5 when n is odd; eq6 when m - 2 does not
-    divide n."""
+def _power_product(bound_id: str, factors, context: dict, excess: int = 0) -> BoundValue:
+    """prod(base ** exponent) * (2^(7/8) * 6^(1/24)) ** excess over rational
+    (base, exponent) pairs: exact when every exponent is an integer and excess
+    is 0, else log-only, its log2 sum taken at WORKING_PRECISION_BITS and
+    rounded to a float once."""
+    if not excess and all(q.denominator == 1 for _, q in factors):
+        value = 1
+        for b, q in factors:
+            k = q.numerator
+            value = value * b ** k if k >= 0 else Fraction(value, b ** -k)
+        return _exact(bound_id, value, context)
     with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
-        log2v = float(log2_expr())
+        total = 0
+        for b, q in factors:
+            k = q.numerator if q.denominator == 1 else mpmath.mpf(q.numerator) / q.denominator
+            total += k * _log2(b)
+        if excess:
+            total += excess * _edge_excess_log2()
+        log2v = float(total)
     return BoundValue(bound_id, True, None, None, log2v, context)
 
 
 @lru_cache(maxsize=1)
 def _edge_excess_log2() -> mpmath.mpf:
     """log2 of the edge-excess base 2^(7/8) * 6^(1/24), built once.  Called
-    inside a log-only expression, so at the precision ``_logonly`` has set."""
+    inside a log-only sum, so at the precision ``_power_product`` has set."""
     if mpmath.mp.prec != WORKING_PRECISION_BITS:
         raise RuntimeError(f"edge-excess constant built at {mpmath.mp.prec} bits, "
                            f"not {WORKING_PRECISION_BITS}")
@@ -151,30 +159,22 @@ def eval_eq3(g: Graph, p: int) -> BoundValue:
         raise ValueError("path covering number must be at least 1")
     excess = g.e - g.n
     ctx = {"p": p, "edge_excess": excess}
-    rational_part = 2 * p * g.n ** (2 * p)
-    if excess == 0:
-        return _exact("eq3_pathcover", rational_part, ctx)
-    return _logonly("eq3_pathcover",
-                    lambda: _log2(rational_part) + excess * _edge_excess_log2(), ctx)
+    return _power_product("eq3_pathcover", [(2 * p * g.n ** (2 * p), 1)], ctx, excess)
 
 
 def eval_eq4(g: Graph) -> BoundValue:
     """d_avg^n * ((delta-1)!)^((e-n+3-2*delta_min)/((delta_min-1)(delta-2))),
-    gated to min degree >= 2 and max degree >= 3."""
+    gated to min degree >= 2 and max degree >= 3.  The exponent is negative
+    only on K4 (-1/2), so an integer exponent is never negative."""
     delta, dmin = g.delta_max, g.delta_min
     if dmin < 2 or delta < 3:
         return _gated("eq4_degree_exponent",
                       "requires min degree >= 2 and max degree >= 3",
                       {"delta": delta, "delta_min": dmin})
     exponent = Fraction(g.e - g.n + 3 - 2 * dmin, (dmin - 1) * (delta - 2))
-    ctx = {"exponent": exponent}
-    base = factorial(delta - 1)
-    if exponent.denominator == 1 and exponent >= 0:
-        value = g.d_avg ** g.n * base ** int(exponent)
-        return _exact("eq4_degree_exponent", value, ctx)
-    return _logonly("eq4_degree_exponent",
-                    lambda: g.n * _log2(g.d_avg)
-                    + mpmath.mpf(exponent.numerator) / exponent.denominator * _log2(base), ctx)
+    return _power_product("eq4_degree_exponent",
+                          [(g.d_avg, g.n), (factorial(delta - 1), exponent)],
+                          {"exponent": exponent})
 
 
 def eval_eq5(g: Graph, class_asserted: bool) -> BoundValue:
@@ -187,12 +187,9 @@ def eval_eq5(g: Graph, class_asserted: bool) -> BoundValue:
                       "(square of a graph or 3-connected planar)", ctx)
     if g.n < 2:
         return _gated("eq5_special_class", "degenerate on a single vertex", ctx)
-    if g.n % 2 == 0:
-        value = 3 * Fraction(2) ** ((g.n - 2) // 2) * g.d_avg ** g.n / g.delta_max
-        return _exact("eq5_special_class", value, ctx)
-    return _logonly("eq5_special_class",
-                    lambda: _log2(3) + mpmath.mpf(g.n - 2) / 2
-                    + g.n * _log2(g.d_avg) - _log2(g.delta_max), ctx)
+    return _power_product("eq5_special_class",
+                          [(3, 1), (2, Fraction(g.n - 2, 2)), (g.d_avg, g.n),
+                           (g.delta_max, -1)], ctx)
 
 
 def eval_eq6(g: Graph, m: int) -> BoundValue:
@@ -205,15 +202,9 @@ def eval_eq6(g: Graph, m: int) -> BoundValue:
         return _gated("eq6_starfree", "degenerate on a single vertex", ctx)
     exponent = Fraction(g.n, m - 2)
     ctx["exponent"] = exponent
-    if exponent.denominator == 1:
-        value = (factorial(m - 1) * factorial(m - 2) ** int(exponent)
-                 * g.d_avg ** g.n / g.delta_max)
-        return _exact("eq6_starfree", value, ctx)
-    return _logonly("eq6_starfree",
-                    lambda: _log2(factorial(m - 1))
-                    + mpmath.mpf(exponent.numerator) / exponent.denominator
-                    * _log2(factorial(m - 2))
-                    + g.n * _log2(g.d_avg) - _log2(g.delta_max), ctx)
+    return _power_product("eq6_starfree",
+                          [(factorial(m - 1), 1), (factorial(m - 2), exponent),
+                           (g.d_avg, g.n), (g.delta_max, -1)], ctx)
 
 
 def eval_eq7(g: Graph, ham: bool) -> BoundValue:
@@ -233,9 +224,7 @@ def eval_eq8(g: Graph, ham: bool) -> BoundValue:
     ctx = {"hamiltonian_path": ham, "p": 1, "edge_excess": g.e - g.n}
     if not ham:
         return _gated("eq8_hampath_edges", "no Hamiltonian path", ctx)
-    via_p1 = eval_eq3(g, 1)
-    return BoundValue("eq8_hampath_edges", True, None,
-                      via_p1.exact_value, via_p1.log2_value, ctx)
+    return replace(eval_eq3(g, 1), bound_id="eq8_hampath_edges", context=ctx)
 
 
 def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None) -> BoundValue:

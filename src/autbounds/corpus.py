@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _root, _union, is_connected
+from .graphs import Graph, SizeLimitError, _root, _union, is_connected
 from .automorphisms import _first_path, _refine, _search, aut_order
 
 # Non-isomorphic simple graphs / connected graphs on n vertices
@@ -49,9 +49,11 @@ def _least_masks(base: Graph) -> list[int]:
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
-    """All simple graphs on n vertices up to isomorphism, deterministic order."""
+    """All simple graphs on n vertices up to isomorphism, deterministic order.
+    n above GENERATION_LIMIT is a SizeLimitError, like every other size cap."""
     if not 1 <= n <= GENERATION_LIMIT:
-        raise ValueError(f"corpus generation supports 1 <= n <= {GENERATION_LIMIT}")
+        error = SizeLimitError if n > GENERATION_LIMIT else ValueError
+        raise error(f"corpus generation supports 1 <= n <= {GENERATION_LIMIT}")
     if n == 1:
         return (Graph(1, (0,)),)
     full = [(1 << n) - 1]

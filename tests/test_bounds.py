@@ -196,6 +196,41 @@ def test_eq6_fractional_exponent():
     assert bv.log2_value == pytest.approx(float(expected), abs=1e-9)
 
 
+# --- the one exact/log-only rule --------------------------------------------
+
+def test_log2_of_two_is_exactly_one():
+    # eq5's log-only sum multiplies its (n-2)/2 by _log2(2)
+    assert _log2(2) == 1 and _log2(Fraction(2)) == 1
+
+
+def test_power_product_rows_exact_iff_integer_exponents(corpus7):
+    opts = ReportOptions(corollary_mode="both", class5_asserted=True)
+    seen = set()
+    for n, graphs in corpus7.items():
+        for g in graphs:
+            rows = {bv.bound_id: bv for bv in compose_report(g, opts).bounds}
+            expected = {"eq3_pathcover": g.e == n, "eq8_hampath_edges": g.e == n,
+                        "eq5_special_class": n % 2 == 0}
+            eq4 = rows["eq4_degree_exponent"]
+            if eq4.applicable:
+                q = eq4.context["exponent"]
+                k4 = n == 4 and g.e == 6
+                assert q >= 0 or (k4 and q == Fraction(-1, 2)), g
+                expected["eq4_degree_exponent"] = q.denominator == 1
+            eq6 = rows["eq6_starfree"]
+            if eq6.applicable:
+                expected["eq6_starfree"] = n % (eq6.context["m"] - 2) == 0
+            for bid, exact in expected.items():
+                bv = rows[bid]
+                if not bv.applicable:
+                    continue
+                assert (bv.exact_value is not None) == exact, (bid, g)
+                assert bv.log2_value is not None
+                seen.add((bid, exact))
+    # both routes of every row are taken on the corpus
+    assert len(seen) == 10
+
+
 # --- eq7 ------------------------------------------------------------------
 
 def test_eq7_values():

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from autbounds import automorphisms, corpus
-from autbounds.graphs import bits, write_graph6
+from autbounds.graphs import SizeLimitError, bits, write_graph6
 from autbounds.verify import greedy_sweep, soundness_sweep
 
 from helpers import is_automorphism
@@ -74,8 +74,13 @@ def test_bucket_mates_refine_no_equitable_partition_again(monkeypatch):
 
 
 def test_generation_limit_refusal():
-    with pytest.raises(ValueError, match=f"1 <= n <= {corpus.GENERATION_LIMIT}"):
+    text = f"1 <= n <= {corpus.GENERATION_LIMIT}"
+    with pytest.raises(SizeLimitError, match=text):
         corpus.all_graphs(corpus.GENERATION_LIMIT + 1)
+    # below 1 is bad input, not a size cap
+    with pytest.raises(ValueError, match=text) as info:
+        corpus.all_graphs(0)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.slow

@@ -36,6 +36,17 @@ def test_export_corpus_runs(tmp_path):
         f"connected_{n}.g6" for n in range(1, 5)]
 
 
+@pytest.mark.parametrize("nmax", ["0", "9"])
+def test_scripts_refuse_nmax_out_of_range(tmp_path, nmax):
+    # argparse refuses before any graph is generated or file written
+    proc = run_script("tightness_table.py", "--nmax", nmax)
+    assert proc.returncode == 2 and "invalid choice" in proc.stderr
+    assert proc.stdout == ""
+    proc = run_script("export_corpus.py", "--nmax", nmax, "--outdir", str(tmp_path / "out"))
+    assert proc.returncode == 2 and "invalid choice" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_aut_quick(tmp_path):
     # --outdir names a directory that does not exist yet: bench.py makes it
     outdir = tmp_path / "new" / "dir"
