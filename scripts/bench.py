@@ -10,11 +10,13 @@ Layers:
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
-  log2        bounds._log2 over the arguments, in call order, that
+  log2        bounds._power_value over the keys, in call order, that
               compose_report(corollary_mode="both") passes it on the
-              connected n <= 7 corpus; its memo is cleared first, and the
-              memo misses of each repeat are recorded (one per distinct
-              value when integers and equal Fractions share an entry).
+              connected n <= 7 corpus: every number a report carries.
+              _log2 runs only on that memo's misses.  Both memos are
+              cleared before every repeat.  Records, for each memo, the
+              calls of one replay, the distinct keys (integers and equal
+              Fractions are one key) and the misses of each repeat.
   corpus      all_graphs(1..7), the all_graphs, connected_graphs and
               aut_order caches cleared first; also records the candidates
               tried per n (the bucket-key refinements corpus makes, one per
@@ -154,13 +156,14 @@ def spy(module, name):
         setattr(module, name, real)
 
 
-def log2_arguments(quick):
-    """The argument of every _log2 call made by the corpus reports."""
+def power_value_keys(quick):
+    """The (factors, excess) key of every _power_value call made by the
+    corpus reports."""
     opts = ReportOptions(corollary_mode="both")
-    with spy(bounds, "_log2") as calls:
+    with spy(bounds, "_power_value") as calls:
         for g in connected_corpus(quick):
             compose_report(g, opts)
-    return [x for (x,) in calls]
+    return calls
 
 
 def best_of(run, reset):
@@ -237,21 +240,33 @@ def bench_embeddings(quick):
 
 
 def bench_log2(quick):
-    calls = log2_arguments(quick)
-    memo = bounds._log2_memo  # an AttributeError here, not a warm timing, if it goes
-    misses = []
+    keys = power_value_keys(quick)
+    # an AttributeError here, not a warm timing, if a memo goes
+    memos = {"power_value": bounds._power_value, "log2": bounds._log2_memo}
+    misses = {name: [] for name in memos}
+
+    def cold():
+        for memo in memos.values():
+            memo.cache_clear()
 
     def run():
-        out = [float(bounds._log2(x)) for x in calls]
-        misses.append(memo.cache_info().misses)
+        out = [bounds._power_value(*key) for key in keys]
+        for name, memo in memos.items():
+            misses[name].append(memo.cache_info().misses)
         return out
 
-    seconds, values = best_of(run, memo.cache_clear)
+    cold()
+    with spy(bounds, "_log2") as log2_calls:
+        for key in keys:
+            bounds._power_value(*key)
+    log2_args = [x for (x,) in log2_calls]
+    seconds, values = best_of(run, cold)
     return {"log2_best_s": {"corpus": seconds},
-            "calls": len(calls),
-            "distinct": len(set(calls)),
-            "misses": misses,
-            "values_sha256": digest(values)}
+            "power_value": {"calls": len(keys), "distinct": len(set(keys)),
+                            "misses": misses["power_value"]},
+            "log2": {"calls": len(log2_args), "distinct": len(set(log2_args)),
+                     "misses": misses["log2"]},
+            "values_sha256": digest([(exact, log2v.hex()) for exact, log2v in values])}
 
 
 def clear_corpus_caches():

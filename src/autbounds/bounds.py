@@ -1,7 +1,7 @@
 """Evaluation of the upper-bound catalogue and report assembly.
 
 Arithmetic policy: eq3-eq6 are products of rational powers, eq3 and eq8
-times a power of the edge-excess base 2^(7/8) * 6^(1/24).  ``_power_product``
+times a power of the edge-excess base 2^(7/8) * 6^(1/24).  ``_power_value``
 keeps such a row exact over Fractions when every exponent is an integer and
 the excess is 0.  Otherwise the row is log-only: its whole log2 sum is
 evaluated at 120 bits and rounded once, and soundness comparisons on it use
@@ -9,10 +9,15 @@ a documented 1e-9 slack.  Every other row is exact.  An exact row's log2 is
 taken at 120 bits and rounded to a float once.
 
 The precision rule lives in two functions, ``_log2`` (in its memo) and
-``_power_product``.  No other code changes mpmath's precision, and both hold
+``_power_value``.  No other code changes mpmath's precision, and both hold
 one re-entrant lock while they do, because that precision is process-wide.
-``_log2`` is memoised on the value in a bounded cache, so a repeated
-argument returns the very same mpf.
+Both are memoised in bounded caches.  ``_log2`` is keyed on the value, so a
+repeated argument returns the very same mpf.  ``_power_value`` is keyed on
+the (base, exponent) pairs and the edge excess, and gives every number a row
+carries, the aut order's log2 for gaps and soundness included.  Its 4,096
+entries hold every key of the connected corpus reports (corollary "both"):
+710 distinct keys in 12,234 calls for n <= 7, and 2,082 in 150,905 calls
+for the 12,113 graphs with n <= 8.
 
 Inapplicable bounds are gated, never raised: each carries a machine-readable
 reason so a report over an awkward graph still renders every row.
@@ -84,21 +89,31 @@ def _log2_memo(x) -> mpmath.mpf:
 
 
 def _exact(bound_id: str, value, context: dict) -> BoundValue:
-    fr = value if isinstance(value, Fraction) else Fraction(value)
-    return BoundValue(bound_id, True, None, fr, float(_log2(fr)), context)
+    return _power_product(bound_id, ((value, 1),), context)
 
 
-def _power_product(bound_id: str, factors, context: dict, excess: int = 0) -> BoundValue:
-    """prod(base ** exponent) * (2^(7/8) * 6^(1/24)) ** excess over rational
-    (base, exponent) pairs: exact when every exponent is an integer and excess
-    is 0, else log-only, its log2 sum taken at WORKING_PRECISION_BITS and
-    rounded to a float once."""
+def _power_product(bound_id: str, factors: tuple, context: dict, excess: int = 0) -> BoundValue:
+    """The applicable row whose numbers _power_value gives for the pairs."""
+    exact, log2v = _power_value(factors, excess)
+    return BoundValue(bound_id, True, None, exact, log2v, context)
+
+
+@lru_cache(maxsize=4096)
+def _power_value(factors: tuple, excess: int) -> tuple[Fraction | None, float]:
+    """(exact value or None, log2 as a float) of prod(base ** exponent) *
+    (2^(7/8) * 6^(1/24)) ** excess: exact when every exponent is an integer
+    and excess is 0, else log-only, its log2 sum taken at
+    WORKING_PRECISION_BITS and rounded to a float once.
+
+    Memoised on the pairs and the excess, which callers pass positionally.
+    Equal keys share one entry and give equal values: (6, 1) and
+    (Fraction(6), 1) are one key, and both give Fraction(6)."""
     if not excess and all(q.denominator == 1 for _, q in factors):
         value = 1
         for b, q in factors:
             k = q.numerator
             value = value * b ** k if k >= 0 else Fraction(value, b ** -k)
-        return _exact(bound_id, value, context)
+        return Fraction(value), float(_log2(value))
     with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
         total = 0
         for b, q in factors:
@@ -106,14 +121,13 @@ def _power_product(bound_id: str, factors, context: dict, excess: int = 0) -> Bo
             total += k * _log2(b)
         if excess:
             total += excess * _edge_excess_log2()
-        log2v = float(total)
-    return BoundValue(bound_id, True, None, None, log2v, context)
+        return None, float(total)
 
 
 @lru_cache(maxsize=1)
 def _edge_excess_log2() -> mpmath.mpf:
     """log2 of the edge-excess base 2^(7/8) * 6^(1/24), built once.  Called
-    inside a log-only sum, so at the precision ``_power_product`` has set."""
+    inside a log-only sum, so at the precision ``_power_value`` has set."""
     if mpmath.mp.prec != WORKING_PRECISION_BITS:
         raise RuntimeError(f"edge-excess constant built at {mpmath.mp.prec} bits, "
                            f"not {WORKING_PRECISION_BITS}")
@@ -159,7 +173,7 @@ def eval_eq3(g: Graph, p: int) -> BoundValue:
         raise ValueError("path covering number must be at least 1")
     excess = g.e - g.n
     ctx = {"p": p, "edge_excess": excess}
-    return _power_product("eq3_pathcover", [(2 * p * g.n ** (2 * p), 1)], ctx, excess)
+    return _power_product("eq3_pathcover", ((2 * p * g.n ** (2 * p), 1),), ctx, excess)
 
 
 def eval_eq4(g: Graph) -> BoundValue:
@@ -173,7 +187,7 @@ def eval_eq4(g: Graph) -> BoundValue:
                       {"delta": delta, "delta_min": dmin})
     exponent = Fraction(g.e - g.n + 3 - 2 * dmin, (dmin - 1) * (delta - 2))
     return _power_product("eq4_degree_exponent",
-                          [(g.d_avg, g.n), (factorial(delta - 1), exponent)],
+                          ((g.d_avg, g.n), (factorial(delta - 1), exponent)),
                           {"exponent": exponent})
 
 
@@ -188,8 +202,8 @@ def eval_eq5(g: Graph, class_asserted: bool) -> BoundValue:
     if g.n < 2:
         return _gated("eq5_special_class", "degenerate on a single vertex", ctx)
     return _power_product("eq5_special_class",
-                          [(3, 1), (2, Fraction(g.n - 2, 2)), (g.d_avg, g.n),
-                           (g.delta_max, -1)], ctx)
+                          ((3, 1), (2, Fraction(g.n - 2, 2)), (g.d_avg, g.n),
+                           (g.delta_max, -1)), ctx)
 
 
 def eval_eq6(g: Graph, m: int) -> BoundValue:
@@ -203,8 +217,8 @@ def eval_eq6(g: Graph, m: int) -> BoundValue:
     exponent = Fraction(g.n, m - 2)
     ctx["exponent"] = exponent
     return _power_product("eq6_starfree",
-                          [(factorial(m - 1), 1), (factorial(m - 2), exponent),
-                           (g.d_avg, g.n), (g.delta_max, -1)], ctx)
+                          ((factorial(m - 1), 1), (factorial(m - 2), exponent),
+                           (g.d_avg, g.n), (g.delta_max, -1)), ctx)
 
 
 def eval_eq7(g: Graph, ham: bool) -> BoundValue:
@@ -427,7 +441,7 @@ class BoundReport:
         if self.aut_exact is None:
             return []
         bad = []
-        log2_aut = float(_log2(self.aut_exact))
+        log2_aut = _power_value(((self.aut_exact, 1),), 0)[1]
         for bv in self.bounds:
             if not bv.applicable:
                 continue
@@ -456,7 +470,7 @@ def compose_report(g: Graph, options: ReportOptions = ReportOptions()) -> BoundR
 
     gaps: dict[str, float] = {}
     if aut_res is not None:
-        log2_aut = float(_log2(aut_res.order))
+        log2_aut = _power_value(((aut_res.order, 1),), 0)[1]
         for bv in out:
             if bv.applicable:
                 gaps[bv.bound_id] = bv.log2_value - log2_aut

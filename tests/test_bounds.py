@@ -16,6 +16,7 @@ from autbounds.bounds import (
     _edge_excess_log2,
     _log2,
     _log2_memo,
+    _power_value,
     BoundValue,
     ReportOptions,
     compose_report,
@@ -457,6 +458,47 @@ def test_log2_memo_stays_bounded():
     assert _log2_memo.cache_info().currsize == size
 
 
+def test_power_value_equal_keys_share_one_entry():
+    _power_value.cache_clear()
+    first = _power_value(((Fraction(6), 1),), 0)
+    assert _power_value(((6, 1),), 0) == first == (Fraction(6), float(_log2(6)))
+    assert type(first[0]) is Fraction
+    assert _power_value.cache_info().misses == 1
+
+
+def test_power_value_memo_stays_bounded():
+    _power_value.cache_clear()
+    size = _power_value.cache_info().maxsize
+    for k in range(2, size + 102):
+        _power_value(((k, 1),), 0)
+    assert _power_value.cache_info().currsize == size
+
+
+def test_power_value_memo_keeps_every_row(corpus7, monkeypatch):
+    """Rows from a cold memo, from the warm memo and from the unmemoised
+    evaluation agree bit for bit; a key that dropped the edge excess would
+    hand one graph's eq3 value to another with the same n and p."""
+    opts = ReportOptions(corollary_mode="both", class5_asserted=True)
+    graphs = [g for n in range(1, 8) for g in corpus7[n]]
+
+    def rows():
+        out = []
+        for g in graphs:
+            rep = compose_report(g, opts)
+            out.append([(bv.bound_id, bv.exact_value,
+                         None if bv.log2_value is None else bv.log2_value.hex())
+                        for bv in rep.bounds])
+            out.append(sorted((bid, gap.hex()) for bid, gap in rep.gaps.items()))
+        return out
+
+    _power_value.cache_clear()
+    cold = rows()
+    assert _power_value.cache_info().hits > 0
+    warm = rows()
+    monkeypatch.setattr("autbounds.bounds._power_value", _power_value.__wrapped__)
+    assert cold == warm == rows()
+
+
 # With class 5 asserted, the Petersen graph (eq3, eq8), C_5 (eq5), K_4 (eq4)
 # and the star K_1,4 (eq6) between them take every log-only route.
 REPORT_OPTIONS = ReportOptions(corollary_mode="both", class5_asserted=True)
@@ -468,6 +510,7 @@ def test_report_ignores_the_callers_precision():
         expected = compose_report(g, REPORT_OPTIONS).bounds
         for caller_prec in (53, 200):
             _log2_memo.cache_clear()
+            _power_value.cache_clear()
             with mpmath.workprec(caller_prec):
                 assert compose_report(g, REPORT_OPTIONS).bounds == expected
                 assert mpmath.mp.prec == caller_prec
@@ -486,6 +529,9 @@ def test_concurrent_reports_keep_precision():
         for _ in range(30):
             results.append(compose_report(g, REPORT_OPTIONS).bounds)
 
+    # cold memos, so the threads race on the log sums themselves
+    _log2_memo.cache_clear()
+    _power_value.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work) for _ in range(4)]

@@ -89,8 +89,13 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
     assert sorted(record[key]) == groups
     assert all(s >= 0 for s in record[key].values())
     if layer == "log2":
-        # every repeat starts cold and keeps one memo entry per value
-        assert record["misses"] == [record["distinct"]] * 3
+        # every repeat starts with both memos cold and misses once per
+        # distinct key; _log2 runs only on _power_value's misses
+        for name in ("power_value", "log2"):
+            memo = record[name]
+            assert memo["misses"] == [memo["distinct"]] * 3
+        assert record["power_value"]["calls"] > record["power_value"]["distinct"]
+        assert record["log2"]["calls"] < record["power_value"]["calls"]
     if layer in ("trees", "theorem1"):
         # every repeat starts from a cold intern table and new tree objects,
         # so each repeat counts the same hits, misses and codings; a warm
