@@ -18,9 +18,11 @@ Layers:
               calls of one replay, the distinct keys (integers and equal
               Fractions are one key) and the misses of each repeat.
   corpus      all_graphs(1..7), the all_graphs, connected_graphs and
-              aut_order caches cleared first; also records the candidates
-              tried per n (the bucket-key refinements corpus makes, one per
-              candidate).
+              aut_order caches cleared first; also records, per n, the
+              candidates tried (the bucket-key refinements corpus makes, one
+              per candidate), the orbit-least neighbour subsets of the
+              bases, and those of them the degree rule dropped (an orbit
+              minimum that never reached a refinement).
   trees       greedy_spanning_tree from every start vertex of every
               connected graph with n <= 7, and one best_greedy_tree call per
               graph, which answers every start; one best_greedy_tree call
@@ -277,10 +279,18 @@ def clear_corpus_caches():
 def bench_corpus(quick):
     nmax = 5 if quick else 7
     clear_corpus_caches()
-    with spy(corpus, "_refine") as calls:
+    with spy(corpus, "_refine") as calls, spy(corpus, "_least_masks") as bases:
         for n in range(1, nmax + 1):
             corpus.all_graphs(n)
     candidates = Counter(len(rows) for rows, _ in calls)
+    # (base rows, neighbour mask) of each refined candidate
+    tried = {(tuple(r & ~(1 << (len(rows) - 1)) for r in rows[:-1]), rows[-1])
+             for rows, _ in calls}
+    minima, dropped = Counter(), Counter()
+    for (base,) in bases:
+        for mask in corpus._least_masks(base):
+            minima[base.n + 1] += 1
+            dropped[base.n + 1] += (base.rows, mask) not in tried
     seconds, graphs = best_of(
         lambda: [g for n in range(1, nmax + 1) for g in corpus.all_graphs(n)],
         clear_corpus_caches)
@@ -288,6 +298,8 @@ def bench_corpus(quick):
     return {"all_graphs_best_s": {f"n<={nmax}": seconds},
             "candidates": dict(sorted(candidates.items())),
             "candidates_total": sum(candidates.values()),
+            "orbit_minima": dict(sorted(minima.items())),
+            "dropped_by_degree": dict(sorted(dropped.items())),
             "graphs": len(graphs),
             "graph6_sha256": hashlib.sha256(text.encode("ascii")).hexdigest()}
 

@@ -7,6 +7,16 @@ augmentation, McKay, "Isomorph-free exhaustive generation", J. Algorithms
 1998): the orbits are union-find classes over the generators ``aut_order``
 returns, and any other subset of the orbit gives a graph isomorphic to an
 earlier candidate from the same base, so first-seen-wins output is unchanged.
+Of those, only the subsets that give the new vertex maximum degree are tried
+(McKay's first-level invariant, the degree).  This relies on the bases coming
+in nondecreasing edge count, which ``all_graphs(n - 1)``'s sort by
+``(e, rows)`` guarantees.  If X = B + S has a vertex v other than the new one
+of degree greater than |S|, then X - v has fewer edges than B, so it is
+isomorphic to an earlier base, and an orbit-least augmentation of that base
+isomorphic to X comes before X.  So the first candidate of each class, in
+the orbit-pruned order, has a new vertex of maximum degree, and dropping the
+others keeps every kept graph and its order.  Every base keeps its full
+subset, whose size n - 1 exceeds any degree in the base.
 Candidates are bucketed on the edge count and the trace of the
 unit-partition refinement, an isomorphism invariant that already carries the
 degrees and the refined cell sizes.  A kept graph's first path is built once
@@ -61,10 +71,15 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     buckets: dict[tuple, list[tuple]] = {}
     kept: list[tuple] = []
     for base in all_graphs(n - 1):
+        delta = base.delta_max
+        top = sum(1 << v for v, d in enumerate(base.degrees) if d == delta)
         for nbrs in _least_masks(base):
+            k = nbrs.bit_count()
+            if k < delta or k == delta and nbrs & top:
+                continue  # the new vertex would not have maximum degree
             rows = tuple(row | new if (nbrs >> w) & 1 else row
                          for w, row in enumerate(base.rows)) + (nbrs,)
-            e = base.e + nbrs.bit_count()
+            e = base.e + k
             cells, trace = _refine(rows, full)
             bucket = buckets.setdefault((e, trace), [])
             if any(_search(seen, rows, first, 0, cells) is not None

@@ -5,20 +5,25 @@ package's algorithms: orbits, labeled copies and path covers come from
 enumerating all n! permutations, Hamiltonian paths are counted by
 inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
-check is judged pair by pair against the definition of an isomorphism.  One
-oracle is a kept copy rather than a brute force: ``refine_reference`` is the
+check is judged pair by pair against the definition of an isomorphism.  Two
+oracles are kept copies rather than brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter, which the faster
-``automorphisms._refine`` must match split for split.  The graph families
-themselves, and their known automorphism group orders, come from
-``autbounds.graphs``; the helpers here only pick from them.
+``automorphisms._refine`` must match split for split, and
+``all_graphs_reference`` is the corpus generator that tries every orbit-least
+augmentation, which ``corpus.all_graphs`` must match graph for graph.  The
+graph families themselves, and their known automorphism group orders, come
+from ``autbounds.graphs``; the helpers here only pick from them.
 """
 
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import permutations
 
 from hypothesis import strategies as st
 
+from autbounds.automorphisms import _first_path, _refine, _search
+from autbounds.corpus import _least_masks
 from autbounds.graphs import SYMMETRIC_FAMILIES, Graph, bits, connected_gnm, grid_graph
 from autbounds.trees import SpanningTree
 
@@ -67,6 +72,33 @@ def refine_reference(rows, cells, splitters=None):
                     ci += len(ordered) - 1
             ci += 1
     return cells, tuple(trace)
+
+
+@lru_cache(maxsize=None)
+def all_graphs_reference(n):
+    """corpus.all_graphs as it was before the degree rule: every orbit-least
+    augmentation of every base is refined and compared with its
+    bucket-mates.  Same contract, same graphs in the same order."""
+    if n == 1:
+        return (Graph(1, (0,)),)
+    full = [(1 << n) - 1]
+    new = 1 << (n - 1)
+    buckets = {}
+    kept = []
+    for base in all_graphs_reference(n - 1):
+        for nbrs in _least_masks(base):
+            rows = tuple(row | new if (nbrs >> w) & 1 else row
+                         for w, row in enumerate(base.rows)) + (nbrs,)
+            e = base.e + nbrs.bit_count()
+            cells, trace = _refine(rows, full)
+            bucket = buckets.setdefault((e, trace), [])
+            if any(_search(seen, rows, first, 0, cells) is not None
+                   for seen, first in bucket):
+                continue
+            bucket.append((rows, _first_path(rows, cells)))
+            kept.append((e, rows))
+    kept.sort()
+    return tuple(Graph(n, rows) for _, rows in kept)
 
 
 def naive_automorphisms(g: Graph):

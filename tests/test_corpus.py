@@ -1,5 +1,6 @@
-"""Corpus generation: orbit pruning of the augmentation, and the n = 8
-corpus behind the opt-in ``slow`` marker (run with ``pytest -m slow``)."""
+"""Corpus generation: orbit pruning and the degree rule of the augmentation,
+the n = 8 corpus's digest, and its soundness and greedy sweeps behind the
+opt-in ``slow`` marker (run with ``pytest -m slow``)."""
 
 import hashlib
 from itertools import permutations
@@ -10,7 +11,7 @@ from autbounds import automorphisms, corpus
 from autbounds.graphs import SizeLimitError, bits, write_graph6
 from autbounds.verify import greedy_sweep, soundness_sweep
 
-from helpers import is_automorphism
+from helpers import all_graphs_reference, is_automorphism
 
 # One SHA-256 over the graph6 lines of all_graphs(8), in order, recorded
 # with the generator before orbit pruning.
@@ -25,9 +26,16 @@ def subset_orbit_minima(g):
                    for mask in range(1 << g.n)})
 
 
+def gives_new_vertex_maximum_degree(g, mask):
+    """In g plus a vertex joined to mask, no old vertex has more neighbours
+    than the new one."""
+    return all(g.degree(v) + (mask >> v & 1) <= mask.bit_count() for v in range(g.n))
+
+
 def test_tried_masks_are_orbit_minima(monkeypatch):
     # Every candidate is refined exactly once for its bucket key, so the
-    # refinement calls made from corpus are the candidates tried.
+    # refinement calls made from corpus are the candidates tried: the orbit
+    # minima whose new vertex has maximum degree.
     tried = {}
     real = corpus._refine
 
@@ -45,7 +53,15 @@ def test_tried_masks_are_orbit_minima(monkeypatch):
         corpus.all_graphs.cache_clear()
     assert len(bases) == 52 and len(tried) == len(bases)
     for base in bases:
-        assert tried[base.rows] == subset_orbit_minima(base), write_graph6(base)
+        expected = [mask for mask in subset_orbit_minima(base)
+                    if gives_new_vertex_maximum_degree(base, mask)]
+        assert tried[base.rows] == expected, write_graph6(base)
+
+
+def test_degree_rule_loses_no_graph():
+    # the same graphs, in the same order, as trying every orbit minimum
+    for n in range(1, 8):
+        assert corpus.all_graphs(n) == all_graphs_reference(n), n
 
 
 def test_bucket_mates_refine_no_equitable_partition_again(monkeypatch):
@@ -83,7 +99,6 @@ def test_generation_limit_refusal():
     assert type(info.value) is ValueError
 
 
-@pytest.mark.slow
 def test_corpus8_counts_and_digest():
     graphs = corpus.all_graphs(8)
     assert len(graphs) == corpus.ALL_GRAPH_COUNTS[8] == 12346

@@ -146,6 +146,14 @@ def test_bench_corpus_quick(tmp_path):
     assert record["graphs"] == 1 + 2 + 4 + 11 + 34
     assert sorted(record["candidates"]) == ["2", "3", "4", "5"]
     assert record["candidates_total"] == sum(record["candidates"].values())
+    # each orbit minimum is either refined or dropped by the degree rule;
+    # 118 is every orbit minimum of the bases with n <= 4
+    assert sorted(record["orbit_minima"]) == sorted(record["dropped_by_degree"]) == [
+        "2", "3", "4", "5"]
+    for n, total in record["orbit_minima"].items():
+        assert record["candidates"][n] + record["dropped_by_degree"][n] == total
+    assert sum(record["orbit_minima"].values()) == 118
+    assert sum(record["dropped_by_degree"].values()) > 0
     # all_graphs(1..5) as graph6 lines, the same bytes as before orbit pruning
     assert record["graph6_sha256"] == (
         "861f74fe9f54d253816176caca294d5cd13e80ff22665d0174137117b6ceb6c9")
