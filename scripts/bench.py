@@ -15,8 +15,9 @@ Layers:
               connected n <= 7 corpus: every number a report carries.
               _log2 runs only on that memo's misses.  Both memos are
               cleared before every repeat.  Records, for each memo, the
-              calls of one replay, the distinct keys (integers and equal
-              Fractions are one key) and the misses of each repeat.
+              calls of one replay, the distinct keys (an integer and the
+              equal Fraction are one key; _log2's keys are (numerator,
+              denominator) pairs) and the misses of each repeat.
   corpus      all_graphs(1..7), the all_graphs, connected_graphs and
               aut_order caches cleared first; also records, per n, the
               candidates tried (the bucket-key refinements corpus makes, one
@@ -244,7 +245,7 @@ def bench_embeddings(quick):
 def bench_log2(quick):
     keys = power_value_keys(quick)
     # an AttributeError here, not a warm timing, if a memo goes
-    memos = {"power_value": bounds._power_value, "log2": bounds._log2_memo}
+    memos = {"power_value": bounds._power_value, "log2": bounds._log2}
     misses = {name: [] for name in memos}
 
     def cold():
@@ -261,12 +262,11 @@ def bench_log2(quick):
     with spy(bounds, "_log2") as log2_calls:
         for key in keys:
             bounds._power_value(*key)
-    log2_args = [x for (x,) in log2_calls]
     seconds, values = best_of(run, cold)
     return {"log2_best_s": {"corpus": seconds},
             "power_value": {"calls": len(keys), "distinct": len(set(keys)),
                             "misses": misses["power_value"]},
-            "log2": {"calls": len(log2_args), "distinct": len(set(log2_args)),
+            "log2": {"calls": len(log2_calls), "distinct": len(set(log2_calls)),
                      "misses": misses["log2"]},
             "values_sha256": digest([(exact, log2v.hex()) for exact, log2v in values])}
 

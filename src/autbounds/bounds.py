@@ -8,11 +8,14 @@ evaluated at 120 bits and rounded once, and soundness comparisons on it use
 a documented 1e-9 slack.  Every other row is exact.  An exact row's log2 is
 taken at 120 bits and rounded to a float once.
 
-The precision rule lives in two functions, ``_log2`` (in its memo) and
-``_power_value``.  No other code changes mpmath's precision, and both hold
-one re-entrant lock while they do, because that precision is process-wide.
-Both are memoised in bounded caches.  ``_log2`` is keyed on the value, so a
-repeated argument returns the very same mpf.  ``_power_value`` is keyed on
+The precision rule lives in two functions, ``_log2`` and ``_power_value``,
+the only code that touches mpmath.  Both hold one re-entrant lock while they
+switch its precision, because that precision is process-wide.  Both are
+memoised in bounded caches.  ``_log2`` is keyed on a value's numerator and
+denominator, so an int and the equal Fraction are one entry and a repeated
+value returns the very same mpf.  The edge-excess term, excess * (7/8 +
+log2(6)/24), is summed in place at the end of a log-only sum, so no constant
+is cached apart from the precision it needs.  ``_power_value`` is keyed on
 the (base, exponent) pairs and the edge excess, and gives every number a row
 carries, the aut order's log2 for gaps and soundness included.  Its 4,096
 entries hold every key of the connected corpus reports (corollary "both"):
@@ -70,26 +73,15 @@ class BoundValue:
     context: dict = field(default_factory=dict)
 
 
-def _log2(x) -> mpmath.mpf:
-    """log2 of an int or Fraction at WORKING_PRECISION_BITS, whatever
-    precision the caller has set, memoised on the value.
-
-    An integer value is passed to the memo as an int: a one-argument
-    lru_cache keys a bare int apart from a Fraction, so 6 and Fraction(6)
-    would otherwise be two entries."""
-    return _log2_memo(x.numerator if x.denominator == 1 else x)
-
-
 @lru_cache(maxsize=1024)
-def _log2_memo(x) -> mpmath.mpf:
+def _log2(numerator: int, denominator: int) -> mpmath.mpf:
+    """log2 of numerator/denominator at WORKING_PRECISION_BITS, whatever
+    precision the caller has set.  Callers pass b.numerator, b.denominator,
+    so an int and the equal Fraction are one key."""
     with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
-        if isinstance(x, Fraction):
-            return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(mpmath.mpf(x.denominator), 2)
-        return mpmath.log(mpmath.mpf(x), 2)
-
-
-def _exact(bound_id: str, value, context: dict) -> BoundValue:
-    return _power_product(bound_id, ((value, 1),), context)
+        if denominator == 1:
+            return mpmath.log(mpmath.mpf(numerator), 2)
+        return mpmath.log(mpmath.mpf(numerator), 2) - mpmath.log(mpmath.mpf(denominator), 2)
 
 
 def _power_product(bound_id: str, factors: tuple, context: dict, excess: int = 0) -> BoundValue:
@@ -113,25 +105,15 @@ def _power_value(factors: tuple, excess: int) -> tuple[Fraction | None, float]:
         for b, q in factors:
             k = q.numerator
             value = value * b ** k if k >= 0 else Fraction(value, b ** -k)
-        return Fraction(value), float(_log2(value))
+        return Fraction(value), float(_log2(value.numerator, value.denominator))
     with _PRECISION_LOCK, mpmath.workprec(WORKING_PRECISION_BITS):
         total = 0
         for b, q in factors:
             k = q.numerator if q.denominator == 1 else mpmath.mpf(q.numerator) / q.denominator
-            total += k * _log2(b)
+            total += k * _log2(b.numerator, b.denominator)
         if excess:
-            total += excess * _edge_excess_log2()
+            total += excess * (mpmath.mpf(7) / 8 + _log2(6, 1) / 24)
         return None, float(total)
-
-
-@lru_cache(maxsize=1)
-def _edge_excess_log2() -> mpmath.mpf:
-    """log2 of the edge-excess base 2^(7/8) * 6^(1/24), built once.  Called
-    inside a log-only sum, so at the precision ``_power_value`` has set."""
-    if mpmath.mp.prec != WORKING_PRECISION_BITS:
-        raise RuntimeError(f"edge-excess constant built at {mpmath.mp.prec} bits, "
-                           f"not {WORKING_PRECISION_BITS}")
-    return mpmath.mpf(7) / 8 + _log2(6) / 24
 
 
 def _gated(bound_id: str, reason: str, context: dict | None = None) -> BoundValue:
@@ -148,7 +130,8 @@ def eval_eq1(g: Graph) -> BoundValue:
     n, delta = g.n, g.delta_max
     exponent = n - delta - 1
     ctx = {"delta": delta, "exponent": exponent}
-    return _exact("eq1_nashwilliams", n * factorial(delta) * (delta - 1) ** exponent, ctx)
+    value = n * factorial(delta) * (delta - 1) ** exponent
+    return _power_product("eq1_nashwilliams", ((value, 1),), ctx)
 
 
 def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
@@ -164,7 +147,7 @@ def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
         return _gated("eq2_tree_product",
                       "tree-degree estimate degenerates below n = 3", ctx)
     value = Fraction(tree_aut_upper(t), g.delta_max) * g.d_avg ** g.n
-    return _exact("eq2_tree_product", value, ctx)
+    return _power_product("eq2_tree_product", ((value, 1),), ctx)
 
 
 def eval_eq3(g: Graph, p: int) -> BoundValue:
@@ -229,7 +212,7 @@ def eval_eq7(g: Graph, ham: bool) -> BoundValue:
     if g.n < 2:
         return _gated("eq7_hamiltonian", "degenerate on a single vertex", ctx)
     value = g.n * Fraction(g.e, g.n - 1) ** (g.n - 1)
-    return _exact("eq7_hamiltonian", value, ctx)
+    return _power_product("eq7_hamiltonian", ((value, 1),), ctx)
 
 
 def eval_eq8(g: Graph, ham: bool) -> BoundValue:
@@ -255,7 +238,7 @@ def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None) -> BoundValue:
     ctx = {"v0": v0, "n1": factor, "sequence": gt.sequence,
            "step_sizes": gt.step_sizes()}
     bound_id = "thm3_orbit" if n1 is not None else "thm3_plain"
-    return _exact(bound_id, value, ctx)
+    return _power_product(bound_id, ((value, 1),), ctx)
 
 
 # The corollary's alpha as printed, and as corrected; a report may ask for both.
@@ -276,7 +259,7 @@ def eval_corollary(g: Graph, mode: str = "corrected") -> BoundValue:
     r = (n - delta - 1) // (delta - 1)
     alpha = n - r * (delta - 1) if mode == "verbatim" else n - delta - 1 - r * (delta - 1)
     value = n * factorial(alpha) * factorial(delta) * factorial(delta - 1) ** r
-    return _exact("corollary", value, {"mode": mode, "r": r, "alpha": alpha})
+    return _power_product("corollary", ((value, 1),), {"mode": mode, "r": r, "alpha": alpha})
 
 
 def eval_thm1_tree(g: Graph, t: SpanningTree) -> BoundValue:
@@ -289,10 +272,10 @@ def eval_thm1_tree(g: Graph, t: SpanningTree) -> BoundValue:
     if g.n <= EMBED_VERTEX_LIMIT:
         ctx["route"] = "exact_embeddings"
         value = count_labeled_embeddings(t, g)
-        return _exact("thm1_tree", value, ctx)
+        return _power_product("thm1_tree", ((value, 1),), ctx)
     ctx["route"] = "fs_fa_product"
     value = embedding_upper_fs(g) * tree_aut_upper(t)
-    return _exact("thm1_tree", value, ctx)
+    return _power_product("thm1_tree", ((value, 1),), ctx)
 
 
 # ---------------------------------------------------------------------------

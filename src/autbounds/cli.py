@@ -2,7 +2,9 @@
 and run the verification suites.
 
 Exit codes: 0 ok, 1 verification violation, 2 input error, 3 size refusal,
-4 internal error (any other exception raised inside a command, i.e. a bug).
+4 internal error (any other exception raised inside a command, i.e. a bug),
+141 the reader closed stdout (128 + SIGPIPE, as a shell reports it; nothing
+is printed).
 Commands raise on failure and return only 0 or 1; ``main`` alone turns an
 exception into an exit code and one stderr line.
 Exact values serialise as decimal strings ("24", "64/27") so downstream
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -40,6 +43,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 # Short aliases accepted by --bounds alongside the full identifiers.
 BOUND_ALIASES = {alias: bid for bid, (alias, _) in REGISTRY.items() if alias}
@@ -151,11 +155,7 @@ def _read_input(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _exact_str(fr: Fraction | None) -> str | None:
-    if fr is None:
-        return None
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    return None if fr is None else str(fr)
 
 
 def _context_json(ctx: dict):
@@ -320,6 +320,16 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size refusal: {exc}", file=sys.stderr)
         return EXIT_SIZE
+    except BrokenPipeError:
+        # The reader went away; the input was fine.  Point fd 1 at devnull so
+        # the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        os.close(devnull)
+        return EXIT_PIPE
     except (GraphParseError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,9 +13,7 @@ from autbounds.bounds import (
     BOUND_IDS,
     LOG2_COMPARISON_SLACK,
     WORKING_PRECISION_BITS,
-    _edge_excess_log2,
     _log2,
-    _log2_memo,
     _power_value,
     BoundValue,
     ReportOptions,
@@ -104,17 +102,20 @@ def test_eq3_claw():
     assert bv.log2_value == pytest.approx(10 - EDGE_BASE_LOG2, abs=1e-9)
 
 
-def test_edge_excess_constant_refuses_a_foreign_precision():
-    # eq3 builds the constant once, so it must be built at the working
-    # precision: at any other it raises (also under -O) and caches nothing.
-    _edge_excess_log2.cache_clear()
-    for prec in (53, 200):
-        with mpmath.workprec(prec), pytest.raises(RuntimeError, match=f"at {prec} bits"):
-            _edge_excess_log2()
-    assert _edge_excess_log2.cache_info().currsize == 0
-    eval_eq3(complete_graph(4), 1)  # builds it inside the log-only expression
+@pytest.mark.parametrize("n, excess", [(4, 2), (8, 20)], ids=["K4", "K8"])
+def test_edge_excess_term_is_summed_at_working_precision(n, excess):
+    # eq3 at p = 1 on K_n is log2(2n^2) + excess * (7/8 + log2(6)/24), summed
+    # at 120 bits and rounded once.  On K8 an edge-excess term taken at 53
+    # bits moves the float; on K4 its error stays below the float's ulp.
     with mpmath.workprec(WORKING_PRECISION_BITS):
-        assert _edge_excess_log2() == mpmath.mpf(7) / 8 + mpmath.log(6, 2) / 24
+        edge = mpmath.mpf(7) / 8 + mpmath.log(mpmath.mpf(6), 2) / 24
+        expected = float(mpmath.log(mpmath.mpf(2 * n * n), 2) + excess * edge)
+    for caller_prec in (53, WORKING_PRECISION_BITS, 200):
+        _power_value.cache_clear()
+        with mpmath.workprec(caller_prec):
+            bv = eval_eq3(complete_graph(n), 1)
+        assert bv.context["edge_excess"] == excess and bv.exact_value is None
+        assert bv.log2_value.hex() == expected.hex()
 
 
 def test_eq8_examples():
@@ -200,8 +201,8 @@ def test_eq6_fractional_exponent():
 # --- the one exact/log-only rule --------------------------------------------
 
 def test_log2_of_two_is_exactly_one():
-    # eq5's log-only sum multiplies its (n-2)/2 by _log2(2)
-    assert _log2(2) == 1 and _log2(Fraction(2)) == 1
+    # eq5's log-only sum multiplies its (n-2)/2 by _log2(2, 1)
+    assert _log2(2, 1) == 1
 
 
 def test_power_product_rows_exact_iff_integer_exponents(corpus7):
@@ -432,11 +433,12 @@ def test_log2_matches_exact_value():
 
 
 def test_log2_memo_equal_keys_give_equal_values():
-    _log2_memo.cache_clear()
-    first = _log2(Fraction(6))
+    _log2.cache_clear()
+    six = Fraction(6)
+    first = _log2(six.numerator, six.denominator)
     with mpmath.workprec(WORKING_PRECISION_BITS):
-        assert _log2(6) == first == mpmath.log(mpmath.mpf(6), 2)
-    assert _log2_memo.cache_info().misses == 1
+        assert _log2(6, 1) == first == mpmath.log(mpmath.mpf(6), 2)
+    assert _log2.cache_info().misses == 1
 
 
 def test_log2_ignores_the_callers_precision():
@@ -444,24 +446,24 @@ def test_log2_ignores_the_callers_precision():
     with mpmath.workprec(WORKING_PRECISION_BITS):
         expected = mpmath.log(mpmath.mpf(10), 2) - mpmath.log(mpmath.mpf(3), 2)
     for prec in (53, 200):
-        _log2_memo.cache_clear()
+        _log2.cache_clear()
         with mpmath.workprec(prec):
-            assert _log2(x) == expected
+            assert _log2(x.numerator, x.denominator) == expected
             assert mpmath.mp.prec == prec
 
 
 def test_log2_memo_stays_bounded():
-    _log2_memo.cache_clear()
-    size = _log2_memo.cache_info().maxsize
+    _log2.cache_clear()
+    size = _log2.cache_info().maxsize
     for k in range(2, size + 102):
-        _log2(k)
-    assert _log2_memo.cache_info().currsize == size
+        _log2(k, 1)
+    assert _log2.cache_info().currsize == size
 
 
 def test_power_value_equal_keys_share_one_entry():
     _power_value.cache_clear()
     first = _power_value(((Fraction(6), 1),), 0)
-    assert _power_value(((6, 1),), 0) == first == (Fraction(6), float(_log2(6)))
+    assert _power_value(((6, 1),), 0) == first == (Fraction(6), float(_log2(6, 1)))
     assert type(first[0]) is Fraction
     assert _power_value.cache_info().misses == 1
 
@@ -509,7 +511,7 @@ def test_report_ignores_the_callers_precision():
     for g in (petersen_graph(), cycle_graph(5), complete_graph(4), star_graph(4)):
         expected = compose_report(g, REPORT_OPTIONS).bounds
         for caller_prec in (53, 200):
-            _log2_memo.cache_clear()
+            _log2.cache_clear()
             _power_value.cache_clear()
             with mpmath.workprec(caller_prec):
                 assert compose_report(g, REPORT_OPTIONS).bounds == expected
@@ -530,7 +532,7 @@ def test_concurrent_reports_keep_precision():
             results.append(compose_report(g, REPORT_OPTIONS).bounds)
 
     # cold memos, so the threads race on the log sums themselves
-    _log2_memo.cache_clear()
+    _log2.cache_clear()
     _power_value.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
@@ -562,7 +564,7 @@ def test_report_sound_on_random_graphs(g):
 def test_soundness_violations_slack(exact, below, flagged):
     # K_4 has aut 24: an exact row compares exactly, a log-only row gets the slack.
     rep = compose_report(complete_graph(4), ReportOptions(bounds=("eq1_nashwilliams",)))
-    log2_value = float(_log2(exact if exact is not None else 24)) - below
+    log2_value = float(_log2(exact.numerator if exact is not None else 24, 1)) - below
     row = BoundValue("eq1_nashwilliams", True, None, exact, log2_value)
     assert replace(rep, bounds=[row]).soundness_violations() == (
         ["eq1_nashwilliams"] if flagged else [])

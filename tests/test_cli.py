@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from autbounds.cli import build_parser, main
+from autbounds.cli import COMMANDS, EXIT_PIPE, build_parser, main
+from autbounds.graphs import write_graph6
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -454,3 +461,30 @@ def test_verify_prints_ten_counterexamples_then_a_count(capsys, monkeypatch):
         *(f"  counterexample: A_: violation {i}" for i in range(10)),
         "  ... and 2 more",
     ]
+
+
+def test_batch_into_a_closed_pipe_exits_141(tmp_path, corpus6):
+    # The n <= 6 corpus gives about 120 KB of CSV, more than a pipe buffer
+    # holds, so a write fails inside the command once the reader is gone,
+    # as in `autbounds batch corpus6.g6 | head -1`.
+    path = tmp_path / "corpus6.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for graphs in corpus6.values()
+                            for g in graphs))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "autbounds.cli", "batch", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"graph6,n,e,aut,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_PIPE == 141
+    assert err == b""
+
+
+def test_closed_pipe_on_a_stdout_without_a_descriptor(capsys, monkeypatch):
+    # capsys's stdout has no fileno(); main still exits 141 without a word.
+    def cut_short(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setitem(COMMANDS, "analyze", cut_short)
+    assert run_cli(["analyze"], capsys) == (EXIT_PIPE, "", "")

@@ -70,3 +70,35 @@ def test_scripts_do_not_reach_into_tests(path):
     for call in path_edits:
         strings = {n.value for n in ast.walk(call) if isinstance(n, ast.Constant)}
         assert "tests" not in strings, f"{path.name}:{call.lineno} puts tests/ on sys.path"
+
+
+NUMERIC_NAMES = {"mpmath", "WORKING_PRECISION_BITS"}
+NUMERIC_CORE = {"_log2", "_power_value"}
+
+
+def test_mpmath_stays_in_the_numeric_core():
+    # A stdlib log2 (decimal in place of mpmath) must stay a swap of two
+    # functions: bounds alone imports mpmath, as a plain module, and in bounds
+    # the library and its precision appear only in the constant and those two.
+    imports = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and "mpmath" in ast.unparse(node)]
+        if found:
+            imports[path.name] = found
+    assert imports == {"bounds.py": ["import mpmath"]}
+
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    core = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert NUMERIC_CORE <= core  # a renamed core function would check nothing
+    stray = []
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name in NUMERIC_CORE
+                or isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["WORKING_PRECISION_BITS"]):
+            continue
+        stray += [n.lineno for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and n.id in NUMERIC_NAMES]
+    assert stray == [], f"bounds.py: mpmath or its precision used at lines {sorted(stray)}"
