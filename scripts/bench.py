@@ -54,6 +54,16 @@ Layers:
               each spanning-tree class of every connected graph with n <= 6
               (the trees theorem1_suite counts), and on K8 and the empty
               graph on 8 vertices, whose groups are S_8 and prune nothing.
+  starfree    structure.star_free_parameter on every connected graph with
+              n <= 7, on five seeded connected G(n, m) for each n = 9..20
+              and m in n, 2n, 3n, and on K1,19, K2,18 and K20; also records
+              the m_min values of each group as counts.
+  serialise   parse_graph6 and write_graph6 on the graph6 lines of every
+              graph with n <= 7, 100 seeded connected G(8, m) for each m in
+              8, 14, 20, and the SYMMETRIC_FAMILIES rows with n <= 64, and
+              cli.report_to_dict plus json.dumps on their
+              compose_report(corollary_mode="both") reports, which are built
+              outside the timing.
 
 Each group is timed best-of-3.  The record is written to BENCH_<label>.json
 with the Python version, os.cpu_count(), the git sha of the checkout that
@@ -64,8 +74,9 @@ of all_graphs(1..7) in order, and the trees layer hashes its records in the
 format of tests/test_golden.py's tree_layer_lines; both are digests that
 file pins.  The trees layer also hashes the best greedy tree and product
 from vertex 0 of each 24-vertex host under its own key.  The pathcover layer
-hashes the p values of every group, and the naive layer the orders of every
-group.
+hashes the p values of every group, the naive layer the orders of every
+group, and the starfree layer the m_min and witness of every graph.  The
+serialise layer hashes the graph6 lines and the JSON lines of its inputs.
 
 Usage:
     python scripts/bench.py --layer aut --label change [--outdir .] [--quick]
@@ -90,6 +101,7 @@ import autbounds
 from autbounds import automorphisms, bounds, corpus
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import ReportOptions, compose_report
+from autbounds.cli import report_to_dict
 from autbounds.corpus import connected_graphs
 from autbounds.embeddings import count_labeled_embeddings
 from autbounds.graphs import (
@@ -103,7 +115,7 @@ from autbounds.graphs import (
     random_graph,
     write_graph6,
 )
-from autbounds.structure import path_cover_number
+from autbounds.structure import path_cover_number, star_free_parameter
 from autbounds.trees import (
     all_spanning_trees,
     best_greedy_tree,
@@ -417,9 +429,66 @@ def bench_naive(quick):
             "orders_sha256": digest(orders)}
 
 
+def starfree_groups(quick):
+    """{group name: graphs} for the starfree layer."""
+    rng = random.Random(DEFAULT_SEED)
+    ns = range(9, 12 if quick else 21)
+    groups = {f"n<={5 if quick else 7}": connected_corpus(quick)}
+    for m, k in (("n", 1), ("2n", 2), ("3n", 3)):
+        groups[f"G(n,{m})"] = [connected_gnm(n, k * n, rng) for n in ns
+                               for _ in range(1 if quick else 5)]
+    groups["K1,19"] = [complete_bipartite_graph(1, 19)]
+    groups["K2,18"] = [complete_bipartite_graph(2, 18)]
+    groups["K20"] = [complete_graph(20)]
+    return groups
+
+
+def bench_starfree(quick):
+    seconds, params = {}, {}
+    for name, graphs in starfree_groups(quick).items():
+        seconds[name], params[name] = best_of(
+            lambda: [star_free_parameter(g) for g in graphs], lambda: None)
+    return {"star_free_parameter_best_s": seconds,
+            "m_min_counts": {name: dict(sorted(Counter(r.m_min for r in rs).items()))
+                             for name, rs in params.items()},
+            "witness_sha256": digest({name: [(r.m_min, r.witness_vertex, r.witness_set)
+                                             for r in rs] for name, rs in params.items()})}
+
+
+def serialise_graphs(quick):
+    """The serialise layer's inputs, in order."""
+    rng = random.Random(DEFAULT_SEED)
+    graphs = [g for n in range(1, 6 if quick else 8) for g in corpus.all_graphs(n)]
+    graphs += [connected_gnm(8, m, rng) for m in (8, 14, 20) for _ in range(5 if quick else 100)]
+    rows = [SYMMETRIC_FAMILIES[name][0]() for name in families(True)] if quick else [
+        build() for build, _ in SYMMETRIC_FAMILIES.values()]
+    return graphs + [g for g in rows if g.n <= 64]
+
+
+def bench_serialise(quick):
+    graphs = serialise_graphs(quick)
+    lines = [write_graph6(g) for g in graphs]
+    opts = ReportOptions(corollary_mode="both")
+    reports = [compose_report(g, opts) for g in graphs]
+    seconds = {}
+    seconds["parse_graph6"], parsed = best_of(
+        lambda: [parse_graph6(s) for s in lines], lambda: None)
+    seconds["write_graph6"], written = best_of(
+        lambda: [write_graph6(g) for g in graphs], lambda: None)
+    seconds["report_json"], texts = best_of(
+        lambda: [json.dumps(report_to_dict(r)) for r in reports], lambda: None)
+    if parsed != graphs or written != lines:
+        raise SystemExit("graph6 lines do not round-trip")
+    return {"serialise_best_s": seconds,
+            "graphs": len(graphs),
+            "graph6_sha256": hashlib.sha256("".join(s + "\n" for s in lines).encode()).hexdigest(),
+            "json_sha256": hashlib.sha256("".join(t + "\n" for t in texts).encode()).hexdigest()}
+
+
 LAYERS = {"aut": bench_aut, "embeddings": bench_embeddings, "log2": bench_log2,
           "corpus": bench_corpus, "trees": bench_trees, "theorem1": bench_theorem1,
-          "pathcover": bench_pathcover, "naive": bench_naive}
+          "pathcover": bench_pathcover, "naive": bench_naive, "starfree": bench_starfree,
+          "serialise": bench_serialise}
 
 
 def git_sha():
@@ -447,7 +516,10 @@ def main():
                          "theorem1 at n <= 4, or path covers of the n <= 5 corpus, "
                          "analyze-hard seed 0, G(14, 15..18) and K3,5, or the naive "
                          "oracle on the n <= 5 corpus and its tree classes, "
-                         "5 G(7, 1/2) and K6")
+                         "5 G(7, 1/2) and K6, or star-free parameters of the n <= 5 "
+                         "corpus, one G(n, m) per n = 9..11 and m, K1,19, K2,18 and "
+                         "K20, or the codecs and JSON reports of all graphs with "
+                         "n <= 5, 5 G(8, m) per m, K8 and Q3")
     args = ap.parse_args()
     Path(args.outdir).mkdir(parents=True, exist_ok=True)
 

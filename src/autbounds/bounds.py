@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 from threading import RLock
 
 import mpmath
 
-from .graphs import Graph, is_connected, write_graph6
+from .graphs import Graph, _lazy, is_connected, write_graph6
 from .automorphisms import AutResult, aut_order
 from .trees import (
     GreedyTree,
@@ -302,7 +302,7 @@ class _Inputs:
             raise _Gate("graph is disconnected")
         return self.g
 
-    @cached_property
+    @_lazy
     def greedy(self) -> GreedyTree:
         return greedy_spanning_tree(self.host, 0)
 
@@ -311,15 +311,15 @@ class _Inputs:
             raise _Gate(f"exact structural analysis capped at n <= {STRUCTURE_VERTEX_LIMIT}")
         return self.g
 
-    @cached_property
+    @_lazy
     def p(self) -> int:
         return path_cover_number(self._structural()).p
 
-    @cached_property
+    @_lazy
     def m(self) -> int:
         return max(3, star_free_parameter(self._structural()).m_min)
 
-    @cached_property
+    @_lazy
     def thm3_trees(self) -> tuple[GreedyTree, ...]:
         """The greedy tree from 0, or with exhaustive_start the best greedy
         tree from every start vertex."""

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="assert the graph is a square of a graph or 3-connected planar")
         p.add_argument("--corollary-mode", choices=(*COROLLARY_MODES, "both"),
                        default="corrected")
-        p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
+        p.add_argument("--oracle-limit", type=_int_at_least(1), default=DEFAULT_ORACLE_LIMIT,
                        help="refuse the exact oracle above this many vertices "
                             f"(default {DEFAULT_ORACLE_LIMIT})")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -48,6 +47,26 @@ def _bit_table() -> tuple[tuple[int, ...], ...]:
 
 
 _BITS = _bit_table()  # every row and cell of a graph on n <= 8 vertices
+
+
+class _lazy:
+    """cached_property without a lock: the first access stores the value in
+    the instance __dict__, where later accesses find it.  Before Python 3.12
+    functools' version holds one lock per attribute, across all instances,
+    while it computes.  Two threads racing on one object may both compute it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def bits(mask: int):
@@ -104,11 +123,11 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    @cached_property
+    @_lazy
     def e(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    @cached_property
+    @_lazy
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 
@@ -120,7 +139,7 @@ class Graph:
     def delta_min(self) -> int:
         return min(self.degrees)
 
-    @cached_property
+    @_lazy
     def d_avg(self) -> Fraction:
         """Average degree 2e/n as an exact rational."""
         return Fraction(2 * self.e, self.n)
@@ -188,11 +207,14 @@ def _union(parent: list[int], a: int, b: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec.  Format: printable bytes offset by 63; the vertex count first
-# (one byte for n <= 62, '~' + 3 bytes for n <= 258047, '~~' + 6 bytes above),
-# then the upper adjacency triangle column by column, packed 6 bits per byte,
-# zero-padded to a byte boundary.
+# graph6 codec.  Format: printable bytes offset by 63; the vertex count in the
+# first form below that holds it, each (largest n, leading '~' bytes, 6-bit
+# digits), then the upper adjacency triangle column by column, packed 6 bits
+# per byte, zero-padded to a byte boundary.
 # ---------------------------------------------------------------------------
+
+_GRAPH6_COUNT_FORMS = ((62, 0, 1), (258047, 1, 3), (2 ** 36 - 1, 2, 6))
+
 
 def _check_cap(n: int):
     if n > VERTEX_CAP:
@@ -220,23 +242,15 @@ def parse_graph6(text: str) -> Graph:
             raise GraphParseError(f"invalid graph6 byte {b!r}", offset=base + i)
         return b - 63
 
-    pos = 0
-    if val(0) == 63:  # '~': multi-byte vertex count
-        if len(data) >= 2 and val(1) == 63:
-            if len(data) < 8:
-                raise GraphParseError("truncated 8-byte vertex count", offset=base + len(data))
-            n = 0
-            for i in range(2, 8):
-                n = n << 6 | val(i)
-            pos = 8
-        else:
-            if len(data) < 4:
-                raise GraphParseError("truncated 4-byte vertex count", offset=base + len(data))
-            n = val(1) << 12 | val(2) << 6 | val(3)
-            pos = 4
-    else:
-        n = val(0)
-        pos = 1
+    tildes = 0
+    while tildes < 2 and tildes < len(data) and val(tildes) == 63:
+        tildes += 1
+    pos = tildes + _GRAPH6_COUNT_FORMS[tildes][2]
+    if len(data) < pos:
+        raise GraphParseError(f"truncated {pos}-byte vertex count", offset=base + len(data))
+    n = 0
+    for i in range(tildes, pos):
+        n = n << 6 | val(i)
     if n < 1:
         raise GraphParseError("graph6 vertex count must be at least 1", offset=base)
     _check_cap(n)
@@ -248,36 +262,28 @@ def parse_graph6(text: str) -> Graph:
     if len(data) - pos > nbytes:
         raise GraphParseError("trailing garbage after adjacency bits", offset=base + pos + nbytes)
 
+    x = 0
+    for i in range(pos, pos + nbytes):
+        x = x << 6 | val(i)
+    top = 6 * nbytes
+    if x & ((1 << (top - nbits)) - 1):  # the padding, all in the last byte
+        raise GraphParseError("nonzero padding bits", offset=base + pos + nbytes - 1)
     rows = [0] * n
-    bit_idx = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for k in range(nbytes):
-        chunk = val(pos + k)
-        for shift in range(5, -1, -1):
-            bit = (chunk >> shift) & 1
-            if bit_idx < nbits:
-                if bit:
-                    i, j = pairs[bit_idx]
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise GraphParseError("nonzero padding bits", offset=base + pos + k)
-            bit_idx += 1
+    for j in range(1, n):
+        top -= j
+        for b in bits(x >> top & ((1 << j) - 1)):  # column j's bit b is row j - 1 - b
+            rows[j - 1 - b] |= 1 << j
+            rows[j] |= 1 << (j - 1 - b)
     return Graph(n, tuple(rows))
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a plain graph6 line (no header)."""
     n = g.n
-    out = []
-    if n <= 62:
-        out.append(n + 63)
-    elif n <= 258047:
-        out.append(126)
-        out.extend(((n >> shift) & 63) + 63 for shift in (12, 6, 0))
-    else:
-        out.extend((126, 126))
-        out.extend(((n >> shift) & 63) + 63 for shift in range(30, -1, -6))
+    for largest, tildes, digits in _GRAPH6_COUNT_FORMS:
+        if n <= largest:
+            break
+    out = [126] * tildes + [(n >> shift & 63) + 63 for shift in range(6 * digits - 6, -1, -6)]
     chunk = 0
     filled = 0
     for j in range(1, n):

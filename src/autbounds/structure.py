@@ -141,6 +141,8 @@ def _max_independent_set(rows, mask: int) -> tuple[int, int]:
         return 0, 0
     v = (mask & -mask).bit_length() - 1
     s_out, w_out = _max_independent_set(rows, mask ^ (1 << v))
+    if not rows[v] & mask:  # no neighbour left: taking v always wins
+        return s_out + 1, w_out | 1 << v
     s_in, w_in = _max_independent_set(rows, mask & ~rows[v] & ~(1 << v))
     s_in += 1
     w_in |= 1 << v

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .graphs import Graph, SizeLimitError, bits, is_connected, rows_connected
+from .graphs import Graph, SizeLimitError, _lazy, bits, is_connected, rows_connected
 
 ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts
 
@@ -53,12 +53,12 @@ class SpanningTree(Graph):
     def spans(self, g: Graph) -> bool:
         return self.n == g.n and all(not r & ~h for r, h in zip(self.rows, g.rows))
 
-    @cached_property
+    @_lazy
     def certificate_aut(self) -> tuple[tuple, int]:
         """(tree_certificate, tree_aut_exact), coded once per tree."""
         return _centroid_code(self.rows)
 
-    @cached_property
+    @_lazy
     def aut_ceiling(self) -> int:
         """tree_aut_upper: max degree times the product of (degree - 1)!."""
         return self.delta_max * prod(factorial(d - 1) for d in self.degrees)

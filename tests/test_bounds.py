@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from autbounds import bounds
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import (
     BOUND_IDS,
@@ -547,6 +548,36 @@ def test_concurrent_reports_keep_precision():
     finally:
         sys.setswitchinterval(interval)
         mpmath.mp.prec = prec
+
+
+def test_concurrent_reports_do_not_wait_on_each_others_prerequisites(monkeypatch):
+    """While one report's path cover is still running, a report on another
+    graph in a second thread completes: no lock shared between reports is
+    held while a prerequisite is computed."""
+    slow, entered, release = petersen_graph(), threading.Event(), threading.Event()
+    real = bounds.path_cover_number
+
+    def blocking(g):
+        if g == slow:
+            entered.set()
+            release.wait(60)
+        return real(g)
+
+    monkeypatch.setattr(bounds, "path_cover_number", blocking)
+    first = threading.Thread(target=compose_report, args=(slow, REPORT_OPTIONS), daemon=True)
+    first.start()
+    try:
+        assert entered.wait(30)
+        done = []
+        second = threading.Thread(
+            target=lambda: done.append(compose_report(complete_graph(5), REPORT_OPTIONS)),
+            daemon=True)
+        second.start()
+        second.join(timeout=5)
+        assert first.is_alive() and len(done) == 1
+    finally:
+        release.set()
+        first.join(timeout=60)
 
 
 @given(connected_graphs_st(max_n=7))

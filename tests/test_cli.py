@@ -259,6 +259,16 @@ def test_verify_negative_trials_exit_2(capsys):
     assert "PASS" not in out and "argument --random-trials: must be at least 0, got -5" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "batch"])
+def test_oracle_limit_below_one_exit_2(command, capsys):
+    # a limit of 0 would refuse every graph with exit 3; argparse refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--oracle-limit", "0", "-"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "argument --oracle-limit: must be at least 1, got 0" in err
+
+
 def test_bound_aliases_come_from_the_registry():
     from autbounds.cli import BOUND_ALIASES
     assert sorted(BOUND_ALIASES) == sorted(

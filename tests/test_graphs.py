@@ -1,10 +1,13 @@
 import random
+import sys
+import threading
 import warnings
 
 import pytest
 from hypothesis import given
 
 from autbounds.graphs import (
+    SYMMETRIC_FAMILIES,
     Graph,
     GraphParseError,
     SizeLimitError,
@@ -82,6 +85,11 @@ def test_graph6_nonzero_padding():
     # K_2 uses one data byte with 5 padding bits; force one of them on.
     with pytest.raises(GraphParseError, match="padding"):
         parse_graph6("A" + chr(63 + 0b100001))
+    # C_5's ten bits take two bytes; the offset is the last byte's, header counted
+    for text, offset in (("D?@", 2), (">>graph6<<D?@", 12)):
+        with pytest.raises(GraphParseError, match="padding") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
 
 
 def test_graph6_cap():
@@ -252,6 +260,20 @@ def test_roundtrip_against_networkx(g):
     assert {frozenset(e) for e in G.edges()} == {frozenset(e) for e in g.edges()}
 
 
+@pytest.mark.parametrize("name", SYMMETRIC_FAMILIES)
+def test_write_graph6_against_networkx_families(name):
+    # Q8, T20 and Kneser(10,4) have more than 62 vertices: the 4-byte count
+    nx = pytest.importorskip("networkx")
+    g = SYMMETRIC_FAMILIES[name][0]()
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    s = write_graph6(g)
+    assert s + "\n" == nx.to_graph6_bytes(G, header=False).decode("ascii")
+    if g.n <= 64:
+        assert parse_graph6(s) == g
+
+
 def test_graph_validation():
     with pytest.raises(ValueError, match="loop"):
         Graph(2, (1, 2))
@@ -263,6 +285,33 @@ def test_graph_validation():
         Graph(2, (0,))
     with pytest.raises(ValueError, match=r"^row 0 mentions vertices >= n$"):
         Graph(2, (0b100, 0))
+
+
+def test_lazy_facts_under_racing_threads():
+    """Threads that switch every microsecond and race on the first read of
+    the same graphs' facts all see what one thread computes alone, and the
+    graphs keep those values."""
+    def fresh():
+        return [cycle_graph(n) for n in range(3, 40)] + [petersen_graph(), star_graph(9)]
+
+    def facts(gs):
+        return [(g.e, g.degrees, g.d_avg) for g in gs]
+
+    expected, shared, seen = facts(fresh()), fresh(), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: seen.append(facts(shared)))
+                   for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [expected] * 6 and facts(shared) == expected
+    assert all({"e", "degrees", "d_avg"} <= vars(g).keys() for g in shared)
 
 
 def test_complement_and_relabel():

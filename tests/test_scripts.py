@@ -79,6 +79,9 @@ def test_bench_aut_quick(tmp_path):
     ("pathcover", "path_cover_number_best_s",
      ["G(14,15..18)", "K3,5", "analyze-hard", "n<=5"]),
     ("naive", "aut_order_naive_best_s", ["G(7,1/2)", "K6", "n<=5", "tree classes n<=5"]),
+    ("starfree", "star_free_parameter_best_s",
+     ["G(n,2n)", "G(n,3n)", "G(n,n)", "K1,19", "K2,18", "K20", "n<=5"]),
+    ("serialise", "serialise_best_s", ["parse_graph6", "report_json", "write_graph6"]),
 ])
 def test_bench_layers_quick(tmp_path, layer, key, groups):
     proc = run_script("bench.py", "--layer", layer, "--quick", "--label", "smoke",
@@ -135,6 +138,21 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
         # the orders of every group, the same as the n! walk computed
         assert record["orders_sha256"] == (
             "e25b58530d9664ba84547f853815b323006743534507ff150f29df1971f6715e")
+    if layer == "starfree":
+        # 31 connected graphs with n <= 5; K_{p,q} with p < q has m_min q + 1
+        assert sum(record["m_min_counts"]["n<=5"].values()) == 31
+        assert record["m_min_counts"]["K1,19"] == {"20": 1}
+        assert record["m_min_counts"]["K2,18"] == {"19": 1}
+        assert record["m_min_counts"]["K20"] == {"2": 1}
+        assert record["witness_sha256"] == (
+            "e22fe2979f8a47f1a4ac1df9115036328dbd6f6ded7353104c3600b32bed2702")
+    if layer == "serialise":
+        # all graphs with n <= 5, 3 x 5 G(8, m), K8 and Q3
+        assert record["graphs"] == 1 + 2 + 4 + 11 + 34 + 15 + 2
+        assert record["graph6_sha256"] == (
+            "7ebc6e76b0a774f8dd9466f34166c10bf56d35170e00433040eb328548b92dd0")
+        assert record["json_sha256"] == (
+            "d9c81c7bb4f9e7bad9fcbda97101cbaf880c73add0d126d4a4e90ec0f07a6faf")
 
 
 def test_bench_corpus_quick(tmp_path):

@@ -30,6 +30,19 @@ def test_no_next_on_bits(path):
     assert lines == [], f"{path.name}: next(bits(...)) at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cached_property(path):
+    # functools.cached_property before Python 3.12 holds one lock per class
+    # attribute, shared by every instance, while it computes: one report's
+    # prerequisite would stall every other thread's.  graphs._lazy takes none.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "cached_property"
+             or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+             or isinstance(node, ast.alias) and node.name == "cached_property"]
+    assert lines == [], f"{path.name}: cached_property at lines {lines}"
+
+
 def test_naive_oracle_is_independent_of_the_search():
     # aut_order_naive cross-checks aut_order and, through count_embeddings,
     # count_labeled_embeddings; sharing the search would make both circular.

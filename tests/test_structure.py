@@ -97,6 +97,24 @@ def test_star_free_witness_fields():
     assert lonely.m_min == 2 and lonely.witness_vertex is None
 
 
+def test_star_free_takes_a_vertex_with_no_neighbour_left(monkeypatch):
+    # a vertex with no neighbour left in the mask is taken without branching:
+    # one call per vertex of each neighbourhood plus one for the empty mask,
+    # where branching on it makes 2^12 calls on the centre's 12 leaves
+    g = star_graph(12)
+    calls = []
+    real = structure._max_independent_set
+
+    def spied(rows, mask):
+        calls.append(mask)
+        return real(rows, mask)
+
+    monkeypatch.setattr(structure, "_max_independent_set", spied)
+    res = star_free_parameter(g)
+    assert res.m_min == 13 and res.witness_set == tuple(range(1, 13))
+    assert len(calls) <= sum(d + 1 for d in g.degrees)
+
+
 def brute_has_induced_star(g, m):
     """Does some vertex have m pairwise non-adjacent neighbours?"""
     from itertools import combinations
