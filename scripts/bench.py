@@ -6,7 +6,8 @@ Layers:
               checked; the cache is cleared before every call.  Also
               records the _search, the _refine and the _is_mapping (leaf
               check) calls of one cold call per family, recursive ones
-              included.
+              included, and one digest of every family's order, orbits and
+              generators.
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
@@ -230,18 +231,20 @@ def spied_calls(g, name):
 
 
 def bench_aut(quick):
-    seconds, searches, refines, leaves = {}, {}, {}, {}
+    seconds, searches, refines, leaves, results = {}, {}, {}, {}, {}
     for name in families(quick):
         build, order = SYMMETRIC_FAMILIES[name]
         g = build()
         seconds[name], res = best_of(lambda: aut_order(g), aut_order.cache_clear)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
+        results[name] = (res.order, res.orbits, res.generators)
         searches[name] = spied_calls(g, "_search")
         refines[name] = spied_calls(g, "_refine")
         leaves[name] = spied_calls(g, "_is_mapping")
     return {"aut_order_best_s": seconds, "search_calls": searches,
-            "refine_calls": refines, "is_mapping_calls": leaves}
+            "refine_calls": refines, "is_mapping_calls": leaves,
+            "generators_sha256": digest(results)}
 
 
 def bench_embeddings(quick):

@@ -14,6 +14,19 @@ product over levels of the number of vertices the level's base point can be
 sent to by an automorphism fixing the earlier base points (the chain of point
 stabilisers), so it is exact without enumerating group elements: 64! is fine.
 
+An automorphism search (both sides the same graph) first tries, at each
+level, the aligned bijection: each cell of the first path's partition sent
+onto the same-index cell of side b's, in increasing order.  If that is an
+automorphism it is returned at once, and it is exactly the leaf the descent
+would reach: refinement depends on the partition and not on vertex names,
+so the bijection maps the first path below this level onto a path with the
+same traces, and since it increases on every cell, and later cells are
+subsets of these, it sends each later base point to the lowest vertex of
+its image cell, the child the descent tries first.  Otherwise the search
+branches.  Between two different graphs the two labellings are unrelated
+and the aligned bijection rarely maps, so there it would only add a failed
+check per level.
+
 Levels are processed deepest first, with one union-find over the generators
 found so far (orbit pruning, as in nauty: McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 2014).  Those generators fix every earlier
@@ -182,19 +195,34 @@ def _first_path(rows, cells):
     return levels, cells
 
 
+def _aligned(n, cells_a, cells_b):
+    """The bijection of range(n) that sends each cell of cells_a onto the
+    same-index cell of cells_b, in increasing order."""
+    perm = [0] * n
+    for ca, cb in zip(cells_a, cells_b):
+        if ca & (ca - 1):
+            for u, v in zip(bits(ca), bits(cb)):
+                perm[u] = v
+        else:  # a singleton, every cell of a leaf: no bit walk, 3x faster at n = 8
+            perm[ca.bit_length() - 1] = cb.bit_length() - 1
+    return tuple(perm)
+
+
 def _search(rows_a, rows_b, first, level, cells_b):
     """Find a bijection of rows_a onto rows_b, or None, that maps the first
     path of rows_a from ``level`` down onto a path below cells_b, an
     equitable partition of rows_b that matches that level cell for cell.
-    rows_a may equal rows_b."""
+    rows_a may be rows_b: then the aligned bijection is tried before any
+    branching, and it is what the descent would return if it maps."""
     levels, leaf = first
     if level == len(levels):
-        perm = [0] * len(rows_a)
-        for ca, cb in zip(leaf, cells_b):
-            perm[ca.bit_length() - 1] = cb.bit_length() - 1
-        perm = tuple(perm)
+        perm = _aligned(len(rows_a), leaf, cells_b)
         return perm if _is_mapping(rows_a, rows_b, perm) else None
-    _, ti, _, trace = levels[level]
+    cells_a, ti, _, trace = levels[level]
+    if rows_a is rows_b:
+        perm = _aligned(len(rows_a), cells_a, cells_b)
+        if _is_mapping(rows_a, rows_b, perm):
+            return perm
     for y in bits(cells_b[ti]):
         child, tr = _refine(rows_b, _individualized(cells_b, ti, y), (1 << y,))
         if tr == trace:

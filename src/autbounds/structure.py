@@ -2,11 +2,12 @@
 vertex-disjoint path cover (a Hamiltonian path exists iff it is 1), and the
 smallest m for which the graph contains no induced star with m leaves.
 
-The path cover looks for a certificate first: a depth-first search for a
-Hamiltonian path, capped at a fixed number of search nodes.  A path it finds
-proves p = 1.  Otherwise one Held-Karp-style DP over vertex subsets, O(2^n * n)
-steps and two tables of 2^n entries, gives the exact p.  Exact and
-exponential, hence the hard cap.
+The path cover of a forest comes from a linear leaf-up rule.  Any other graph
+gets a certificate search first: a depth-first search for a Hamiltonian path,
+capped at a fixed number of search nodes.  A path it finds proves p = 1.
+Otherwise one Held-Karp-style DP over vertex subsets, O(2^n * n) steps and two
+tables of 2^n entries, gives the exact p.  Exact and exponential, hence the
+hard cap.
 """
 
 from __future__ import annotations
@@ -86,23 +87,83 @@ def _hamiltonian_path(g: Graph, budget: int) -> tuple[tuple[int, ...] | None, in
     return (tuple(path) if found else None), spent
 
 
+def _forest_path_cover(g: Graph) -> PathCoverResult | None:
+    """The exact path cover of a forest, or None if g has a cycle.
+
+    Each component is walked breadth first from its lowest vertex, and the
+    vertices are taken back to front, children before their parent.  A
+    vertex links to its parent while both have fewer than two links, so
+    each vertex joins at most two child paths that still end at it, which
+    links as many edges as any path cover can (Goodman & Hedetniemi 1974,
+    Hamiltonian completion of trees).  The links are the paths, so
+    p = n - links.
+    """
+    n, rows = g.n, g.rows
+    if g.e >= n:  # a forest has n - components edges
+        return None
+    parent = [-1] * n
+    order, seen, i = [], 0, 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        order.append(root)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for w in bits(rows[v] & ~seen):
+                seen |= 1 << w
+                parent[w] = v
+                order.append(w)
+    if g.e != n - parent.count(-1):
+        return None
+    links = [0] * n
+    for v in reversed(order):
+        u = parent[v]
+        if u >= 0 and links[v].bit_count() < 2 and links[u].bit_count() < 2:
+            links[v] |= 1 << u
+            links[u] |= 1 << v
+    paths, done = [], 0
+    for v in range(n):
+        if done >> v & 1 or links[v].bit_count() == 2:
+            continue
+        path = [v]
+        done |= 1 << v
+        while nxt := links[path[-1]] & ~done:
+            path.append(nxt.bit_length() - 1)
+            done |= nxt
+        paths.append(tuple(path))
+    return PathCoverResult(len(paths), tuple(paths))
+
+
 def path_cover_number(g: Graph) -> PathCoverResult:
     """Exact minimum vertex-disjoint path cover with a verifying witness.
 
-    A Hamiltonian path found by ``_hamiltonian_path`` within
-    ``_SEARCH_NODES_PER_N2 * n^2`` search nodes is the witness of p = 1.
-    Otherwise one pass over vertex subsets in increasing order keeps
-    cover[mask], the fewest paths covering mask, and ends[mask], every vertex
-    that ends a path in some cover of that size.  Dropping the end v of a
-    path leaves mask ^ v covered by as many paths if v had a neighbour in
-    ends[mask ^ v], and by one fewer otherwise.  Larger covers never need
-    keeping: a minimum cover plus one fresh path does at least as well.  The
-    witness is read back from the same two tables.
+    A forest's cover comes from ``_forest_path_cover``.  A Hamiltonian path
+    found by ``_hamiltonian_path`` within ``_SEARCH_NODES_PER_N2 * n^2``
+    search nodes is the witness of p = 1.  Otherwise ``_path_cover_dp``
+    gives p.
     """
     _check_size(g)
+    forest = _forest_path_cover(g)
+    if forest is not None:
+        return forest
     path, _ = _hamiltonian_path(g, _SEARCH_NODES_PER_N2 * g.n * g.n)
     if path is not None:
         return PathCoverResult(1, (path,))
+    return _path_cover_dp(g)
+
+
+def _path_cover_dp(g: Graph) -> PathCoverResult:
+    """Exact minimum path cover of any graph by one pass over vertex subsets
+    in increasing order.  It keeps cover[mask], the fewest paths covering
+    mask, and ends[mask], every vertex that ends a path in some cover of that
+    size.  Dropping the end v of a path leaves mask ^ v covered by as many
+    paths if v had a neighbour in ends[mask ^ v], and by one fewer otherwise.
+    Larger covers never need keeping: a minimum cover plus one fresh path
+    does at least as well.  The witness is read back from the same two
+    tables.
+    """
     n, rows = g.n, g.rows
     full = (1 << n) - 1
     nbrs = {1 << v: rows[v] for v in range(n)}  # keyed by bit: no index lookups

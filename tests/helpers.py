@@ -8,7 +8,9 @@ random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
 check is judged pair by pair against the definition of an isomorphism.  Two
 oracles are kept copies rather than brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter, which the faster
-``automorphisms._refine`` must match split for split, and
+``automorphisms._refine`` must match split for split, ``search_reference`` is
+the search that descends to a leaf for every bijection it finds, which
+``automorphisms._search`` must match result for result, and
 ``all_graphs_reference`` is the corpus generator that tries every orbit-least
 augmentation, which ``corpus.all_graphs`` must match graph for graph.  The
 graph families themselves, and their known automorphism group orders, come
@@ -22,7 +24,7 @@ from itertools import permutations
 
 from hypothesis import strategies as st
 
-from autbounds.automorphisms import _first_path, _refine, _search
+from autbounds.automorphisms import _first_path, _individualized, _is_mapping, _refine, _search
 from autbounds.corpus import _least_masks
 from autbounds.graphs import SYMMETRIC_FAMILIES, Graph, bits, connected_gnm, grid_graph
 from autbounds.trees import SpanningTree
@@ -72,6 +74,27 @@ def refine_reference(rows, cells, splitters=None):
                     ci += len(ordered) - 1
             ci += 1
     return cells, tuple(trace)
+
+
+def search_reference(rows_a, rows_b, first, level, cells_b):
+    """automorphisms._search as it was before it tried the cell-aligned
+    bijection: every level branches on its target cell and only a discrete
+    leaf is checked.  Same contract, same bijection or None."""
+    levels, leaf = first
+    if level == len(levels):
+        perm = [0] * len(rows_a)
+        for ca, cb in zip(leaf, cells_b):
+            perm[ca.bit_length() - 1] = cb.bit_length() - 1
+        perm = tuple(perm)
+        return perm if _is_mapping(rows_a, rows_b, perm) else None
+    _, ti, _, trace = levels[level]
+    for y in bits(cells_b[ti]):
+        child, tr = _refine(rows_b, _individualized(cells_b, ti, y), (1 << y,))
+        if tr == trace:
+            found = search_reference(rows_a, rows_b, first, level + 1, child)
+            if found is not None:
+                return found
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ from autbounds.graphs import (
     bits,
     complete_bipartite_graph,
     complete_graph,
+    connected_gnm,
     cycle_graph,
     hypercube,
     paley_graph,
@@ -43,6 +44,7 @@ from helpers import (
     naive_orbits,
     permutations_of,
     refine_reference,
+    search_reference,
 )
 
 
@@ -337,6 +339,32 @@ def test_aut_order_refines_each_input_once(name, monkeypatch):
     finally:
         aut_order.cache_clear()
     assert len(calls) == len(set(calls)) > 1
+
+
+# In an automorphism search, _search first tries the bijection that aligns the
+# first path's cells with side b's; search_reference always descends to a
+# leaf.  aut_order must return the same AutResult with either.
+
+def aligned_search_graphs():
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += aut_families().values()
+    graphs += [SYMMETRIC_FAMILIES[name][0]() for name in ("K64", "Q8", "T20")]
+    rng = random.Random(33)
+    graphs += [connected_gnm(n, m, rng) for n in range(9, 41) for m in (n + n // 2, 2 * n, 3 * n)]
+    return graphs
+
+
+def test_aligned_search_matches_reference(monkeypatch):
+    graphs = aligned_search_graphs()
+    aut_order.cache_clear()
+    try:
+        found = [aut_order(g) for g in graphs]
+        monkeypatch.setattr(automorphisms, "_search", search_reference)
+        aut_order.cache_clear()
+        for g, res in zip(graphs, found):
+            assert aut_order(g) == res, g
+    finally:
+        aut_order.cache_clear()
 
 
 # _refine visits only the cells a splitter meets; refine_reference scans every

@@ -57,15 +57,19 @@ def test_bench_aut_quick(tmp_path):
     assert record["label"] == "smoke" and record["cpu_count"] == os.cpu_count()
     assert sorted(record["aut_order_best_s"]) == ["K8", "Q3"]
     assert all(s >= 0 for s in record["aut_order_best_s"].values())
-    # one top-level _search finds each kept generator: n - 1 of them for K8
-    assert sorted(record["search_calls"]) == ["K8", "Q3"]
-    assert record["search_calls"]["K8"] >= 7 and record["search_calls"]["Q3"] >= 3
-    # K8: the unit partition, 7 first-path levels, and the search from level
-    # L refines one child at each of levels L..6: 7 + 6 + ... + 1 = 28
+    # one top-level _search finds each kept generator, n - 1 of them for K8,
+    # and returns the aligned bijection at once: it never branches
+    assert record["search_calls"] == {"K8": 7, "Q3": 3}
+    # K8: the unit partition, 7 first-path levels, and one child per level,
+    # refined by aut_order before its search: 1 + 7 + 7
     assert sorted(record["refine_calls"]) == ["K8", "Q3"]
-    assert record["refine_calls"]["K8"] == 1 + 7 + 28
-    # one leaf check per kept generator (K8: 7, Q3: 3); none fails on them
+    assert record["refine_calls"]["K8"] == 1 + 7 + 7
+    # one mapping check per kept generator (K8: 7, Q3: 3); none fails on them
     assert record["is_mapping_calls"] == {"K8": 7, "Q3": 3}
+    # (order, orbits, generators) of K8 and Q3: the digest the descent-only
+    # search, helpers.search_reference, gives
+    assert record["generators_sha256"] == (
+        "bbb0d8a97ecf7f539ab991edf65154857684491549f79a23614914790a44a655")
 
 
 @pytest.mark.parametrize("layer, key, groups", [

@@ -14,8 +14,14 @@ from autbounds.graphs import (
     path_graph,
     star_graph,
 )
-from autbounds.corpus import all_graphs
-from autbounds.structure import _hamiltonian_path, path_cover_number, star_free_parameter
+from autbounds.corpus import all_graphs, connected_graphs
+from autbounds.structure import (
+    _forest_path_cover,
+    _hamiltonian_path,
+    _path_cover_dp,
+    path_cover_number,
+    star_free_parameter,
+)
 
 from helpers import (
     brute_path_cover,
@@ -173,18 +179,53 @@ def test_p1_verdict_matches_karp_count():
     assert True in verdicts and False in verdicts
 
 
-def test_dp_alone_matches_search_first(corpus7, monkeypatch):
-    """With no search budget the DP alone gives the same p, with a valid
-    witness, on every connected graph with n <= 7 and the golden path-cover
-    graphs, and the known p of a single vertex, K1,3 and K2,4."""
+def test_dp_alone_matches_search_first(corpus7):
+    """The DP alone gives the same p, with a valid witness, as the forest
+    rule and the search do on every connected graph with n <= 7 and the
+    golden path-cover graphs, and the known p of a single vertex, K1,3 and
+    K2,4."""
     cases = [g for n in range(1, 8) for g in corpus7[n]] + path_cover_graphs()
     cases = [(g, path_cover_number(g).p) for g in cases]
     cases += [(Graph(1, (0,)), 1), (star_graph(3), 2), (complete_bipartite_graph(2, 4), 2)]
-    monkeypatch.setattr(structure, "_SEARCH_NODES_PER_N2", 0)
     for g, p in cases:
-        res = path_cover_number(g)
+        res = _path_cover_dp(g)
         assert res.p == p, g
         check_witness(g, res)
+
+
+def forests():
+    """The trees of the n <= 8 corpus, 234 seeded random trees with
+    2 <= n <= 14 and 120 seeded forests with n <= 12: each vertex is joined
+    to a uniformly chosen earlier one, in a forest with probability 0.7."""
+    rng = random.Random(11)
+    cases = [g for n in range(1, 9) for g in connected_graphs(n) if g.e == n - 1]
+    cases += [Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+              for n in range(2, 15) for _ in range(18)]
+    cases += [Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)
+                                   if rng.random() < 0.7])
+              for n in range(1, 13) for _ in range(10)]
+    return cases
+
+
+def test_forest_rule_matches_dp():
+    """On a forest the leaf-up rule gives the DP's p, with a valid witness,
+    and no search runs; on K1,19 (the DP takes seconds there) the centre
+    joins two of the 19 leaves, p = 18."""
+    for g in forests():
+        res = _forest_path_cover(g)
+        assert res == path_cover_number(g)
+        assert res.p == _path_cover_dp(g).p, g
+        check_witness(g, res)
+    res = path_cover_number(star_graph(19))
+    assert res.p == 18
+    check_witness(star_graph(19), res)
+
+
+def test_forest_rule_refuses_cycles():
+    assert _forest_path_cover(cycle_graph(5)) is None
+    # five edges on six vertices: a triangle beside a path on three
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    assert _forest_path_cover(g) is None
 
 
 def test_k8_10_spends_the_whole_search_budget():
