@@ -3,11 +3,13 @@
 Layers:
   aut         aut_order on large symmetric graph families from
               autbounds.graphs.SYMMETRIC_FAMILIES, the known group order
-              checked; the cache is cleared before every call.  Also
-              records the _search, the _refine and the _is_mapping (leaf
-              check) calls of one cold call per family, recursive ones
-              included, and one digest of every family's order, orbits and
-              generators.
+              checked; the cache is cleared before every call.  Each
+              family's call is repeated until at least 3 calls and 0.2 s
+              have been timed, at most 1,000 calls, and the count is
+              recorded.  Also records the _search, the _refine and the
+              _is_mapping (bijection check) calls of one cold call per
+              family, recursive ones included, and one digest of every
+              family's order, orbits and generators.
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
@@ -66,7 +68,8 @@ Layers:
               compose_report(corollary_mode="both") reports, which are built
               outside the timing.
 
-Each group is timed best-of-3.  The record is written to BENCH_<label>.json
+Each group is timed best-of-3, except the aut layer's families (above).
+The record is written to BENCH_<label>.json
 with the Python version, os.cpu_count(), the git sha of the checkout that
 holds the imported autbounds, and the seconds per group.  The embeddings and
 log2 layers also record a SHA-256 over their results, so two checkouts can be
@@ -128,6 +131,10 @@ from autbounds.trees import (
 from autbounds.verify import DEFAULT_SEED, theorem1_suite
 
 REPEATS = 3
+# The aut layer repeats each family's cold call until AUT_MIN_SECONDS have
+# been timed, so a millisecond family is the best of a hundred calls, not three.
+AUT_MIN_SECONDS = 0.2
+MAX_REPEATS = 1000
 
 
 def families(quick):
@@ -182,15 +189,23 @@ def power_value_keys(quick):
     return calls
 
 
-def best_of(run, reset):
-    """(best seconds, result) of REPEATS calls of run(), reset() before each."""
-    best = float("inf")
-    for _ in range(REPEATS):
+def repeated(run, reset, min_seconds):
+    """(best seconds, result, calls) of run(), reset() before each call:
+    at least REPEATS calls, and more until min_seconds have been timed in
+    all, but at most MAX_REPEATS."""
+    best, spent, calls = float("inf"), 0.0, 0
+    while calls < REPEATS or spent < min_seconds and calls < MAX_REPEATS:
         reset()
         t0 = time.perf_counter()
         result = run()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        took = time.perf_counter() - t0
+        best, spent, calls = min(best, took), spent + took, calls + 1
+    return best, result, calls
+
+
+def best_of(run, reset):
+    """(best seconds, result) of REPEATS calls of run(), reset() before each."""
+    return repeated(run, reset, 0.0)[:2]
 
 
 def cold_certificate_best_of(run, reset=lambda: None):
@@ -231,18 +246,20 @@ def spied_calls(g, name):
 
 
 def bench_aut(quick):
-    seconds, searches, refines, leaves, results = {}, {}, {}, {}, {}
+    seconds, repeats, searches, refines, leaves, results = {}, {}, {}, {}, {}, {}
     for name in families(quick):
         build, order = SYMMETRIC_FAMILIES[name]
         g = build()
-        seconds[name], res = best_of(lambda: aut_order(g), aut_order.cache_clear)
+        seconds[name], res, repeats[name] = repeated(
+            lambda: aut_order(g), aut_order.cache_clear, AUT_MIN_SECONDS)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
         results[name] = (res.order, res.orbits, res.generators)
         searches[name] = spied_calls(g, "_search")
         refines[name] = spied_calls(g, "_refine")
         leaves[name] = spied_calls(g, "_is_mapping")
-    return {"aut_order_best_s": seconds, "search_calls": searches,
+    return {"aut_order_best_s": seconds, "aut_order_repeats": repeats,
+            "search_calls": searches,
             "refine_calls": refines, "is_mapping_calls": leaves,
             "generators_sha256": digest(results)}
 

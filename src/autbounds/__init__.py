@@ -38,6 +38,7 @@ from .trees import (
     verify_greedy_tree,
 )
 from .embeddings import (
+    CountingIdentityError,
     EmbeddingCount,
     count_embeddings,
     count_labeled_embeddings,

@@ -7,25 +7,23 @@ neighbourhood meets are visited, and only the cells a split changed are
 queued as new splitters.  It fixes a base once, the first path:
 one individualised vertex per level with its refinement trace.  The search is
 one-sided: it refines each child on the other side once and goes down only
-where the child's trace equals the first path's.  A discrete leaf is checked
+where the child's trace equals the first path's.  A bijection is checked
 row by row, each distinct row mapped once and from its smaller side (its
 neighbours or its non-neighbours).  The group order is the
 product over levels of the number of vertices the level's base point can be
 sent to by an automorphism fixing the earlier base points (the chain of point
 stabilisers), so it is exact without enumerating group elements: 64! is fine.
 
-An automorphism search (both sides the same graph) first tries, at each
-level, the aligned bijection: each cell of the first path's partition sent
-onto the same-index cell of side b's, in increasing order.  If that is an
-automorphism it is returned at once, and it is exactly the leaf the descent
-would reach: refinement depends on the partition and not on vertex names,
-so the bijection maps the first path below this level onto a path with the
-same traces, and since it increases on every cell, and later cells are
-subsets of these, it sends each later base point to the lowest vertex of
-its image cell, the child the descent tries first.  Otherwise the search
-branches.  Between two different graphs the two labellings are unrelated
-and the aligned bijection rarely maps, so there it would only add a failed
-check per level.
+The search has one behaviour, for automorphisms and isomorphism alike: each
+level first tries the aligned bijection, each cell of the first path's
+partition sent onto the same-index cell of side b's, in increasing order,
+and branches only if that does not map; the discrete leaf is the last level.
+In an automorphism search a bijection that maps is exactly the leaf the
+descent would reach: refinement ignores vertex names, so it maps the first
+path below this level onto a path with the same traces, and since it
+increases on every cell, and later cells are subsets of these, it sends each
+later base point to the lowest vertex of its image cell, the child the
+descent tries first.  Corpus deduplication asks only whether one exists.
 
 Levels are processed deepest first, with one union-find over the generators
 found so far (orbit pruning, as in nauty: McKay & Piperno, "Practical graph
@@ -48,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, SizeLimitError, _root, _union, bits
+from .graphs import Graph, SizeLimitError, _classes, _root, _union, bits
 
 NAIVE_VERTEX_LIMIT = 8
 
@@ -212,17 +210,15 @@ def _search(rows_a, rows_b, first, level, cells_b):
     """Find a bijection of rows_a onto rows_b, or None, that maps the first
     path of rows_a from ``level`` down onto a path below cells_b, an
     equitable partition of rows_b that matches that level cell for cell.
-    rows_a may be rows_b: then the aligned bijection is tried before any
-    branching, and it is what the descent would return if it maps."""
+    Each level tries the aligned bijection before it branches."""
     levels, leaf = first
+    cells_a = levels[level][0] if level < len(levels) else leaf
+    perm = _aligned(len(rows_a), cells_a, cells_b)
+    if _is_mapping(rows_a, rows_b, perm):
+        return perm
     if level == len(levels):
-        perm = _aligned(len(rows_a), leaf, cells_b)
-        return perm if _is_mapping(rows_a, rows_b, perm) else None
-    cells_a, ti, _, trace = levels[level]
-    if rows_a is rows_b:
-        perm = _aligned(len(rows_a), cells_a, cells_b)
-        if _is_mapping(rows_a, rows_b, perm):
-            return perm
+        return None
+    _, ti, _, trace = levels[level]
     for y in bits(cells_b[ti]):
         child, tr = _refine(rows_b, _individualized(cells_b, ti, y), (1 << y,))
         if tr == trace:
@@ -230,13 +226,6 @@ def _search(rows_a, rows_b, first, level, cells_b):
             if found is not None:
                 return found
     return None
-
-
-def _orbits_from_partition(parent):
-    groups: dict[int, list[int]] = {}
-    for v in range(len(parent)):
-        groups.setdefault(_root(parent, v), []).append(v)
-    return tuple(sorted((tuple(sorted(grp)) for grp in groups.values()), key=min))
 
 
 @lru_cache(maxsize=512)
@@ -261,7 +250,7 @@ def aut_order(g: Graph) -> AutResult:
                     _union(parent, v, perm[v])
         rb = _root(parent, b)
         order *= sum(1 for w in bits(cells[ti]) if _root(parent, w) == rb)
-    return AutResult(order, _orbits_from_partition(parent), tuple(gens))
+    return AutResult(order, tuple(map(tuple, _classes(parent))), tuple(gens))
 
 
 def aut_order_naive(g: Graph) -> int:

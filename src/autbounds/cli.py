@@ -292,8 +292,8 @@ def cmd_verify(args) -> int:
         for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
             try:
                 external += [parse_graph6(line)] if line else []
-            except GraphParseError as exc:
-                raise GraphParseError(f"{args.corpus} line {lineno}: {exc}") from exc
+            except (GraphParseError, SizeLimitError) as exc:
+                raise type(exc)(f"{args.corpus} line {lineno}: {exc}") from exc
         if not external:
             raise GraphParseError(f"{args.corpus}: the corpus file holds no graphs")
     results = run_suites(args.suites, nmax=args.nmax, trials=args.random_trials,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, SizeLimitError, _root, _union, is_connected
+from .graphs import Graph, SizeLimitError, _classes, _union, is_connected
 from .automorphisms import _first_path, _refine, _search, aut_order
 
 # Non-isomorphic simple graphs / connected graphs on n vertices
@@ -51,10 +51,7 @@ def _least_masks(base: Graph) -> list[int]:
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
             _union(parent, mask, image[mask])
-    least: dict[int, int] = {}
-    for mask in range(size):
-        least.setdefault(_root(parent, mask), mask)
-    return list(least.values())
+    return [c[0] for c in _classes(parent)]
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ is matched by degree multiset, dropped by a flood fill if it has a cycle,
 and put to an edge-by-edge isomorphism test against every tree asked about.
 aut_f comes from the naive permutation oracle.
 ``count_embeddings`` checks the identity for every tree and raises
-RuntimeError if it fails, so a bug in any one route trips immediately.
+CountingIdentityError if it fails, so a bug in one route trips at once.
 """
 
 from __future__ import annotations
@@ -20,11 +20,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
-from .graphs import Graph, SizeLimitError, bits, rows_connected
+from .graphs import Graph, SizeLimitError, _walk, rows_connected
 from .automorphisms import aut_order_naive
 from .trees import SpanningTree
 
 EMBED_VERTEX_LIMIT = 8
+
+
+class CountingIdentityError(RuntimeError):
+    """labeled != copies * aut_f for some tree: one of the routes is wrong."""
 
 
 @dataclass(frozen=True)
@@ -66,18 +70,11 @@ def count_labeled_embeddings(f: SpanningTree, g: Graph) -> int:
             grouped |= sib
             factor *= factorial(sib.bit_count())
 
-    # One BFS from the lowest vertex outside the groups (leaves, so the rest
+    # One walk from the lowest vertex outside the groups (leaves, so the rest
     # of the tree stays connected) places each other vertex after its parent
     # up[i], its one earlier neighbour in f: a second would close a cycle.
-    low = ~grouped & (grouped + 1)
-    placed = grouped | low
-    order = [low.bit_length() - 1]
-    up = [None]
-    for v in order:
-        new = f_rows[v] & ~placed
-        placed |= new
-        order.extend(bits(new))
-        up.extend([v] * new.bit_count())
+    order, parent = _walk(f_rows, grouped)
+    up = [parent[v] for v in order]
 
     image = [0] * n
     g_rows = g.rows
@@ -212,7 +209,7 @@ def count_embeddings(trees: list[SpanningTree], g: Graph) -> list[EmbeddingCount
         labeled = count_labeled_embeddings(t, g)
         aut_f = aut_order_naive(t)
         if labeled != copies * aut_f:
-            raise RuntimeError(
+            raise CountingIdentityError(
                 f"counting identity violated: labeled={labeled}, copies={copies}, aut={aut_f}")
         counts.append(EmbeddingCount(labeled, copies, aut_f))
     return counts

@@ -206,6 +206,36 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
+def _classes(parent: list[int]) -> list[list[int]]:
+    """The union-find classes, each ascending, ordered by least member."""
+    groups: dict[int, list[int]] = {}
+    for v in range(len(parent)):
+        groups.setdefault(_root(parent, v), []).append(v)
+    return list(groups.values())
+
+
+def _walk(rows, skip: int = 0) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the vertices outside the mask skip, each
+    component from its lowest vertex, neighbours in increasing order, and
+    each vertex's parent in it (-1 at a root and in skip)."""
+    full = (1 << len(rows)) - 1
+    parent = [-1] * len(rows)
+    order, seen, i = [], skip, 0
+    while ~seen & full:
+        root = ~seen & (seen + 1)  # the lowest vertex not yet walked
+        seen |= root
+        order.append(root.bit_length() - 1)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            new = rows[v] & ~seen
+            seen |= new
+            for w in bits(new):
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec.  Format: printable bytes offset by 63; the vertex count in the
 # first form below that holds it, each (largest n, leading '~' bytes, 6-bit
@@ -450,7 +480,10 @@ def random_graph(n: int, rng) -> Graph:
 
 
 def connected_gnm(n: int, m: int, rng) -> Graph:
-    """m edges drawn uniformly with rng, redrawn until the graph is connected."""
+    """m edges drawn uniformly with rng, redrawn until the graph is connected;
+    a ValueError, before any draw, if no such graph exists."""
+    if not n - 1 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"no connected graph on {n} vertices has {m} edges")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while True:
         g = Graph.from_edges(n, rng.sample(pairs, m))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeLimitError, bits
+from .graphs import Graph, SizeLimitError, _walk, bits
 
 STRUCTURE_VERTEX_LIMIT = 20
 
@@ -98,23 +98,10 @@ def _forest_path_cover(g: Graph) -> PathCoverResult | None:
     Hamiltonian completion of trees).  The links are the paths, so
     p = n - links.
     """
-    n, rows = g.n, g.rows
+    n = g.n
     if g.e >= n:  # a forest has n - components edges
         return None
-    parent = [-1] * n
-    order, seen, i = [], 0, 0
-    for root in range(n):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        order.append(root)
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for w in bits(rows[v] & ~seen):
-                seen |= 1 << w
-                parent[w] = v
-                order.append(w)
+    order, parent = _walk(g.rows)
     if g.e != n - parent.count(-1):
         return None
     links = [0] * n

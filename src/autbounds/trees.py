@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .graphs import Graph, SizeLimitError, _lazy, bits, is_connected, rows_connected
+from .graphs import Graph, SizeLimitError, _lazy, _walk, bits, is_connected, rows_connected
 
 ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts
 
@@ -236,13 +236,7 @@ def _centroid_code(rows: tuple[int, ...]) -> tuple[tuple, int]:
     cut off."""
     n = len(rows)
     adj = [list(bits(row)) for row in rows]
-    parent = [-1] * n
-    order = [0]  # BFS order from vertex 0; the list grows while it is walked
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    order, parent = _walk(rows)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]

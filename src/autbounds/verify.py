@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from .automorphisms import NAIVE_VERTEX_LIMIT, aut_order, aut_order_naive
 from .bounds import ReportOptions, compose_report
 from .corpus import CONNECTED_GRAPH_COUNTS, GENERATION_LIMIT, connected_graphs
-from .embeddings import count_embeddings
+from .embeddings import CountingIdentityError, count_embeddings
 from .graphs import (
     Graph,
     SizeLimitError,
@@ -201,7 +201,7 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
             classes.setdefault(tree_certificate(t), []).append(t)
         try:
             counts = count_embeddings([members[0] for members in classes.values()], g)
-        except RuntimeError as exc:  # the counting identity failed
+        except CountingIdentityError as exc:
             res.checked += 1
             res.violations.append(f"{gid}: {exc}")
             continue

@@ -10,7 +10,8 @@ oracles are kept copies rather than brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter, which the faster
 ``automorphisms._refine`` must match split for split, ``search_reference`` is
 the search that descends to a leaf for every bijection it finds, which
-``automorphisms._search`` must match result for result, and
+``automorphisms._search`` must match result for result in an automorphism
+search and in whether it finds one between two graphs, and
 ``all_graphs_reference`` is the corpus generator that tries every orbit-least
 augmentation, which ``corpus.all_graphs`` must match graph for graph.  The
 graph families themselves, and their known automorphism group orders, come

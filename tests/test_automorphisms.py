@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from autbounds import automorphisms, embeddings, verify
+from autbounds import automorphisms, corpus, embeddings, verify
 from autbounds.automorphisms import (
     _first_path,
     _individualized,
@@ -365,6 +365,60 @@ def test_aligned_search_matches_reference(monkeypatch):
             assert aut_order(g) == res, g
     finally:
         aut_order.cache_clear()
+
+
+# The one search behaviour on the isomorphism side: corpus deduplication asks
+# only whether a bijection exists, and _search must answer as the descent-only
+# search_reference does on every bucket-mate test a cold corpus run makes.
+
+def spy_on(monkeypatch, module, name, calls):
+    """Record the arguments of every call of module.<name> in calls."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def cold_corpus_run():
+    """all_graphs(1..7) from cold caches, which are cleared again after."""
+    caches = (corpus.all_graphs, corpus.connected_graphs, aut_order)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        for n in range(1, 8):
+            corpus.all_graphs(n)
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+
+
+def test_corpus_searches_match_reference(monkeypatch):
+    calls = []
+    spy_on(monkeypatch, corpus, "_search", calls)
+    cold_corpus_run()
+    assert len(calls) > 100
+    found = 0
+    for args in calls:
+        result = _search(*args)
+        assert (result is None) == (search_reference(*args) is None), args
+        if result is not None:
+            assert is_isomorphism(args[0], args[1], result)
+            found += 1
+    assert 0 < found < len(calls)
+
+
+def test_every_search_node_checks_one_bijection(monkeypatch):
+    # Each _search call, from aut_order, from corpus or from itself, tries
+    # exactly one aligned bijection (1,408 of each over n <= 7).
+    searches, checks = [], []
+    spy_on(monkeypatch, corpus, "_search", searches)
+    spy_on(monkeypatch, automorphisms, "_search", searches)
+    spy_on(monkeypatch, automorphisms, "_is_mapping", checks)
+    cold_corpus_run()
+    assert len(searches) == len(checks) > 0
 
 
 # _refine visits only the cells a splitter meets; refine_reference scans every

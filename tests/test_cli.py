@@ -329,6 +329,43 @@ def test_verify_corpus_parse_error_names_the_line(tmp_path, capsys):
     assert err == f"input error: {p} line 2: invalid graph6 byte 33 (byte offset 1)\n"
 
 
+def test_verify_corpus_size_refusal_names_the_line(tmp_path, capsys):
+    # K_4, then a 65-vertex graph: still a size refusal, naming file and line.
+    from autbounds.graphs import Graph
+
+    p = tmp_path / "big.g6"
+    p.write_text("C~\n" + write_graph6(Graph(65, (0,) * 65)) + "\n")
+    code, out, err = run_cli(["verify", "--corpus", str(p)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"size refusal: {p} line 2: graph has 65 vertices, above the cap of 64\n"
+
+
+def test_theorem1_internal_fault_exit_4(capsys, monkeypatch):
+    # An exception from inside the counting is a bug, not a counterexample to
+    # Theorem 1: exit 4 with its traceback, no FAIL line.
+    def broken(f, g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("autbounds.embeddings.count_labeled_embeddings", broken)
+    code, out, err = run_cli(["verify", "--suites", "theorem1", "--nmax", "3"], capsys)
+    assert code == 4 and out == ""
+    assert "Traceback" in err and "internal error: RecursionError" in err
+
+
+def test_theorem1_identity_failure_is_a_violation(capsys, monkeypatch):
+    # Subgraph copies off by one break labeled == copies * aut: a violation
+    # per connected graph, exit 1.
+    from autbounds import embeddings
+
+    real = embeddings.count_subgraph_copies
+    monkeypatch.setattr(embeddings, "count_subgraph_copies",
+                        lambda trees, g: [c + 1 for c in real(trees, g)])
+    code, out, err = run_cli(["verify", "--suites", "theorem1", "--nmax", "3"], capsys)
+    assert code == 1 and err == ""
+    assert out.startswith("[theorem1-embeddings] FAIL: 4 checks, 4 violations\n")
+    assert "counterexample: @: counting identity violated" in out
+
+
 def test_verify_external_corpus_disconnected(tmp_path, capsys):
     # K_4 plus a disconnected 4-vertex graph: every suite still prints, and
     # the disconnected graph is one theorem1 violation, not an aborted run.

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 import warnings
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -11,9 +12,14 @@ from autbounds.graphs import (
     Graph,
     GraphParseError,
     SizeLimitError,
+    _classes,
+    _root,
+    _union,
+    _walk,
     bits,
     complete_bipartite_graph,
     complete_graph,
+    connected_gnm,
     cycle_graph,
     is_connected,
     parse_edgelist,
@@ -202,6 +208,110 @@ def test_is_connected():
     assert is_connected(complete_graph(4))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1, (0,)))
+
+
+@pytest.mark.parametrize("n, m", [(6, 4), (6, 0), (2, 0), (6, 16), (4, 7)])
+def test_connected_gnm_refuses_impossible_edge_counts(n, m):
+    # fewer than n - 1 edges never connect (the redraw loop never ended), and
+    # more than n(n-1)/2 cannot be drawn; both are refused before any draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"no connected graph on {n} vertices has {m} edges"):
+        connected_gnm(n, m, rng)
+    assert rng.getstate() == state
+
+
+def test_connected_gnm_extreme_edge_counts():
+    rng = random.Random(0)
+    assert connected_gnm(1, 0, rng) == Graph(1, (0,))
+    assert connected_gnm(6, 15, rng) == complete_graph(6)
+    tree = connected_gnm(6, 5, rng)
+    assert tree.e == 5 and is_connected(tree)
+
+
+# graphs._walk is the one breadth-first walk of the tree, path-cover and
+# labeled-copy code; graphs._classes the one reader of union-find classes.
+
+def walk_reference(rows, skip):
+    """A deque breadth-first search over the vertices outside skip: each
+    component from its lowest vertex, neighbours in increasing order."""
+    n = len(rows)
+    parent, order, seen = [-1] * n, [], {v for v in range(n) if skip >> v & 1}
+    for root in range(n):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in range(n):
+                if rows[v] >> w & 1 and w not in seen:
+                    seen.add(w)
+                    parent[w] = v
+                    queue.append(w)
+    return order, parent
+
+
+def component_minima(rows, skip):
+    """The lowest vertex of each component of the graph less skip."""
+    n = len(rows)
+    left = ((1 << n) - 1) & ~skip
+    minima = []
+    while left:
+        reach = frontier = left & -left
+        minima.append(reach.bit_length() - 1)
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= rows[v] & left
+            frontier = nxt & ~reach
+            reach |= nxt
+        left &= ~reach
+    return minima
+
+
+def walk_inputs():
+    """Seeded forests (each vertex joins a random earlier one or starts a
+    tree, then the labels are shuffled) and G(n, 1/2) graphs, each with a
+    random skip mask and with none."""
+    rng = random.Random(239)
+    for n in range(1, 21):
+        for _ in range(5):
+            edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8]
+            forest = Graph.from_edges(n, edges).relabel(rng.sample(range(n), n))
+            dense = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                         if rng.random() < 0.5])
+            for g in (forest, dense):
+                yield g.rows, 0
+                yield g.rows, rng.getrandbits(n)
+
+
+def test_walk_is_a_breadth_first_forest():
+    for rows, skip in walk_inputs():
+        order, parent = _walk(rows, skip)
+        assert (order, parent) == walk_reference(rows, skip)
+        assert sorted(order) == [v for v in range(len(rows)) if not skip >> v & 1]
+        position = {v: i for i, v in enumerate(order)}
+        for v in order:
+            if parent[v] >= 0:
+                assert position[parent[v]] < position[v]
+                assert rows[v] >> parent[v] & 1
+        assert [v for v in order if parent[v] < 0] == component_minima(rows, skip)
+        assert all(parent[v] == -1 for v in bits(skip))
+
+
+def test_classes_are_the_sorted_orbit_form():
+    rng = random.Random(235)
+    for n in range(1, 41):
+        parent = list(range(n))
+        for _ in range(rng.randrange(n + 1)):
+            _union(parent, rng.randrange(n), rng.randrange(n))
+        groups = {}
+        for v in range(n):
+            groups.setdefault(_root(parent, v), []).append(v)
+        expected = tuple(sorted((tuple(sorted(grp)) for grp in groups.values()), key=min))
+        assert tuple(map(tuple, _classes(parent))) == expected
 
 
 def test_generate_named():

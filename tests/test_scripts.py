@@ -57,6 +57,9 @@ def test_bench_aut_quick(tmp_path):
     assert record["label"] == "smoke" and record["cpu_count"] == os.cpu_count()
     assert sorted(record["aut_order_best_s"]) == ["K8", "Q3"]
     assert all(s >= 0 for s in record["aut_order_best_s"].values())
+    # each family is called at least three times, and more until 0.2 s are timed
+    assert sorted(record["aut_order_repeats"]) == ["K8", "Q3"]
+    assert all(3 <= r <= 1000 for r in record["aut_order_repeats"].values())
     # one top-level _search finds each kept generator, n - 1 of them for K8,
     # and returns the aligned bijection at once: it never branches
     assert record["search_calls"] == {"K8": 7, "Q3": 3}
