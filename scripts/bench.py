@@ -18,9 +18,13 @@ Layers:
               connected n <= 7 corpus: every number a report carries.
               _log2 runs only on that memo's misses.  Both memos are
               cleared before every repeat.  Records, for each memo, the
-              calls of one replay, the distinct keys (an integer and the
-              equal Fraction are one key; _log2's keys are (numerator,
-              denominator) pairs) and the misses of each repeat.
+              calls of one replay, the distinct keys and the misses of each
+              repeat.  A _power_value key is a tuple of (base, exponent)
+              factors and the edge excess; a base or an exponent is an
+              integer, a Fraction, or a (numerator, denominator) pair of
+              integers standing for that Fraction.  An integer and the
+              equal Fraction are one key, a pair and its Fraction are two.
+              _log2's keys are (numerator, denominator) pairs.
   corpus      all_graphs(1..7), the all_graphs, connected_graphs and
               aut_order caches cleared first; also records, per n, the
               candidates tried (the bucket-key refinements corpus makes, one
@@ -66,7 +70,14 @@ Layers:
               8, 14, 20, and the SYMMETRIC_FAMILIES rows with n <= 64, and
               cli.report_to_dict plus json.dumps on their
               compose_report(corollary_mode="both") reports, which are built
-              outside the timing.
+              outside the timing.  write_graph6 runs on new Graph(n, rows)
+              copies built before each repeat, so it times the encoder, not
+              the line a graph keeps once encoded or parsed.  The
+              report_line group times what a batch over these lines costs:
+              parse_graph6, compose_report and
+              json.dumps(cli.report_to_dict(...)) on each line, the
+              aut_order cache and both bound memos cleared before each
+              repeat, as in a fresh process.
 
 Each group is timed best-of-3, except the aut layer's families (above).
 The record is written to BENCH_<label>.json
@@ -490,15 +501,29 @@ def bench_serialise(quick):
     lines = [write_graph6(g) for g in graphs]
     opts = ReportOptions(corollary_mode="both")
     reports = [compose_report(g, opts) for g in graphs]
+    copies = []
+
+    def new_copies():
+        copies[:] = [Graph(g.n, g.rows) for g in graphs]
+
     seconds = {}
     seconds["parse_graph6"], parsed = best_of(
         lambda: [parse_graph6(s) for s in lines], lambda: None)
     seconds["write_graph6"], written = best_of(
-        lambda: [write_graph6(g) for g in graphs], lambda: None)
+        lambda: [write_graph6(g) for g in copies], new_copies)
     seconds["report_json"], texts = best_of(
         lambda: [json.dumps(report_to_dict(r)) for r in reports], lambda: None)
+    def cold():
+        for cache in (aut_order, bounds._power_value, bounds._log2):
+            cache.cache_clear()
+
+    seconds["report_line"], line_texts = best_of(
+        lambda: [json.dumps(report_to_dict(compose_report(parse_graph6(s), opts)))
+                 for s in lines], cold)
     if parsed != graphs or written != lines:
         raise SystemExit("graph6 lines do not round-trip")
+    if line_texts != texts:
+        raise SystemExit("a report line differs from its report's JSON")
     return {"serialise_best_s": seconds,
             "graphs": len(graphs),
             "graph6_sha256": hashlib.sha256("".join(s + "\n" for s in lines).encode()).hexdigest(),

@@ -17,10 +17,14 @@ value returns the very same mpf.  The edge-excess term, excess * (7/8 +
 log2(6)/24), is summed in place at the end of a log-only sum, so no constant
 is cached apart from the precision it needs.  ``_power_value`` is keyed on
 the (base, exponent) pairs and the edge excess, and gives every number a row
-carries, the aut order's log2 for gaps and soundness included.  Its 4,096
-entries hold every key of the connected corpus reports (corollary "both"):
-710 distinct keys in 12,234 calls for n <= 7, and 2,082 in 150,905 calls
-for the 12,113 graphs with n <= 8.
+carries, the aut order's log2 for gaps and soundness included.  eq2, eq4,
+eq6 and eq7 pass 2e/n, e/(n-1) and the other ratios of small integers as
+(numerator, denominator) pairs, so a memo hit builds no Fraction.  A row
+that may be log-only passes one factor per term of its formula: its log2 is
+a sum over the factors, and a split sum could round to another float.  The
+memo's 4,096 entries hold every key of the connected corpus reports
+(corollary "both"): 739 distinct keys in 12,234 calls for n <= 7, and 2,152
+in 150,905 calls for the 12,113 graphs with n <= 8.
 
 Inapplicable bounds are gated, never raised: each carries a machine-readable
 reason so a report over an awkward graph still renders every row.
@@ -28,7 +32,7 @@ reason so a report over an awkward graph still renders every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -97,9 +101,16 @@ def _power_value(factors: tuple, excess: int) -> tuple[Fraction | None, float]:
     and excess is 0, else log-only, its log2 sum taken at
     WORKING_PRECISION_BITS and rounded to a float once.
 
-    Memoised on the pairs and the excess, which callers pass positionally.
-    Equal keys share one entry and give equal values: (6, 1) and
-    (Fraction(6), 1) are one key, and both give Fraction(6)."""
+    A base or an exponent is an int, a Fraction, or a (numerator,
+    denominator) pair of ints standing for that Fraction.  Memoised on the
+    (base, exponent) pairs and the excess, which callers pass positionally,
+    so a hit on pairs of ints builds and hashes no Fraction; a miss turns
+    each pair into its Fraction before evaluating.  Equal keys share one
+    entry and give equal values: (6, 1) and (Fraction(6), 1) are one key,
+    and both give Fraction(6).  ((4, 3), 2) and (Fraction(4, 3), 2) are two
+    keys with equal values."""
+    factors = [(Fraction(*b) if type(b) is tuple else b, Fraction(*q) if type(q) is tuple else q)
+               for b, q in factors]
     if not excess and all(q.denominator == 1 for _, q in factors):
         value = 1
         for b, q in factors:
@@ -146,8 +157,8 @@ def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
     if g.n < 3:
         return _gated("eq2_tree_product",
                       "tree-degree estimate degenerates below n = 3", ctx)
-    value = Fraction(tree_aut_upper(t), g.delta_max) * g.d_avg ** g.n
-    return _power_product("eq2_tree_product", ((value, 1),), ctx)
+    return _power_product("eq2_tree_product",
+                          (((tree_aut_upper(t), g.delta_max), 1), ((2 * g.e, g.n), g.n)), ctx)
 
 
 def eval_eq3(g: Graph, p: int) -> BoundValue:
@@ -168,10 +179,10 @@ def eval_eq4(g: Graph) -> BoundValue:
         return _gated("eq4_degree_exponent",
                       "requires min degree >= 2 and max degree >= 3",
                       {"delta": delta, "delta_min": dmin})
-    exponent = Fraction(g.e - g.n + 3 - 2 * dmin, (dmin - 1) * (delta - 2))
+    exponent = (g.e - g.n + 3 - 2 * dmin, (dmin - 1) * (delta - 2))
     return _power_product("eq4_degree_exponent",
-                          ((g.d_avg, g.n), (factorial(delta - 1), exponent)),
-                          {"exponent": exponent})
+                          (((2 * g.e, g.n), g.n), (factorial(delta - 1), exponent)),
+                          {"exponent": Fraction(*exponent)})
 
 
 def eval_eq5(g: Graph, class_asserted: bool) -> BoundValue:
@@ -197,11 +208,10 @@ def eval_eq6(g: Graph, m: int) -> BoundValue:
         return _gated("eq6_starfree", "formula degenerates below m = 3", ctx)
     if g.n < 2:
         return _gated("eq6_starfree", "degenerate on a single vertex", ctx)
-    exponent = Fraction(g.n, m - 2)
-    ctx["exponent"] = exponent
+    ctx["exponent"] = Fraction(g.n, m - 2)
     return _power_product("eq6_starfree",
-                          ((factorial(m - 1), 1), (factorial(m - 2), exponent),
-                           (g.d_avg, g.n), (g.delta_max, -1)), ctx)
+                          ((factorial(m - 1), 1), (factorial(m - 2), (g.n, m - 2)),
+                           ((2 * g.e, g.n), g.n), (g.delta_max, -1)), ctx)
 
 
 def eval_eq7(g: Graph, ham: bool) -> BoundValue:
@@ -211,17 +221,17 @@ def eval_eq7(g: Graph, ham: bool) -> BoundValue:
         return _gated("eq7_hamiltonian", "no Hamiltonian path", ctx)
     if g.n < 2:
         return _gated("eq7_hamiltonian", "degenerate on a single vertex", ctx)
-    value = g.n * Fraction(g.e, g.n - 1) ** (g.n - 1)
-    return _power_product("eq7_hamiltonian", ((value, 1),), ctx)
+    return _power_product("eq7_hamiltonian", ((g.n, 1), ((g.e, g.n - 1), g.n - 1)), ctx)
 
 
 def eval_eq8(g: Graph, ham: bool) -> BoundValue:
     """2n^2 * (2^(7/8) * 6^(1/24))^(e-n): the path-cover bound pinned at
-    p = 1, so it must agree with that evaluation bit for bit."""
+    p = 1.  Its _power_value key is eval_eq3(g, 1)'s, so the two agree bit
+    for bit."""
     ctx = {"hamiltonian_path": ham, "p": 1, "edge_excess": g.e - g.n}
     if not ham:
         return _gated("eq8_hampath_edges", "no Hamiltonian path", ctx)
-    return replace(eval_eq3(g, 1), bound_id="eq8_hampath_edges", context=ctx)
+    return _power_product("eq8_hampath_edges", ((2 * g.n ** 2, 1),), ctx, g.e - g.n)
 
 
 def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None) -> BoundValue:
@@ -347,7 +357,8 @@ def _thm3(r: _Inputs, with_orbit: bool) -> BoundValue:
         bv = eval_thm3(g, gt, len(r.aut_res.orbit_of(gt.root)) if with_orbit else None)
         if best is None or bv.exact_value < best.exact_value:
             best = bv
-    return replace(best, context=dict(best.context, exhaustive=r.options.exhaustive_start))
+    return BoundValue(best.bound_id, True, None, best.exact_value, best.log2_value,
+                      {**best.context, "exhaustive": r.options.exhaustive_start})
 
 
 def _corollary(r: _Inputs) -> BoundValue | list[BoundValue]:
@@ -355,7 +366,9 @@ def _corollary(r: _Inputs) -> BoundValue | list[BoundValue]:
     mode = r.options.corollary_mode
     if mode != "both":
         return eval_corollary(r.host, mode)
-    return [replace(bv, bound_id=f"corollary_{m}") for m in COROLLARY_MODES
+    return [BoundValue(f"corollary_{m}", bv.applicable, bv.reason, bv.exact_value,
+                       bv.log2_value, bv.context)
+            for m in COROLLARY_MODES
             for bv in _rows(r, "corollary", lambda r, m=m: eval_corollary(r.host, m))]
 
 

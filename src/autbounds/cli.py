@@ -27,7 +27,6 @@ from .bounds import (
     LOG2_COMPARISON_SLACK,
     REGISTRY,
     BoundReport,
-    BoundValue,
     ReportOptions,
     compose_report,
 )
@@ -158,31 +157,26 @@ def _exact_str(fr: Fraction | None) -> str | None:
     return None if fr is None else str(fr)
 
 
-def _context_json(ctx: dict):
-    # A context holds Fractions only at the top level; json writes tuples as arrays.
-    return {k: _exact_str(v) if isinstance(v, Fraction) else v for k, v in ctx.items()}
-
-
-def bound_to_dict(bv: BoundValue, gap: float | None) -> dict:
-    return {
-        "id": bv.bound_id,
-        "applicable": bv.applicable,
-        "reason": bv.reason,
-        "exact": _exact_str(bv.exact_value),
-        "log2": bv.log2_value,
-        "gap_log2": gap,
-        "context": _context_json(bv.context),
-    }
-
-
 def report_to_dict(report: BoundReport) -> dict:
+    # A context holds Fractions only at the top level; json writes tuples as
+    # arrays.  type() is Fraction, not isinstance: Fraction's metaclass is
+    # ABCMeta, whose instance check costs a Python call per value.
+    gaps = report.gaps
     return {
         "schema": JSON_SCHEMA,
         "graph": {"graph6": report.graph_id, "n": report.n, "e": report.e,
                   "connected": report.connected},
         "aut": str(report.aut_exact) if report.aut_exact is not None else None,
         "orbits": [list(o) for o in report.orbits] if report.orbits is not None else None,
-        "bounds": [bound_to_dict(bv, report.gaps.get(bv.bound_id)) for bv in report.bounds],
+        "bounds": [{"id": bv.bound_id,
+                    "applicable": bv.applicable,
+                    "reason": bv.reason,
+                    "exact": _exact_str(bv.exact_value),
+                    "log2": bv.log2_value,
+                    "gap_log2": gaps.get(bv.bound_id),
+                    "context": {k: str(v) if type(v) is Fraction else v
+                                for k, v in bv.context.items()}}
+                   for bv in report.bounds],
         "notes": report.notes,
     }
 

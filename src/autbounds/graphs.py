@@ -144,6 +144,12 @@ class Graph:
         """Average degree 2e/n as an exact rational."""
         return Fraction(2 * self.e, self.n)
 
+    @_lazy
+    def graph6(self) -> str:
+        """write_graph6(self), encoded on first use and kept on the graph; a
+        graph parse_graph6 decoded from the shortest form holds its line."""
+        return _encode_graph6(self)
+
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -304,11 +310,20 @@ def parse_graph6(text: str) -> Graph:
         for b in bits(x >> top & ((1 << j) - 1)):  # column j's bit b is row j - 1 - b
             rows[j - 1 - b] |= 1 << j
             rows[j] |= 1 << (j - 1 - b)
-    return Graph(n, tuple(rows))
+    g = Graph(n, tuple(rows))
+    # The adjacency bytes have one spelling; the vertex count has one per
+    # form, and the writer uses the shortest that holds n.
+    if not tildes or n > _GRAPH6_COUNT_FORMS[tildes - 1][0]:
+        g.__dict__["graph6"] = line
+    return g
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a plain graph6 line (no header)."""
+    return g.graph6
+
+
+def _encode_graph6(g: Graph) -> str:
     n = g.n
     for largest, tildes, digits in _GRAPH6_COUNT_FORMS:
         if n <= largest:

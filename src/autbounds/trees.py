@@ -162,46 +162,51 @@ def best_greedy_tree(g: Graph) -> tuple[tuple[GreedyTree, int], ...]:
                  for v0, product in enumerate(products))
 
 
+class GreedyRecordError(ValueError):
+    """A greedy construction record that verify_greedy_tree rejects."""
+
+
 def verify_greedy_tree(g: Graph, gt: GreedyTree) -> None:
-    """Raise ValueError unless gt is a valid greedy construction record on g.
+    """Raise GreedyRecordError unless gt is a valid greedy construction
+    record on g.
 
     Written independently of _grow on purpose: greedy_sweep trusts it to
     check the builder, so it must not share the builder's code."""
     n = g.n
     if gt.tree.n != n:
-        raise ValueError("tree host size differs from graph")
+        raise GreedyRecordError("tree host size differs from graph")
     if not gt.tree.spans(g):
-        raise ValueError("tree uses an edge absent from the host")
+        raise GreedyRecordError("tree uses an edge absent from the host")
     if len(gt.sequence) != len(gt.steps):
-        raise ValueError("sequence and step records differ in length")
+        raise GreedyRecordError("sequence and step records differ in length")
     v0 = gt.sequence[0]
     if gt.steps[0] != g.rows[v0]:
-        raise ValueError("step 0 must be the full host star at the root")
+        raise GreedyRecordError("step 0 must be the full host star at the root")
     covered = (1 << v0) | g.rows[v0]
     expanded = 1 << v0
     for v, step in zip(gt.sequence[1:], gt.steps[1:]):
         if not step:
-            raise ValueError(f"step at {v} added no edges")
+            raise GreedyRecordError(f"step at {v} added no edges")
         if not (covered >> v) & 1 or (expanded >> v) & 1:
-            raise ValueError(f"expanded vertex {v} was not a leaf of the current tree")
+            raise GreedyRecordError(f"expanded vertex {v} was not a leaf of the current tree")
         if step & covered:
-            raise ValueError(f"step at {v} attaches a vertex already in the tree")
+            raise GreedyRecordError(f"step at {v} attaches a vertex already in the tree")
         if step != g.rows[v] & ~covered:
-            raise ValueError(f"step at {v} must add every outward host edge")
+            raise GreedyRecordError(f"step at {v} must add every outward host edge")
         covered |= step
         expanded |= 1 << v
     if covered != (1 << n) - 1:
-        raise ValueError("construction stopped before spanning")
+        raise GreedyRecordError("construction stopped before spanning")
     rows = [0] * n
     for v, step in zip(gt.sequence, gt.steps):
         rows[v] |= step
         for w in bits(step):
             rows[w] |= 1 << v
     if tuple(rows) != gt.tree.rows:
-        raise ValueError("step edges do not reassemble the tree")
+        raise GreedyRecordError("step edges do not reassemble the tree")
     # Every vertex except the root enters through exactly one step edge.
     if 1 + g.degree(v0) + sum(gt.step_sizes()) != n:
-        raise ValueError("step sizes violate the degree-sum identity")
+        raise GreedyRecordError("step sizes violate the degree-sum identity")
 
 
 # ---------------------------------------------------------------------------

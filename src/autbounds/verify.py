@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .trees import (
     ENUM_VERTEX_LIMIT,
+    GreedyRecordError,
     all_spanning_trees,
     embedding_upper_fs,
     greedy_spanning_tree,
@@ -99,16 +100,22 @@ def soundness_sweep(nmax: int = 7, external: list[Graph] | None = None) -> Suite
 def greedy_sweep(nmax: int = 7, external: list[Graph] | None = None) -> SuiteResult:
     """Greedy construction record is valid for every start vertex, including
     the degree-sum identity 1 + d(v0) + sum(step sizes) = n; the resulting
-    trees must also sit below the degree-product automorphism estimate."""
+    trees must also sit below the degree-product automorphism estimate.  A
+    disconnected graph is one violation; any error but a rejected record
+    is a fault, and propagates."""
     res = SuiteResult("greedy-construction", 0)
     for g in _corpus(nmax, external):
         gid = write_graph6(g)
+        if not is_connected(g):
+            res.checked += 1
+            res.violations.append(f"{gid}: disconnected, so it has no spanning tree")
+            continue
         for v0 in range(g.n):
             res.checked += 1
+            gt = greedy_spanning_tree(g, v0)
             try:
-                gt = greedy_spanning_tree(g, v0)
                 verify_greedy_tree(g, gt)
-            except ValueError as exc:
+            except GreedyRecordError as exc:
                 res.violations.append(f"{gid}: start {v0}: {exc}")
                 continue
             if g.n >= 3 and tree_aut_exact(gt.tree) > tree_aut_upper(gt.tree):

@@ -5,21 +5,25 @@ package's algorithms: orbits, labeled copies and path covers come from
 enumerating all n! permutations, Hamiltonian paths are counted by
 inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
-check is judged pair by pair against the definition of an isomorphism.  Two
+check is judged pair by pair against the definition of an isomorphism.  Four
 oracles are kept copies rather than brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter, which the faster
-``automorphisms._refine`` must match split for split, ``search_reference`` is
+``automorphisms._refine`` must match split for split; ``search_reference`` is
 the search that descends to a leaf for every bijection it finds, which
 ``automorphisms._search`` must match result for result in an automorphism
-search and in whether it finds one between two graphs, and
+search and in whether it finds one between two graphs;
 ``all_graphs_reference`` is the corpus generator that tries every orbit-least
-augmentation, which ``corpus.all_graphs`` must match graph for graph.  The
+augmentation, which ``corpus.all_graphs`` must match graph for graph; and
+``report_to_dict_reference`` is the JSON report builder that went through a
+helper per row and an isinstance check per context value, which
+``cli.report_to_dict`` must match dict for dict.  The
 graph families themselves, and their known automorphism group orders, come
 from ``autbounds.graphs``; the helpers here only pick from them.
 """
 
 import random
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -123,6 +127,36 @@ def all_graphs_reference(n):
             kept.append((e, rows))
     kept.sort()
     return tuple(Graph(n, rows) for _, rows in kept)
+
+
+def report_to_dict_reference(report):
+    """cli.report_to_dict as it was when each row went through its own
+    bound_to_dict and each context value through isinstance(v, Fraction).
+    Same contract, same dict."""
+    def exact_str(fr):
+        return None if fr is None else str(fr)
+
+    def bound_to_dict(bv, gap):
+        return {
+            "id": bv.bound_id,
+            "applicable": bv.applicable,
+            "reason": bv.reason,
+            "exact": exact_str(bv.exact_value),
+            "log2": bv.log2_value,
+            "gap_log2": gap,
+            "context": {k: exact_str(v) if isinstance(v, Fraction) else v
+                        for k, v in bv.context.items()},
+        }
+
+    return {
+        "schema": "autbounds-report/1",
+        "graph": {"graph6": report.graph_id, "n": report.n, "e": report.e,
+                  "connected": report.connected},
+        "aut": str(report.aut_exact) if report.aut_exact is not None else None,
+        "orbits": [list(o) for o in report.orbits] if report.orbits is not None else None,
+        "bounds": [bound_to_dict(bv, report.gaps.get(bv.bound_id)) for bv in report.bounds],
+        "notes": report.notes,
+    }
 
 
 def naive_automorphisms(g: Graph):

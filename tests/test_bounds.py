@@ -2,7 +2,7 @@ import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
-from math import log2
+from math import factorial, log2
 
 import mpmath
 import pytest
@@ -467,6 +467,89 @@ def test_power_value_equal_keys_share_one_entry():
     assert _power_value(((6, 1),), 0) == first == (Fraction(6), float(_log2(6, 1)))
     assert type(first[0]) is Fraction
     assert _power_value.cache_info().misses == 1
+
+
+def _fraction_key(factors):
+    """factors with every (numerator, denominator) pair as its Fraction."""
+    def fraction(x):
+        return Fraction(x[0], x[1]) if isinstance(x, tuple) else x
+    return tuple((fraction(b), fraction(q)) for b, q in factors)
+
+
+# Pair-form keys off the corpus: bases and exponents as pairs, with and
+# without an edge excess, on the exact route and both log-only routes.
+PAIR_KEYS = [
+    ((((7, 3), 4), (2, (3, 1))), 0),
+    ((((6, 4), 3), ((5, 2), -2)), 0),
+    ((((14, 6), 6), (24, (-1, 2))), 0),
+    (((6, 1), ((12, 5), 5), (2, (5, 3)), (4, -1)), 0),
+    ((((10, 5), 5), (3, 1)), 3),
+    ((((22, 7), 7), (6, (7, 4))), 11),
+]
+
+
+def test_power_value_pair_keys_equal_their_fraction_keys(corpus7, monkeypatch):
+    """A (numerator, denominator) pair gives what its Fraction gives, value
+    for value and log2 bit for bit, on every key the corpus reports make and
+    on pair keys with an edge excess."""
+    keys = []
+    real = _power_value
+
+    def spied(factors, excess):
+        keys.append((factors, excess))
+        return real(factors, excess)
+
+    monkeypatch.setattr(bounds, "_power_value", spied)
+    opts = ReportOptions(corollary_mode="both", class5_asserted=True)
+    for n in range(1, 8):
+        for g in corpus7[n]:
+            compose_report(g, opts)
+    monkeypatch.undo()
+    routes = set()
+    for factors, excess in set(keys) | set(PAIR_KEYS):
+        paired = any(isinstance(x, tuple) for pair in factors for x in pair)
+        exact, log2v = _power_value.__wrapped__(factors, excess)
+        ref_exact, ref_log2 = _power_value.__wrapped__(_fraction_key(factors), excess)
+        assert (exact, log2v.hex()) == (ref_exact, ref_log2.hex()), (factors, excess)
+        assert exact is None or type(exact) is Fraction
+        routes.add((paired, exact is None, bool(excess)))
+    assert {(True, False, False), (True, True, False), (True, True, True)} <= routes
+
+
+def test_log_only_rows_keep_their_factors(corpus7, monkeypatch):
+    """eq3-eq6 and eq8 may be log-only, a log2 sum over their factors taken
+    at 120 bits, so a row whose factors were split or merged could round to
+    another float: each row passes the factors of its formula, one for one,
+    a pair read as the Fraction it stands for."""
+    seen = {}
+    real = bounds._power_product
+
+    def spied(bound_id, factors, context, excess=0):
+        seen[bound_id] = (_fraction_key(factors), excess)
+        return real(bound_id, factors, context, excess)
+
+    monkeypatch.setattr(bounds, "_power_product", spied)
+    opts = ReportOptions(corollary_mode="both", class5_asserted=True)
+    for n in range(2, 8):
+        for g in corpus7[n]:
+            seen.clear()
+            rows = {bv.bound_id: bv for bv in compose_report(g, opts).bounds}
+            d_avg, delta, dmin = Fraction(2 * g.e, n), g.delta_max, g.delta_min
+            p, m = rows["eq3_pathcover"].context["p"], rows["eq6_starfree"].context["m"]
+            expected = {
+                "eq3_pathcover": (((2 * p * n ** (2 * p), 1),), g.e - n),
+                "eq5_special_class": (((3, 1), (2, Fraction(n - 2, 2)), (d_avg, n),
+                                       (delta, -1)), 0),
+                "eq6_starfree": (((factorial(m - 1), 1), (factorial(m - 2), Fraction(n, m - 2)),
+                                  (d_avg, n), (delta, -1)), 0),
+            }
+            if rows["eq4_degree_exponent"].applicable:
+                q = Fraction(g.e - n + 3 - 2 * dmin, (dmin - 1) * (delta - 2))
+                expected["eq4_degree_exponent"] = (((d_avg, n), (factorial(delta - 1), q)), 0)
+            if rows["eq8_hampath_edges"].applicable:
+                expected["eq8_hampath_edges"] = (((2 * n * n, 1),), g.e - n)
+            for bid, key in expected.items():
+                assert seen[bid] == key, (bid, g)
 
 
 def test_power_value_memo_stays_bounded():

@@ -7,8 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from autbounds.cli import COMMANDS, EXIT_PIPE, build_parser, main
+from autbounds.bounds import ReportOptions, compose_report
+from autbounds.cli import COMMANDS, EXIT_PIPE, build_parser, main, report_to_dict
+from autbounds.corpus import all_graphs
 from autbounds.graphs import write_graph6
+
+from helpers import report_to_dict_reference
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -19,6 +23,27 @@ def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Options that each change which rows and contexts a report holds.
+REPORT_OPTIONS = {
+    "corollary-both": ReportOptions(corollary_mode="both"),
+    "corollary-verbatim": ReportOptions(corollary_mode="verbatim"),
+    "exhaustive-start": ReportOptions(exhaustive_start=True),
+    "class5": ReportOptions(class5_asserted=True),
+    "no-exact-aut": ReportOptions(exact_aut=False),
+    "subset": ReportOptions(bounds=("eq8_hampath_edges", "eq4_degree_exponent",
+                                    "eq6_starfree", "thm3_orbit", "corollary")),
+}
+
+
+@pytest.mark.parametrize("opts", REPORT_OPTIONS.values(), ids=REPORT_OPTIONS)
+def test_report_to_dict_matches_the_reference(opts):
+    # Every graph on 1..7 vertices, the disconnected ones included: the same
+    # JSON text, byte for byte, as the reference builder gives.
+    for g in (g for n in range(1, 8) for g in all_graphs(n)):
+        rep = compose_report(g, opts)
+        assert json.dumps(report_to_dict(rep)) == json.dumps(report_to_dict_reference(rep)), g
 
 
 def test_analyze_table(capsys, monkeypatch):
@@ -368,16 +393,32 @@ def test_theorem1_identity_failure_is_a_violation(capsys, monkeypatch):
 
 def test_verify_external_corpus_disconnected(tmp_path, capsys):
     # K_4 plus a disconnected 4-vertex graph: every suite still prints, and
-    # the disconnected graph is one theorem1 violation, not an aborted run.
+    # the disconnected graph is one violation each of greedy-construction
+    # and theorem1, not an aborted run.
     p = tmp_path / "corpus.g6"
     p.write_text("C~\nCC\n")
     code, out, err = run_cli(["verify", "--suites", "soundness,theorem1",
                               "--corpus", str(p)], capsys)
     assert code == 1 and err == ""
-    assert "[soundness] PASS" in out and "[greedy-construction] FAIL" in out
+    assert "[soundness] PASS" in out
+    assert "[greedy-construction] FAIL: 5 checks, 1 violations" in out
     theorem1 = next(ln for ln in out.splitlines() if ln.startswith("[theorem1-embeddings]"))
     assert "FAIL" in theorem1 and theorem1.endswith(" 1 violations")
-    assert "counterexample: CC: disconnected" in out
+    assert out.count("counterexample: CC: disconnected, so it has no spanning tree") == 2
+
+
+def test_greedy_builder_fault_exit_4(capsys, monkeypatch):
+    # A ValueError from inside the greedy builder is a bug, not a rejected
+    # construction record: exit 4 with its traceback, no FAIL line.
+    from autbounds import verify
+
+    def broken(g, v0):
+        raise ValueError("builder fault")
+
+    monkeypatch.setattr(verify, "greedy_spanning_tree", broken)
+    code, out, err = run_cli(["verify", "--suites", "soundness", "--nmax", "3"], capsys)
+    assert code == 4 and out == ""
+    assert "Traceback" in err and "internal error: ValueError: builder fault" in err
 
 
 def test_verify_external_corpus_too_large_for_theorem1(tmp_path, capsys):

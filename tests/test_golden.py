@@ -5,7 +5,9 @@ The file holds every graph on 1..6 vertices (disconnected ones included),
 the Petersen graph, and C_22, which is past the structural size cap.  A
 second file of sixteen seeded connected graphs on 7..14 vertices pins the
 path cover number p through the eq3/eq7/eq8 rows: half are sparse, with
-p >= 2, and half are dense, with p == 1.  The generated corpus itself,
+p >= 2, and half are dense, with p == 1.  A third file holds the graphs a
+batch benchmark reports on: the connected n = 7 corpus and sixty seeded
+connected G(8, m), twenty for each m in 8, 14, 20.  The generated corpus itself,
 every graph on 1..7 vertices as graph6 lines in order, has one more digest,
 and so do the labeled-copy counts of greedy trees in the connected n <= 7
 graphs and in seeded connected G(8, m), and the tree layer: greedy and best
@@ -85,6 +87,9 @@ BEST_GREEDY_DIGESTS = {
 # One SHA-256 over aut_lines(), in order.
 AUT_DIGEST = "ec1a708c8fc2217dc6aa98594f728ac2b07c3e8f89162e4616255aabdb7df82f"
 
+# One SHA-256 over `batch --output json --corollary-mode both` on batch_graphs().
+BATCH_DIGEST = "203d5a1c1dbbf4d5223c2dee7ee0f45f5e38e6cbf297219e87a03a420e2b8ab1"
+
 PATH_COVER_FLAGS = ["--output", "json", "--no-exact-aut", "--bounds", "eq3,eq7,eq8"]
 PATH_COVER_DIGEST = "c90832b2c83359998169ec8909da77b9f93f74ae373a3de88ab105489ab29a7d"
 
@@ -108,6 +113,15 @@ def path_cover_graphs():
             edges.add(tuple(sorted(rng.sample(range(n), 2))))
         out.append(Graph.from_edges(n, edges))
     return out
+
+
+def batch_graphs():
+    """The connected graphs with n = 7, then twenty seeded connected G(8, m)
+    for each m = 8, 14, 20: the graph sizes a batch over the corpus and
+    random 8-vertex graphs reports on."""
+    rng = random.Random(2002)
+    return list(connected_graphs(7)) + [connected_gnm(8, m, rng)
+                                        for m in (8, 14, 20) for _ in range(20)]
 
 
 def embedding_pairs():
@@ -191,6 +205,14 @@ def test_path_cover_output_matches_golden_digest(tmp_path, capsys):
     assert main(["batch", path, *PATH_COVER_FLAGS]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == PATH_COVER_DIGEST
+
+
+def test_batch_on_seven_and_eight_vertices_matches_golden_digest(tmp_path, capsys):
+    path = _write(tmp_path / "batch.g6", batch_graphs())
+    code = main(["batch", path, "--output", "json", "--corollary-mode", "both"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("\n") == 853 + 60
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == BATCH_DIGEST
 
 
 def test_corpus_matches_golden_digest():

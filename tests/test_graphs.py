@@ -3,10 +3,12 @@ import sys
 import threading
 import warnings
 from collections import deque
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 
+from autbounds.corpus import all_graphs
 from autbounds.graphs import (
     SYMMETRIC_FAMILIES,
     Graph,
@@ -128,6 +130,48 @@ def test_graph6_long_form_roundtrip():
     s = write_graph6(g)
     assert s.startswith("~")
     assert parse_graph6(s) == g
+
+
+@pytest.mark.parametrize("text", ["DQc", "~??DQc", ">>graph6<<DQc", "DQc\r\n",
+                                  ">>graph6<<~??DQc\r\n"])
+def test_parsed_graph_writes_the_shortest_form(text):
+    # '~??D' spells n = 5 in the 4-byte count form; the writer, and so the
+    # line a parsed graph keeps, uses the 1-byte form.
+    g = parse_graph6(text)
+    assert write_graph6(g) == "DQc" == write_graph6(Graph(g.n, g.rows))
+
+
+def test_parsed_long_form_writes_the_shortest_form():
+    # n = 63 needs the 4-byte count; the 8-byte count spells it too.
+    g = path_graph(63)
+    short = write_graph6(g)
+    long = "~~?????~" + short[4:]
+    assert short.startswith("~??~")
+    assert write_graph6(parse_graph6(long)) == short == write_graph6(parse_graph6(short))
+
+
+def test_graph6_line_is_not_a_field():
+    # The kept line is a cached fact: it leaves equality, hashing and the
+    # dataclass fields alone, and a graph built from a parsed one encodes
+    # its own rows.
+    parsed, built = parse_graph6("DQc"), Graph.from_edges(5, parse_graph6("DQc").edges())
+    assert vars(parsed)["graph6"] == "DQc" and "graph6" not in vars(built)
+    assert parsed == built and hash(parsed) == hash(built)
+    assert [f.name for f in fields(Graph)] == ["n", "rows"]
+    flipped = parsed.relabel((4, 3, 2, 1, 0))
+    assert write_graph6(flipped) == write_graph6(Graph(5, flipped.rows)) != "DQc"
+    assert write_graph6(parsed.complement()) == write_graph6(Graph(5, parsed.complement().rows))
+
+
+def test_graph6_fact_matches_the_encoder():
+    # every graph on 1..7 vertices and every named family the parser takes:
+    # the parsed graph keeps exactly the line a new graph encodes to
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += [g for g in (build() for build, _ in SYMMETRIC_FAMILIES.values()) if g.n <= 64]
+    for g in graphs:
+        line = write_graph6(Graph(g.n, g.rows))
+        parsed = parse_graph6(line)
+        assert parsed == g and vars(parsed)["graph6"] == line == write_graph6(parsed)
 
 
 def test_parse_edgelist_path():

@@ -88,7 +88,8 @@ def test_bench_aut_quick(tmp_path):
     ("naive", "aut_order_naive_best_s", ["G(7,1/2)", "K6", "n<=5", "tree classes n<=5"]),
     ("starfree", "star_free_parameter_best_s",
      ["G(n,2n)", "G(n,3n)", "G(n,n)", "K1,19", "K2,18", "K20", "n<=5"]),
-    ("serialise", "serialise_best_s", ["parse_graph6", "report_json", "write_graph6"]),
+    ("serialise", "serialise_best_s",
+     ["parse_graph6", "report_json", "report_line", "write_graph6"]),
 ])
 def test_bench_layers_quick(tmp_path, layer, key, groups):
     proc = run_script("bench.py", "--layer", layer, "--quick", "--label", "smoke",

@@ -20,6 +20,7 @@ from autbounds.graphs import (
     write_graph6,
 )
 from autbounds.trees import (
+    GreedyRecordError,
     SpanningTree,
     all_spanning_trees,
     best_greedy_tree,
@@ -120,7 +121,7 @@ def test_verify_greedy_tree_rejects(changes, message):
     gt = greedy_spanning_tree(c5, 0)
     assert gt.sequence == (0, 1, 2) and gt.steps == (0b10010, 0b100, 0b1000)
     verify_greedy_tree(c5, gt)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(GreedyRecordError, match=f"^{message}$"):
         verify_greedy_tree(c5, replace(gt, **changes))
 
 

@@ -16,6 +16,7 @@ from autbounds.graphs import (
     path_graph,
     write_graph6,
 )
+from autbounds.trees import GreedyRecordError
 
 SUITE_FUNCTIONS = ("soundness_sweep", "greedy_sweep", "exactness_suite",
                    "oracle_suite", "theorem1_suite")
@@ -136,7 +137,7 @@ def _reports_with(change):
 
 
 def _bad_record(g, gt):
-    raise ValueError("bad record")
+    raise GreedyRecordError("bad record")
 
 
 def _theorem1():
