@@ -3,13 +3,11 @@
 Layers:
   aut         aut_order on large symmetric graph families from
               autbounds.graphs.SYMMETRIC_FAMILIES, the known group order
-              checked; the cache is cleared before every call.  Each
-              family's call is repeated until at least 3 calls and 0.2 s
-              have been timed, at most 1,000 calls, and the count is
-              recorded.  Also records the _search, the _refine and the
-              _is_mapping (bijection check) calls of one cold call per
-              family, recursive ones included, and one digest of every
-              family's order, orbits and generators.
+              checked; the cache is cleared before every call.  Also
+              records each family's call count, the _search, the _refine
+              and the _is_mapping (bijection check) calls of one more cold
+              call per family, recursive ones included, and one digest of
+              every family's order, orbits and generators.
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
@@ -79,10 +77,12 @@ Layers:
               aut_order cache and both bound memos cleared before each
               repeat, as in a fresh process.
 
-Each group is timed best-of-3, except the aut layer's families (above).
-The record is written to BENCH_<label>.json
-with the Python version, os.cpu_count(), the git sha of the checkout that
-holds the imported autbounds, and the seconds per group.  The embeddings and
+Every group is timed by one rule: its number is the best of at least 3
+calls, with more calls until 1 s has been timed, and at most 1,000 calls.
+--quick is a smoke run on smaller inputs that makes exactly 3 calls per
+group.  The record is written to BENCH_<label>.json with the Python version,
+os.cpu_count(), the git sha of the checkout that holds the imported
+autbounds, the timing rule and the seconds per group.  The embeddings and
 log2 layers also record a SHA-256 over their results, so two checkouts can be
 shown to compute the same values; the corpus layer hashes the graph6 lines
 of all_graphs(1..7) in order, and the trees layer hashes its records in the
@@ -142,9 +142,9 @@ from autbounds.trees import (
 from autbounds.verify import DEFAULT_SEED, theorem1_suite
 
 REPEATS = 3
-# The aut layer repeats each family's cold call until AUT_MIN_SECONDS have
-# been timed, so a millisecond family is the best of a hundred calls, not three.
-AUT_MIN_SECONDS = 0.2
+# A group's calls go on until MIN_SECONDS have been timed, so a millisecond
+# group is the best of hundreds of calls, not three.
+MIN_SECONDS = 1.0
 MAX_REPEATS = 1000
 
 
@@ -200,10 +200,11 @@ def power_value_keys(quick):
     return calls
 
 
-def repeated(run, reset, min_seconds):
+def repeated(run, quick, reset=lambda: None):
     """(best seconds, result, calls) of run(), reset() before each call:
-    at least REPEATS calls, and more until min_seconds have been timed in
-    all, but at most MAX_REPEATS."""
+    at least REPEATS calls, and more until MIN_SECONDS have been timed in
+    all, but at most MAX_REPEATS; exactly REPEATS if quick."""
+    min_seconds = 0.0 if quick else MIN_SECONDS
     best, spent, calls = float("inf"), 0.0, 0
     while calls < REPEATS or spent < min_seconds and calls < MAX_REPEATS:
         reset()
@@ -214,15 +215,20 @@ def repeated(run, reset, min_seconds):
     return best, result, calls
 
 
-def best_of(run, reset):
-    """(best seconds, result) of REPEATS calls of run(), reset() before each."""
-    return repeated(run, reset, 0.0)[:2]
+def time_groups(groups, fn, quick):
+    """({name: best seconds}, {name: [fn(x) for x in inputs]}) of
+    {name: inputs}, each group timed by repeated()."""
+    seconds, results = {}, {}
+    for name, inputs in groups.items():
+        seconds[name], results[name], _ = repeated(lambda: [fn(x) for x in inputs], quick)
+    return seconds, results
 
 
-def cold_certificate_best_of(run, reset=lambda: None):
-    """best_of(run), the intern table of trees cleared before each repeat and
-    reset() called after it.  Also returns, per repeat, the table's hits and
-    misses and the trees the repeat coded (trees._centroid_code calls)."""
+def cold_trees_repeated(run, quick, reset=lambda: None):
+    """repeated(run)'s best seconds and result, the intern table of trees
+    cleared before each repeat and reset() called after it.  Also returns, per
+    repeat, the table's hits and misses and the trees the repeat coded
+    (trees._centroid_code calls)."""
     intern = autbounds.trees._interned_tree  # an AttributeError, not a warm timing, if it goes
     counts = {"intern": {"hits": [], "misses": []}, "codings": []}
 
@@ -240,20 +246,11 @@ def cold_certificate_best_of(run, reset=lambda: None):
         return result
 
     with spy(autbounds.trees, "_centroid_code") as codings:
-        return (*best_of(counted, cold), counts)
+        return (*repeated(counted, quick, cold)[:2], counts)
 
 
 def digest(values):
     return hashlib.sha256(repr(values).encode()).hexdigest()
-
-
-def spied_calls(g, name):
-    """Calls of automorphisms.<name>, recursive ones included, during one
-    cold aut_order(g)."""
-    aut_order.cache_clear()
-    with spy(automorphisms, name) as calls:
-        aut_order(g)
-    return len(calls)
 
 
 def bench_aut(quick):
@@ -262,13 +259,15 @@ def bench_aut(quick):
         build, order = SYMMETRIC_FAMILIES[name]
         g = build()
         seconds[name], res, repeats[name] = repeated(
-            lambda: aut_order(g), aut_order.cache_clear, AUT_MIN_SECONDS)
+            lambda: aut_order(g), quick, aut_order.cache_clear)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
         results[name] = (res.order, res.orbits, res.generators)
-        searches[name] = spied_calls(g, "_search")
-        refines[name] = spied_calls(g, "_refine")
-        leaves[name] = spied_calls(g, "_is_mapping")
+        aut_order.cache_clear()
+        with (spy(automorphisms, "_search") as search, spy(automorphisms, "_refine") as refine,
+              spy(automorphisms, "_is_mapping") as is_mapping):
+            aut_order(g)
+        searches[name], refines[name], leaves[name] = len(search), len(refine), len(is_mapping)
     return {"aut_order_best_s": seconds, "aut_order_repeats": repeats,
             "search_calls": searches,
             "refine_calls": refines, "is_mapping_calls": leaves,
@@ -276,10 +275,8 @@ def bench_aut(quick):
 
 
 def bench_embeddings(quick):
-    seconds, counts = {}, {}
-    for name, pairs in embedding_groups(quick).items():
-        seconds[name], counts[name] = best_of(
-            lambda: [count_labeled_embeddings(f, g) for f, g in pairs], lambda: None)
+    seconds, counts = time_groups(embedding_groups(quick),
+                                  lambda pair: count_labeled_embeddings(*pair), quick)
     return {"count_labeled_embeddings_best_s": seconds,
             "pairs": {name: len(c) for name, c in counts.items()},
             "counts_sha256": digest(counts)}
@@ -305,7 +302,7 @@ def bench_log2(quick):
     with spy(bounds, "_log2") as log2_calls:
         for key in keys:
             bounds._power_value(*key)
-    seconds, values = best_of(run, cold)
+    seconds, values, _ = repeated(run, quick, cold)
     return {"log2_best_s": {"corpus": seconds},
             "power_value": {"calls": len(keys), "distinct": len(set(keys)),
                             "misses": misses["power_value"]},
@@ -334,9 +331,9 @@ def bench_corpus(quick):
         for mask in corpus._least_masks(base):
             minima[base.n + 1] += 1
             dropped[base.n + 1] += (base.rows, mask) not in tried
-    seconds, graphs = best_of(
+    seconds, graphs, _ = repeated(
         lambda: [g for n in range(1, nmax + 1) for g in corpus.all_graphs(n)],
-        clear_corpus_caches)
+        quick, clear_corpus_caches)
     text = "".join(write_graph6(g) + "\n" for g in graphs)
     return {"all_graphs_best_s": {f"n<={nmax}": seconds},
             "candidates": dict(sorted(candidates.items())),
@@ -353,21 +350,21 @@ def bench_trees(quick):
     small = [g for g in hosts if g.n <= (5 if quick else 6)]
     starts = [(g, v0) for g in hosts for v0 in range(g.n)]
     seconds, memos = {}, {}
-    seconds["greedy"], greedy, memos["greedy"] = cold_certificate_best_of(
-        lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts])
-    seconds["best_greedy"], best, memos["best_greedy"] = cold_certificate_best_of(
-        lambda: [pair for g in hosts for pair in best_greedy_tree(g)])
-    seconds["best_greedy n=24"], large, memos["best_greedy n=24"] = cold_certificate_best_of(
-        lambda: [best_greedy_tree(g) for g in large_hosts])
-    seconds["all_spanning_trees"], trees, memos["all_spanning_trees"] = (
-        cold_certificate_best_of(lambda: [t for g in small for t in all_spanning_trees(g)]))
+    seconds["greedy"], greedy, memos["greedy"] = cold_trees_repeated(
+        lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts], quick)
+    seconds["best_greedy"], best, memos["best_greedy"] = cold_trees_repeated(
+        lambda: [pair for g in hosts for pair in best_greedy_tree(g)], quick)
+    seconds["best_greedy n=24"], large, memos["best_greedy n=24"] = cold_trees_repeated(
+        lambda: [best_greedy_tree(g) for g in large_hosts], quick)
+    seconds["all_spanning_trees"], trees, memos["all_spanning_trees"] = cold_trees_repeated(
+        lambda: [t for g in small for t in all_spanning_trees(g)], quick)
     fresh = []
 
     def rebuild():  # new tree objects, so no repeat reads a certificate cached on the last
         fresh[:] = [t for g in small for t in all_spanning_trees(g)]
 
-    seconds["tree_certificate"], certs, memos["tree_certificate"] = cold_certificate_best_of(
-        lambda: [tree_certificate(t) for t in fresh], rebuild)
+    seconds["tree_certificate"], certs, memos["tree_certificate"] = cold_trees_repeated(
+        lambda: [tree_certificate(t) for t in fresh], quick, rebuild)
     lines = [f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} {bt.tree.edges()} {product}\n"
              for gt, (bt, product) in zip(greedy, best)]
     lines += [f"{t.edges()} {cert} {tree_aut_exact(t)} "
@@ -392,7 +389,7 @@ def bench_theorem1(quick):
         connected_graphs(n)  # built and cached outside the timing
     seconds, checks, violations, memos = {}, {}, {}, {}
     for name, run in runs.items():
-        seconds[name], res, memos[name] = cold_certificate_best_of(run, aut_order.cache_clear)
+        seconds[name], res, memos[name] = cold_trees_repeated(run, quick, aut_order.cache_clear)
         checks[name], violations[name] = res.checked, len(res.violations)
     return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations,
             "tree_memos": memos}
@@ -416,10 +413,10 @@ def pathcover_groups(quick):
 
 
 def bench_pathcover(quick):
-    seconds, ps = {}, {}
-    for name, (graphs, least) in pathcover_groups(quick).items():
-        seconds[name], ps[name] = best_of(
-            lambda: [path_cover_number(g).p for g in graphs], lambda: None)
+    groups = pathcover_groups(quick)
+    seconds, ps = time_groups({name: graphs for name, (graphs, _) in groups.items()},
+                              lambda g: path_cover_number(g).p, quick)
+    for name, (_, least) in groups.items():
         if min(ps[name]) < least:
             raise SystemExit(f"{name}: p = {min(ps[name])}, expected p >= {least}")
     return {"path_cover_number_best_s": seconds,
@@ -451,10 +448,7 @@ def naive_groups(quick):
 
 
 def bench_naive(quick):
-    seconds, orders = {}, {}
-    for name, graphs in naive_groups(quick).items():
-        seconds[name], orders[name] = best_of(
-            lambda: [aut_order_naive(g) for g in graphs], lambda: None)
+    seconds, orders = time_groups(naive_groups(quick), aut_order_naive, quick)
     return {"aut_order_naive_best_s": seconds,
             "graphs": {name: len(o) for name, o in orders.items()},
             "orders_sha256": digest(orders)}
@@ -475,10 +469,7 @@ def starfree_groups(quick):
 
 
 def bench_starfree(quick):
-    seconds, params = {}, {}
-    for name, graphs in starfree_groups(quick).items():
-        seconds[name], params[name] = best_of(
-            lambda: [star_free_parameter(g) for g in graphs], lambda: None)
+    seconds, params = time_groups(starfree_groups(quick), star_free_parameter, quick)
     return {"star_free_parameter_best_s": seconds,
             "m_min_counts": {name: dict(sorted(Counter(r.m_min for r in rs).items()))
                              for name, rs in params.items()},
@@ -506,20 +497,20 @@ def bench_serialise(quick):
     def new_copies():
         copies[:] = [Graph(g.n, g.rows) for g in graphs]
 
-    seconds = {}
-    seconds["parse_graph6"], parsed = best_of(
-        lambda: [parse_graph6(s) for s in lines], lambda: None)
-    seconds["write_graph6"], written = best_of(
-        lambda: [write_graph6(g) for g in copies], new_copies)
-    seconds["report_json"], texts = best_of(
-        lambda: [json.dumps(report_to_dict(r)) for r in reports], lambda: None)
     def cold():
         for cache in (aut_order, bounds._power_value, bounds._log2):
             cache.cache_clear()
 
-    seconds["report_line"], line_texts = best_of(
+    seconds = {}
+    seconds["parse_graph6"], parsed, _ = repeated(
+        lambda: [parse_graph6(s) for s in lines], quick)
+    seconds["write_graph6"], written, _ = repeated(
+        lambda: [write_graph6(g) for g in copies], quick, new_copies)
+    seconds["report_json"], texts, _ = repeated(
+        lambda: [json.dumps(report_to_dict(r)) for r in reports], quick)
+    seconds["report_line"], line_texts, _ = repeated(
         lambda: [json.dumps(report_to_dict(compose_report(parse_graph6(s), opts)))
-                 for s in lines], cold)
+                 for s in lines], quick, cold)
     if parsed != graphs or written != lines:
         raise SystemExit("graph6 lines do not round-trip")
     if line_texts != texts:
@@ -556,15 +547,7 @@ def main():
     ap.add_argument("--label", required=True)
     ap.add_argument("--outdir", default=".")
     ap.add_argument("--quick", action="store_true",
-                    help="a smoke run: K8 and Q3, the n <= 5 corpus (and 5 G(8, m), or "
-                         "the two 24-vertex greedy hosts), "
-                         "theorem1 at n <= 4, or path covers of the n <= 5 corpus, "
-                         "analyze-hard seed 0, G(14, 15..18) and K3,5, or the naive "
-                         "oracle on the n <= 5 corpus and its tree classes, "
-                         "5 G(7, 1/2) and K6, or star-free parameters of the n <= 5 "
-                         "corpus, one G(n, m) per n = 9..11 and m, K1,19, K2,18 and "
-                         "K20, or the codecs and JSON reports of all graphs with "
-                         "n <= 5, 5 G(8, m) per m, K8 and Q3")
+                    help="a smoke run: smaller inputs and exactly 3 calls per group")
     args = ap.parse_args()
     Path(args.outdir).mkdir(parents=True, exist_ok=True)
 
@@ -582,7 +565,8 @@ def main():
         "cpu_count": os.cpu_count(),
         "git_sha": sha,
         "git_dirty": dirty,
-        "repeats": REPEATS,
+        "timing_rule": {"min_calls": REPEATS, "max_calls": MAX_REPEATS,
+                        "min_seconds": 0.0 if args.quick else MIN_SECONDS},
         **result,
     }
     path = Path(args.outdir) / f"BENCH_{args.label}.json"

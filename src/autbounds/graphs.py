@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, isqrt
 
 VERTEX_CAP = 64
 
@@ -449,7 +449,11 @@ def shrikhande_graph() -> Graph:
 
 
 def paley_graph(q: int) -> Graph:
-    """Z_q, adjacent when the difference is a nonzero square mod the prime q."""
+    """Z_q, adjacent when the difference is a nonzero square mod the prime q.
+    Only a prime q = 1 (mod 4) is taken: for any other q this difference
+    graph is not the Paley graph (P(9), say, lives on GF(9), not Z_9)."""
+    if q % 4 != 1 or q < 5 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise ValueError(f"a Paley graph needs a prime q = 1 (mod 4), got {q}")
     residues = {(x * x) % q for x in range(1, q)}
     return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
                                 if (v - u) % q in residues])

@@ -229,6 +229,18 @@ def test_large_families_known_orders(name):
         assert is_automorphism(g, p)
 
 
+# Aut(P(q)) for a prime q = 1 (mod 4) is x -> a x + b with a a nonzero
+# square: q(q - 1)/2 maps, transitive on the (q - 1)/2-regular graph.
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29, 37, 41, 53, 61])
+def test_paley_graph_order_closed_form(q):
+    g = paley_graph(q)
+    assert set(g.degrees) == {(q - 1) // 2}
+    res = aut_order(g)
+    assert res.order == q * (q - 1) // 2
+    assert len(res.orbits) == 1
+
+
 # 64! has 90 digits: the order must come back as an exact int, not a float.
 
 def test_large_complete_graph_exact_factorial():

@@ -25,6 +25,7 @@ from autbounds.graphs import (
     cycle_graph,
     is_connected,
     parse_edgelist,
+    paley_graph,
     parse_graph6,
     path_graph,
     petersen_graph,
@@ -374,6 +375,15 @@ def test_generate_named_rejects():
         complete_graph(0)
     with pytest.raises(ValueError):
         cycle_graph(2)
+
+
+# Z_q's difference graph is the Paley graph only for a prime q = 1 (mod 4):
+# Z_7 gives degrees 3-5, and P(9) and P(25) live on GF(9) and GF(25).
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 9, 11, 15, 25])
+def test_paley_graph_refuses_other_q(q):
+    with pytest.raises(ValueError, match="prime q = 1"):
+        paley_graph(q)
 
 
 def test_complete_family_invariants():

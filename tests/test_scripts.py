@@ -1,6 +1,8 @@
 """Smoke tests: the scripts under scripts/ still run against the package's
 public names."""
 
+import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -47,6 +49,37 @@ def test_scripts_refuse_nmax_out_of_range(tmp_path, nmax):
     assert not (tmp_path / "out").exists()
 
 
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+@pytest.mark.parametrize("durations, quick, calls, best", [
+    ([1.0], False, 3, 1.0),  # calls of 1 s or more stop after three
+    ([1.5, 2.0, 1.25], False, 3, 1.25),
+    # short calls go on until 1 s has been timed: 0.25, 0.375, 0.75, 0.8125, 1.3125
+    ([0.25, 0.125, 0.375, 0.0625, 0.5], False, 5, 0.0625),
+    ([2.0 ** -20], False, 1000, 2.0 ** -20),  # at most 1,000 calls
+    ([0.25, 0.125, 0.375, 0.0625, 0.5], True, 3, 0.125),  # a smoke run: exactly three
+], ids=["1s", "over-1s", "short", "cap", "quick"])
+def test_bench_timing_rule(monkeypatch, durations, quick, calls, best):
+    bench = load_bench()
+    clock, steps, events = [0.0], itertools.cycle(durations), []
+
+    def run():
+        events.append("run")
+        clock[0] += next(steps)
+        return len(events)
+
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])
+    seconds, result, made = bench.repeated(run, quick, lambda: events.append("reset"))
+    assert (seconds, made) == (best, calls)
+    assert events == ["reset", "run"] * calls  # reset() runs before every call
+    assert result == 2 * calls  # the last call's result
+
+
 def test_bench_aut_quick(tmp_path):
     # --outdir names a directory that does not exist yet: bench.py makes it
     outdir = tmp_path / "new" / "dir"
@@ -57,9 +90,9 @@ def test_bench_aut_quick(tmp_path):
     assert record["label"] == "smoke" and record["cpu_count"] == os.cpu_count()
     assert sorted(record["aut_order_best_s"]) == ["K8", "Q3"]
     assert all(s >= 0 for s in record["aut_order_best_s"].values())
-    # each family is called at least three times, and more until 0.2 s are timed
-    assert sorted(record["aut_order_repeats"]) == ["K8", "Q3"]
-    assert all(3 <= r <= 1000 for r in record["aut_order_repeats"].values())
+    # a smoke run calls each family exactly three times, with no minimum time
+    assert record["aut_order_repeats"] == {"K8": 3, "Q3": 3}
+    assert record["timing_rule"] == {"min_calls": 3, "max_calls": 1000, "min_seconds": 0.0}
     # one top-level _search finds each kept generator, n - 1 of them for K8,
     # and returns the aligned bijection at once: it never branches
     assert record["search_calls"] == {"K8": 7, "Q3": 3}
