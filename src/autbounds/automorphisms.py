@@ -2,9 +2,10 @@
 
 The main routine runs a backtracking search pruned by equitable partition
 refinement with a queue of splitter cells: a cell is split by its vertices'
-neighbour counts into one splitter at a time, only the cells the splitter's
-neighbourhood meets are visited, and only the cells a split changed are
-queued as new splitters.  It fixes a base once, the first path:
+neighbour counts into one splitter at a time, only the non-singleton cells
+the splitter's neighbourhood meets are visited, a splitter holding most of
+the vertices is counted from its complement, and only the cells a split
+changed are queued as new splitters.  It fixes a base once, the first path:
 one individualised vertex per level with its refinement trace.  The search is
 one-sided: it refines each child on the other side once and goes down only
 where the child's trace equals the first path's.  A bijection is checked
@@ -68,66 +69,87 @@ class AutResult:
 
 # ---------------------------------------------------------------------------
 # Equitable refinement on ordered partitions of bitmask cells, driven by a
-# FIFO queue of splitter masks (McKay & Piperno 2014, without Hopcroft's
-# "skip the largest subcell" rule).
+# FIFO queue of splitter masks (McKay & Piperno 2014).  Every part of a split
+# is queued: Hopcroft's "skip the largest subcell" rule would change the
+# traces, so only his smaller-side count is used, below.
 #
 # A popped splitter W splits every cell by the neighbour count into W; only
 # the vertices in N(W) are counted, the rest count 0, so only the
-# non-singleton cells that meet N(W) can split and only those are visited,
-# in index order.  Subcells are ordered by count, which is deterministic and
-# isomorphism-invariant, replace the cell in place and join the back of the
-# queue, so the trace of splits, each at its cell's index at the time, is an
-# isomorphism invariant that the search compares.  A final cell was queued
-# when it was made and has not split since, so the fixed point is equitable.
-# Individualising v out of an equitable partition leaves {v} the only
-# splitter needed: the counts into the rest of its old cell are the old
-# counts minus adjacency to v.
+# non-singleton cells that meet N(W) can split.  Those are found in a list of
+# the non-singleton cells kept in index order, the live list, so a splitter
+# never scans the singletons; the loop ends when the live list is empty, at a
+# discrete partition.  Subcells are ordered by count, which is deterministic
+# and isomorphism-invariant, replace the cell in place and join the back of
+# the queue, so the trace of splits, each at its cell's index at the time (a
+# C-level list.index), is an isomorphism invariant that the search compares.
+# A final cell was queued when it was made and has not split since, so the
+# fixed point is equitable.
+#
+# When every non-singleton cell is degree-uniform, a splitter W holding more
+# than half the vertices is counted from the smaller side (Hopcroft 1971): a
+# vertex of degree d with c neighbours in V - W has d - c in W, so the cells
+# N(V - W) meets split into the same parts, ordered by d - c, and the rest
+# do not split.  Uniformity is declared by the caller, not checked: an
+# equitable partition is degree-uniform, and so is one with a vertex
+# individualised, which is what ``_split_off`` refines.  There {v} alone is
+# the only splitter needed, since the counts into the rest of v's old cell
+# are the old counts minus adjacency to v.
 # ---------------------------------------------------------------------------
 
-def _refine(rows, cells, splitters=None):
+def _refine(rows, cells, splitters=None, uniform=False):
     """Refine to a fixed point, starting from the given splitter masks (every
-    cell when None); returns (cells, trace of splits)."""
+    cell when None); returns (cells, trace of splits).  ``uniform`` declares
+    that the vertices of each non-singleton cell share one degree."""
     cells = list(cells)
+    live = [cell for cell in cells if cell & (cell - 1)]
     queue = deque(cells if splitters is None else splitters)
     trace = []
     n = len(rows)
-    while queue and len(cells) < n:
+    full = (1 << n) - 1
+    while queue and live:
         w = queue.popleft()
         single = w & (w - 1) == 0
+        flip = False
         if single:
             nw = rows[w.bit_length() - 1]
         else:
+            if uniform and 2 * w.bit_count() > n:
+                flip = True
+                w ^= full  # count into V - W
             nw = 0
             x = w
             while x:
                 low = x & -x
                 nw |= rows[low.bit_length() - 1]
                 x ^= low
-        # The non-singleton cells N(W) meets, listed before any of them splits;
-        # each split shifts the later ones right by the parts it added.
-        met = [ci for ci, cell in enumerate(cells) if cell.bit_count() > 1 and cell & nw]
-        shift = 0
-        for ci in met:
-            ci += shift
-            cell = cells[ci]
+        for cell in [cell for cell in live if cell & nw]:
             hit = cell & nw
-            counts = {0: cell ^ hit} if hit != cell else {}
-            if single:  # W = {u}: the neighbours of u count 1
-                counts[1] = hit
+            if single:  # W = {u}: the neighbours of u count 1, the rest 0
+                if hit == cell:
+                    continue
+                ordered = [(0, cell ^ hit), (1, hit)]
             else:
+                counts = {0: cell ^ hit} if hit != cell else {}
                 x = hit
                 while x:
                     low = x & -x
                     c = (rows[low.bit_length() - 1] & w).bit_count()
                     counts[c] = counts.get(c, 0) | low
                     x ^= low
-            if len(counts) > 1:
-                ordered = sorted(counts.items())
-                parts = [m for _, m in ordered]
-                cells[ci:ci + 1] = parts
-                queue.extend(parts)
-                trace.append((ci, tuple([(c, m.bit_count()) for c, m in ordered])))
-                shift += len(ordered) - 1
+                if len(counts) == 1:
+                    continue
+                if flip:
+                    d = rows[(cell & -cell).bit_length() - 1].bit_count()
+                    ordered = [(d - c, m) for c, m in sorted(counts.items(), reverse=True)]
+                else:
+                    ordered = sorted(counts.items())
+            parts = [m for _, m in ordered]
+            ci = cells.index(cell)
+            cells[ci:ci + 1] = parts
+            li = live.index(cell)
+            live[li:li + 1] = [m for m in parts if m & (m - 1)]
+            queue.extend(parts)
+            trace.append((ci, tuple([(c, m.bit_count()) for c, m in ordered])))
     return cells, tuple(trace)
 
 
@@ -149,6 +171,13 @@ def _individualized(cells, ci, v):
     return out
 
 
+def _split_off(rows, cells, ci, v):
+    """Individualise v in cell ci of the equitable partition cells and refine
+    by {v}; every cell stays degree-uniform, so _refine may count a large
+    splitter from its complement."""
+    return _refine(rows, _individualized(cells, ci, v), (1 << v,), True)
+
+
 def _is_mapping(rows_a, rows_b, perm) -> bool:
     """Whether the bijection perm maps each row of rows_a onto the row of
     rows_b at its image.  A vertex v with more than n/2 neighbours maps its
@@ -157,6 +186,7 @@ def _is_mapping(rows_a, rows_b, perm) -> bool:
     mapped once."""
     n = len(rows_a)
     full = (1 << n) - 1
+    image = [1 << pv for pv in perm]  # the bit of each vertex's image
     images = {}
     for v, row in enumerate(rows_a):
         pv = perm[v]
@@ -172,7 +202,7 @@ def _is_mapping(rows_a, rows_b, perm) -> bool:
             x = mask
             while x:
                 low = x & -x
-                img |= 1 << perm[low.bit_length() - 1]
+                img |= image[low.bit_length() - 1]
                 x ^= low
             images[mask] = img
         if img != want:
@@ -187,7 +217,7 @@ def _first_path(rows, cells):
     levels = []
     while (ti := _target_cell(cells)) is not None:
         b = (cells[ti] & -cells[ti]).bit_length() - 1
-        child, trace = _refine(rows, _individualized(cells, ti, b), (1 << b,))
+        child, trace = _split_off(rows, cells, ti, b)
         levels.append((cells, ti, b, trace))
         cells = child
     return levels, cells
@@ -220,7 +250,7 @@ def _search(rows_a, rows_b, first, level, cells_b):
         return None
     _, ti, _, trace = levels[level]
     for y in bits(cells_b[ti]):
-        child, tr = _refine(rows_b, _individualized(cells_b, ti, y), (1 << y,))
+        child, tr = _split_off(rows_b, cells_b, ti, y)
         if tr == trace:
             found = _search(rows_a, rows_b, first, level + 1, child)
             if found is not None:
@@ -239,16 +269,18 @@ def aut_order(g: Graph) -> AutResult:
     order = 1
     gens: list[tuple[int, ...]] = []
     for level, (cells, ti, b, trace) in reversed(list(enumerate(first[0]))):
+        rb = _root(parent, b)
         for w in bits(cells[ti]):
-            if _root(parent, w) == _root(parent, b):
+            if _root(parent, w) == rb:
                 continue
-            child, tr = _refine(rows, _individualized(cells, ti, w), (1 << w,))
+            child, tr = _split_off(rows, cells, ti, w)
             perm = _search(rows, rows, first, level + 1, child) if tr == trace else None
             if perm is not None:
                 gens.append(perm)
-                for v in range(n):
-                    _union(parent, v, perm[v])
-        rb = _root(parent, b)
+                for v, pv in enumerate(perm):
+                    if v != pv:
+                        _union(parent, v, pv)
+                rb = _root(parent, b)
         order *= sum(1 for w in bits(cells[ti]) if _root(parent, w) == rb)
     return AutResult(order, tuple(map(tuple, _classes(parent))), tuple(gens))
 

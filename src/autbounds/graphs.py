@@ -131,11 +131,11 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 
-    @property
+    @_lazy
     def delta_max(self) -> int:
         return max(self.degrees)
 
-    @property
+    @_lazy
     def delta_min(self) -> int:
         return min(self.degrees)
 

@@ -7,7 +7,8 @@ inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
 check is judged pair by pair against the definition of an isomorphism.  Four
 oracles are kept copies rather than brute force: ``refine_reference`` is the
-refinement that scans every cell for every splitter, which the faster
+refinement that scans every cell for every splitter and counts each splitter
+vertex by vertex, which the faster
 ``automorphisms._refine`` must match split for split; ``search_reference`` is
 the search that descends to a leaf for every bijection it finds, which
 ``automorphisms._search`` must match result for result in an automorphism
@@ -49,7 +50,8 @@ def is_isomorphism(rows_a, rows_b, perm) -> bool:
 
 def refine_reference(rows, cells, splitters=None):
     """automorphisms._refine as it was before it learned to skip cells: every
-    popped splitter scans every cell.  Same contract, same (cells, trace)."""
+    popped splitter scans every cell and is counted directly, never from its
+    complement.  Same contract, same (cells, trace)."""
     cells = list(cells)
     queue = deque(cells if splitters is None else splitters)
     trace = []

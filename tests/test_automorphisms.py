@@ -11,6 +11,7 @@ from autbounds.automorphisms import (
     _is_mapping,
     _refine,
     _search,
+    _split_off,
     _target_cell,
     aut_order,
     aut_order_naive,
@@ -340,9 +341,9 @@ def test_aut_order_refines_each_input_once(name, monkeypatch):
     calls = []
     real = automorphisms._refine
 
-    def spy(rows, cells, splitters=None):
+    def spy(rows, cells, splitters=None, uniform=False):
         calls.append((rows, tuple(cells), splitters))
-        return real(rows, cells, splitters)
+        return real(rows, cells, splitters, uniform)
 
     monkeypatch.setattr(automorphisms, "_refine", spy)
     aut_order.cache_clear()
@@ -433,26 +434,34 @@ def test_every_search_node_checks_one_bijection(monkeypatch):
     assert len(searches) == len(checks) > 0
 
 
-# _refine visits only the cells a splitter meets; refine_reference scans every
-# cell.  Both must give the same cells and the same trace, split for split.
+# _refine visits only the cells a splitter meets, and on degree-uniform cells
+# counts a splitter holding more than half the vertices from its complement;
+# refine_reference scans every cell and counts every splitter directly.  Both
+# must give the same cells and the same trace, split for split.
 
 def check_refine_matches_reference(g, rng):
     rows, n = g.rows, g.n
     unit = [(1 << n) - 1]
     cells, trace = _refine(rows, unit)
     assert (cells, trace) == refine_reference(rows, unit)
-    # a multi-vertex splitter that is not a cell, on the unit partition
+    # a multi-vertex splitter that is not a cell, on the unit partition, whose
+    # cell is not degree-uniform unless g is regular
     w = rng.getrandbits(n) or 1
     assert _refine(rows, unit, (w,)) == refine_reference(rows, unit, (w,))
     # down the first path: at each level, individualise every v of the
-    # target cell and refine by {v}, then by every cell of the partition
+    # target cell and refine by {v}, then by every cell of the partition,
+    # each without and with the uniform cells declared
     while (ti := _target_cell(cells)) is not None:
         for v in bits(cells[ti]):
             start = _individualized(cells, ti, v)
-            assert _refine(rows, start, (1 << v,)) == refine_reference(rows, start, (1 << v,))
-            assert _refine(rows, start) == refine_reference(rows, start)
+            by_v = refine_reference(rows, start, (1 << v,))
+            assert _refine(rows, start, (1 << v,)) == by_v
+            assert _split_off(rows, cells, ti, v) == by_v
+            by_all = refine_reference(rows, start)
+            assert _refine(rows, start) == by_all
+            assert _refine(rows, start, None, True) == by_all
         b = (cells[ti] & -cells[ti]).bit_length() - 1
-        cells, _ = _refine(rows, _individualized(cells, ti, b), (1 << b,))
+        cells, _ = _split_off(rows, cells, ti, b)
 
 
 def test_refine_matches_reference_corpus7():

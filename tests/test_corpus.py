@@ -66,13 +66,14 @@ def test_degree_rule_loses_no_graph():
 
 def test_bucket_mates_refine_no_equitable_partition_again(monkeypatch):
     # Only a unit partition is refined without splitters; a bucket-mate test
-    # starts from cells that are already equitable and refines by {y} alone.
+    # starts from cells that are already equitable, refines by {y} alone and
+    # declares the cells degree-uniform.
     starts = []
     real = automorphisms._refine
 
-    def spy(rows, cells, splitters=None):
-        starts.append((len(cells), splitters))
-        return real(rows, cells, splitters)
+    def spy(rows, cells, splitters=None, uniform=False):
+        starts.append((len(cells), splitters, uniform))
+        return real(rows, cells, splitters, uniform)
 
     monkeypatch.setattr(automorphisms, "_refine", spy)
     monkeypatch.setattr(corpus, "_refine", spy)
@@ -85,8 +86,9 @@ def test_bucket_mates_refine_no_equitable_partition_again(monkeypatch):
     finally:
         for fn in caches:
             fn.cache_clear()
-    assert any(splitters is not None for _, splitters in starts)
-    assert all(size == 1 for size, splitters in starts if splitters is None)
+    assert any(splitters is not None for _, splitters, _ in starts)
+    assert all(size == 1 for size, splitters, _ in starts if splitters is None)
+    assert all(uniform for _, splitters, uniform in starts if splitters is not None)
 
 
 def test_generation_limit_refusal():

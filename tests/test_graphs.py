@@ -459,7 +459,7 @@ def test_lazy_facts_under_racing_threads():
         return [cycle_graph(n) for n in range(3, 40)] + [petersen_graph(), star_graph(9)]
 
     def facts(gs):
-        return [(g.e, g.degrees, g.d_avg) for g in gs]
+        return [(g.e, g.degrees, g.delta_max, g.delta_min, g.d_avg) for g in gs]
 
     expected, shared, seen = facts(fresh()), fresh(), []
     interval = sys.getswitchinterval()
@@ -475,7 +475,8 @@ def test_lazy_facts_under_racing_threads():
     finally:
         sys.setswitchinterval(interval)
     assert seen == [expected] * 6 and facts(shared) == expected
-    assert all({"e", "degrees", "d_avg"} <= vars(g).keys() for g in shared)
+    assert all({"e", "degrees", "delta_max", "delta_min", "d_avg"} <= vars(g).keys()
+               for g in shared)
 
 
 def test_complement_and_relabel():
