@@ -74,8 +74,10 @@ Layers:
               report_line group times what a batch over these lines costs:
               parse_graph6, compose_report and
               json.dumps(cli.report_to_dict(...)) on each line, the
-              aut_order cache and both bound memos cleared before each
-              repeat, as in a fresh process.
+              aut_order cache, both bound memos and the intern table of
+              trees (with the greedy trees' checks and ceilings cached on
+              them) cleared before each repeat, as in a fresh process;
+              records each repeat's intern misses.
 
 Every group is timed by one rule: its number is the best of at least 3
 calls, with more calls until 1 s has been timed, and at most 1,000 calls.
@@ -508,7 +510,7 @@ def bench_serialise(quick):
         lambda: [write_graph6(g) for g in copies], quick, new_copies)
     seconds["report_json"], texts, _ = repeated(
         lambda: [json.dumps(report_to_dict(r)) for r in reports], quick)
-    seconds["report_line"], line_texts, _ = repeated(
+    seconds["report_line"], line_texts, memos = cold_trees_repeated(
         lambda: [json.dumps(report_to_dict(compose_report(parse_graph6(s), opts)))
                  for s in lines], quick, cold)
     if parsed != graphs or written != lines:
@@ -517,6 +519,7 @@ def bench_serialise(quick):
         raise SystemExit("a report line differs from its report's JSON")
     return {"serialise_best_s": seconds,
             "graphs": len(graphs),
+            "report_line_intern_misses": memos["intern"]["misses"],
             "graph6_sha256": hashlib.sha256("".join(s + "\n" for s in lines).encode()).hexdigest(),
             "json_sha256": hashlib.sha256("".join(t + "\n" for t in texts).encode()).hexdigest()}
 

@@ -118,7 +118,7 @@ def _refine(rows, cells, splitters=None, uniform=False):
                 w ^= full  # count into V - W
             nw = 0
             x = w
-            while x:
+            while x:  # by hand: splitters pass bit 8 at n >= 9, where bits() is a generator
                 low = x & -x
                 nw |= rows[low.bit_length() - 1]
                 x ^= low
@@ -131,7 +131,7 @@ def _refine(rows, cells, splitters=None, uniform=False):
             else:
                 counts = {0: cell ^ hit} if hit != cell else {}
                 x = hit
-                while x:
+                while x:  # by hand too: bits() here and in _is_mapping cost analyze-hard 5-7 %
                     low = x & -x
                     c = (rows[low.bit_length() - 1] & w).bit_count()
                     counts[c] = counts.get(c, 0) | low
@@ -200,7 +200,7 @@ def _is_mapping(rows_a, rows_b, perm) -> bool:
         if img is None:
             img = 0
             x = mask
-            while x:
+            while x:  # by hand: rows pass bit 8 at n >= 9; bits() cost analyze-hard 5-7 %
                 low = x & -x
                 img |= image[low.bit_length() - 1]
                 x ^= low

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
-from .graphs import Graph, SizeLimitError, _walk, rows_connected
+from .graphs import Graph, SizeLimitError, _walk, bits, rows_connected
 from .automorphisms import aut_order_naive
 from .trees import SpanningTree
 
@@ -88,11 +88,9 @@ def count_labeled_embeddings(f: SpanningTree, g: Graph) -> int:
             return cand.bit_count() if tail is None else tail(free, cand)
         v = order[i]
         count = 0
-        while cand:
-            low = cand & -cand
-            image[v] = low.bit_length() - 1
-            count += place(i + 1, free ^ low)
-            cand ^= low
+        for w in bits(cand):
+            image[v] = w
+            count += place(i + 1, free ^ (1 << w))
         return count
 
     return factor * place(0, (1 << n) - 1)
@@ -129,11 +127,9 @@ def _sibling_tail(x, groups, image, g_rows):
 
     def tail(free: int, cand: int) -> int:
         count = 0
-        while cand:
-            low = cand & -cand
-            image[x] = low.bit_length() - 1
-            count += split(free ^ low)
-            cand ^= low
+        for w in bits(cand):
+            image[x] = w
+            count += split(free ^ (1 << w))
         return count
     return tail
 

@@ -104,12 +104,9 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
         for v, row in enumerate(rows):
-            while row:  # bits(row), walked inline: every graph pays this pass
-                low = row & -row
-                w = low.bit_length() - 1
+            for w in bits(row):
                 if not (rows[w] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
-                row ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -186,10 +183,8 @@ def rows_connected(rows) -> bool:
     frontier = 1
     while frontier:
         nxt = 0
-        while frontier:  # bits(frontier), walked inline: every tree check runs this
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
+        for w in bits(frontier):
+            nxt |= rows[w]
         frontier = nxt & ~seen
         seen |= nxt
     return seen == (1 << len(rows)) - 1

@@ -255,6 +255,37 @@ def test_is_connected():
     assert is_connected(Graph(1, (0,)))
 
 
+def shuffled(n: int, edges, rng) -> Graph:
+    """The graph on n vertices with these edges, relabelled at random, so
+    that no component is a block of consecutive vertices."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def tree_plus(k: int, first: int, rng) -> list[tuple[int, int]]:
+    """A random tree on first..first + k - 1 and k more random edges among
+    those vertices: connected by construction, not by is_connected."""
+    edges = [(v, rng.randrange(v)) for v in range(1, k)]
+    edges += [tuple(rng.sample(range(k), 2)) for _ in range(k)]
+    return [(first + u, first + v) for u, v in edges]
+
+
+def test_is_connected_matches_walk():
+    # rows_connected walks its frontier with bits(): a tuple below bit 8, a
+    # generator above; _walk counts one root (-1 parent) per component
+    rng = random.Random(9)
+    small = [g for n in range(1, 8) for g in all_graphs(n)]
+    large = [shuffled(n, tree_plus(n, 0, rng), rng) for n in range(9, 65)]
+    large += [shuffled(n, tree_plus(n // 2, 0, rng) + tree_plus(n - n // 2, n // 2, rng), rng)
+              for n in range(9, 65)]
+    cycle = cycle_graph(32).edges()
+    large.append(shuffled(64, cycle + [(u + 32, v + 32) for u, v in cycle], rng))
+    assert [is_connected(g) for g in large] == [True] * 56 + [False] * 57
+    for g in small + large:
+        assert is_connected(g) == (_walk(g.rows)[1].count(-1) == 1)
+
+
 @pytest.mark.parametrize("n, m", [(6, 4), (6, 0), (2, 0), (6, 16), (4, 7)])
 def test_connected_gnm_refuses_impossible_edge_counts(n, m):
     # fewer than n - 1 edges never connect (the redraw loop never ended), and
@@ -449,6 +480,19 @@ def test_graph_validation():
         Graph(2, (0,))
     with pytest.raises(ValueError, match=r"^row 0 mentions vertices >= n$"):
         Graph(2, (0b100, 0))
+
+
+@pytest.mark.parametrize("one_sided, first", [
+    ([(2, 5), (30, 35)], (2, 5)),     # row 2 < 256: bits() is a tuple
+    ([(30, 35), (30, 33)], (30, 33)),  # row 30 past bit 8: a generator
+    ([(12, 3), (5, 30)], (5, 30)),     # rows in index order: 5 before 12
+])
+def test_asymmetric_rows_name_the_first_bad_pair(one_sided, first):
+    rows = list(cycle_graph(40).rows)
+    for v, w in one_sided:
+        rows[v] |= 1 << w
+    with pytest.raises(ValueError, match=rf"^asymmetric adjacency between {first[0]} and {first[1]}$"):
+        Graph(40, tuple(rows))
 
 
 def test_lazy_facts_under_racing_threads():

@@ -194,6 +194,10 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
             "7ebc6e76b0a774f8dd9466f34166c10bf56d35170e00433040eb328548b92dd0")
         assert record["json_sha256"] == (
             "d9c81c7bb4f9e7bad9fcbda97101cbaf880c73add0d126d4a4e90ec0f07a6faf")
+        # every report_line repeat starts from a cold intern table, so it
+        # builds the same greedy trees again; a warm table would miss 0 times
+        misses = record["report_line_intern_misses"]
+        assert misses == [misses[0]] * 3 and misses[0] > 0
 
 
 def test_bench_corpus_quick(tmp_path):
