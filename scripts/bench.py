@@ -3,49 +3,46 @@
 Layers:
   aut         aut_order on large symmetric graph families from
               autbounds.graphs.SYMMETRIC_FAMILIES, the known group order
-              checked; the cache is cleared before every call.  Also
-              records each family's call count, the _search, the _refine
-              and the _is_mapping (bijection check) calls of one more cold
-              call per family, recursive ones included, and one digest of
-              every family's order, orbits and generators.
+              checked.  Also records each family's call count, the
+              _search, the _refine and the _is_mapping (bijection check)
+              calls of one more cold call per family, recursive ones
+              included, and one digest of every family's order, orbits and
+              generators.
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
   log2        bounds._power_value over the keys, in call order, that
               compose_report(corollary_mode="both") passes it on the
               connected n <= 7 corpus: every number a report carries.
-              _log2 runs only on that memo's misses.  Both memos are
-              cleared before every repeat.  Records, for each memo, the
-              calls of one replay, the distinct keys and the misses of each
-              repeat.  A _power_value key is a tuple of (base, exponent)
-              factors and the edge excess; a base or an exponent is an
-              integer, a Fraction, or a (numerator, denominator) pair of
-              integers standing for that Fraction.  An integer and the
-              equal Fraction are one key, a pair and its Fraction are two.
+              _log2 runs only on that memo's misses.  Records, for each
+              memo, the calls of one replay, the distinct keys and the
+              misses of each repeat.  A _power_value key is a tuple of
+              (base, exponent) factors and the edge excess; a base or an
+              exponent is an integer, a Fraction, or a (numerator,
+              denominator) pair of integers standing for that Fraction.  An
+              integer and the equal Fraction are one key, a pair and its
+              Fraction are two.
               _log2's keys are (numerator, denominator) pairs.
-  corpus      all_graphs(1..7), the all_graphs, connected_graphs and
-              aut_order caches cleared first; also records, per n, the
-              candidates tried (the bucket-key refinements corpus makes, one
-              per candidate), the orbit-least neighbour subsets of the
-              bases, and those of them the degree rule dropped (an orbit
-              minimum that never reached a refinement).
+  corpus      all_graphs(1..7); also records, per n, the candidates
+              tried (the bucket-key refinements corpus makes, one per
+              candidate), the orbit-least neighbour subsets of the bases,
+              and those of them the degree rule dropped (an orbit minimum
+              that never reached a refinement).
   trees       greedy_spanning_tree from every start vertex of every
               connected graph with n <= 7, and one best_greedy_tree call per
               graph, which answers every start; one best_greedy_tree call
               per 24-vertex host (the 4x6 grid and a seeded connected
               G(24, 60)), of which vertex 0's tree and product are hashed;
-              and all_spanning_trees for n <= 6, then
-              tree_certificate of every tree it returned, timed apart on
-              new tree objects built before each repeat.  Every group starts
-              from a cold intern table (the one SpanningTree per bit rows,
-              which caches its certificate, aut and degree-product
-              ceiling); each repeat records the table's hits and misses
-              and the trees it coded.
+              and all_spanning_trees for n <= 6, then tree_certificate of
+              every tree it returned, timed apart on new tree objects built
+              before each repeat.  Each repeat records the hits and misses
+              of the intern table (the one SpanningTree per bit rows) and
+              the trees it coded.
   theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
-              over every 8th connected n = 7 graph; also records the checks
-              and violations of each group, and the intern table's hits and
-              misses and the trees coded per repeat.  The aut_order cache
-              and the intern table are cleared before every repeat.
+              over every 8th connected n = 7 graph, each corpus built
+              outside the timing and passed as external=; also records the
+              checks and violations of each group, and the intern table's
+              hits and misses and the trees coded per repeat.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -73,14 +70,15 @@ Layers:
               the line a graph keeps once encoded or parsed.  The
               report_line group times what a batch over these lines costs:
               parse_graph6, compose_report and
-              json.dumps(cli.report_to_dict(...)) on each line, the
-              aut_order cache, both bound memos and the intern table of
-              trees (with the greedy trees' checks and ceilings cached on
-              them) cleared before each repeat, as in a fresh process;
-              records each repeat's intern misses.
+              json.dumps(cli.report_to_dict(...)) on each line; records
+              each repeat's intern misses.
 
 Every group is timed by one rule: its number is the best of at least 3
 calls, with more calls until 1 s has been timed, and at most 1,000 calls.
+Every call starts cold: cold() first clears the package's six lru_caches
+(aut_order, the two corpus caches, the intern table of trees and both
+bound memos), as in a fresh process.  mpmath's own caches, such as its
+constants at each precision used, are not cleared.
 --quick is a smoke run on smaller inputs that makes exactly 3 calls per
 group.  The record is written to BENCH_<label>.json with the Python version,
 os.cpu_count(), the git sha of the checkout that holds the imported
@@ -148,6 +146,10 @@ REPEATS = 3
 # group is the best of hundreds of calls, not three.
 MIN_SECONDS = 1.0
 MAX_REPEATS = 1000
+# Every lru_cache of the package, as (module, name).  cold() looks each up at
+# call time, so a cache that goes raises AttributeError, not a warm timing.
+CACHES = ((automorphisms, "aut_order"), (corpus, "all_graphs"), (corpus, "connected_graphs"),
+          (autbounds.trees, "_interned_tree"), (bounds, "_power_value"), (bounds, "_log2"))
 
 
 def families(quick):
@@ -202,13 +204,20 @@ def power_value_keys(quick):
     return calls
 
 
+def cold():
+    """Clear every cache in CACHES, as in a fresh process."""
+    for module, name in CACHES:
+        getattr(module, name).cache_clear()
+
+
 def repeated(run, quick, reset=lambda: None):
-    """(best seconds, result, calls) of run(), reset() before each call:
-    at least REPEATS calls, and more until MIN_SECONDS have been timed in
-    all, but at most MAX_REPEATS; exactly REPEATS if quick."""
+    """(best seconds, result, calls) of run(), cold() and then reset() before
+    each call: at least REPEATS calls, and more until MIN_SECONDS have been
+    timed in all, but at most MAX_REPEATS; exactly REPEATS if quick."""
     min_seconds = 0.0 if quick else MIN_SECONDS
     best, spent, calls = float("inf"), 0.0, 0
     while calls < REPEATS or spent < min_seconds and calls < MAX_REPEATS:
+        cold()
         reset()
         t0 = time.perf_counter()
         result = run()
@@ -226,29 +235,23 @@ def time_groups(groups, fn, quick):
     return seconds, results
 
 
-def cold_trees_repeated(run, quick, reset=lambda: None):
-    """repeated(run)'s best seconds and result, the intern table of trees
-    cleared before each repeat and reset() called after it.  Also returns, per
-    repeat, the table's hits and misses and the trees the repeat coded
-    (trees._centroid_code calls)."""
-    intern = autbounds.trees._interned_tree  # an AttributeError, not a warm timing, if it goes
+def tree_counts_repeated(run, quick, reset=lambda: None):
+    """repeated(run, quick, reset)'s best seconds and result, and per repeat
+    the hits and misses of the intern table of trees and the trees the repeat
+    coded (trees._centroid_code calls)."""
     counts = {"intern": {"hits": [], "misses": []}, "codings": []}
-
-    def cold():
-        intern.cache_clear()
-        reset()
 
     def counted():
         codings.clear()
         result = run()
-        info = intern.cache_info()
+        info = autbounds.trees._interned_tree.cache_info()
         counts["intern"]["hits"].append(info.hits)
         counts["intern"]["misses"].append(info.misses)
         counts["codings"].append(len(codings))
         return result
 
     with spy(autbounds.trees, "_centroid_code") as codings:
-        return (*repeated(counted, quick, cold)[:2], counts)
+        return (*repeated(counted, quick, reset)[:2], counts)
 
 
 def digest(values):
@@ -260,12 +263,11 @@ def bench_aut(quick):
     for name in families(quick):
         build, order = SYMMETRIC_FAMILIES[name]
         g = build()
-        seconds[name], res, repeats[name] = repeated(
-            lambda: aut_order(g), quick, aut_order.cache_clear)
+        seconds[name], res, repeats[name] = repeated(lambda: aut_order(g), quick)
         if res.order != order:
             raise SystemExit(f"{name}: wrong order {res.order}, expected {order}")
         results[name] = (res.order, res.orbits, res.generators)
-        aut_order.cache_clear()
+        cold()
         with (spy(automorphisms, "_search") as search, spy(automorphisms, "_refine") as refine,
               spy(automorphisms, "_is_mapping") as is_mapping):
             aut_order(g)
@@ -286,25 +288,19 @@ def bench_embeddings(quick):
 
 def bench_log2(quick):
     keys = power_value_keys(quick)
-    # an AttributeError here, not a warm timing, if a memo goes
-    memos = {"power_value": bounds._power_value, "log2": bounds._log2}
-    misses = {name: [] for name in memos}
-
-    def cold():
-        for memo in memos.values():
-            memo.cache_clear()
+    misses = {"power_value": [], "log2": []}
 
     def run():
         out = [bounds._power_value(*key) for key in keys]
-        for name, memo in memos.items():
-            misses[name].append(memo.cache_info().misses)
+        misses["power_value"].append(bounds._power_value.cache_info().misses)
+        misses["log2"].append(bounds._log2.cache_info().misses)
         return out
 
     cold()
     with spy(bounds, "_log2") as log2_calls:
         for key in keys:
             bounds._power_value(*key)
-    seconds, values, _ = repeated(run, quick, cold)
+    seconds, values, _ = repeated(run, quick)
     return {"log2_best_s": {"corpus": seconds},
             "power_value": {"calls": len(keys), "distinct": len(set(keys)),
                             "misses": misses["power_value"]},
@@ -313,14 +309,9 @@ def bench_log2(quick):
             "values_sha256": digest([(exact, log2v.hex()) for exact, log2v in values])}
 
 
-def clear_corpus_caches():
-    for fn in (corpus.all_graphs, corpus.connected_graphs, aut_order):
-        fn.cache_clear()
-
-
 def bench_corpus(quick):
     nmax = 5 if quick else 7
-    clear_corpus_caches()
+    cold()
     with spy(corpus, "_refine") as calls, spy(corpus, "_least_masks") as bases:
         for n in range(1, nmax + 1):
             corpus.all_graphs(n)
@@ -334,8 +325,7 @@ def bench_corpus(quick):
             minima[base.n + 1] += 1
             dropped[base.n + 1] += (base.rows, mask) not in tried
     seconds, graphs, _ = repeated(
-        lambda: [g for n in range(1, nmax + 1) for g in corpus.all_graphs(n)],
-        quick, clear_corpus_caches)
+        lambda: [g for n in range(1, nmax + 1) for g in corpus.all_graphs(n)], quick)
     text = "".join(write_graph6(g) + "\n" for g in graphs)
     return {"all_graphs_best_s": {f"n<={nmax}": seconds},
             "candidates": dict(sorted(candidates.items())),
@@ -352,20 +342,20 @@ def bench_trees(quick):
     small = [g for g in hosts if g.n <= (5 if quick else 6)]
     starts = [(g, v0) for g in hosts for v0 in range(g.n)]
     seconds, memos = {}, {}
-    seconds["greedy"], greedy, memos["greedy"] = cold_trees_repeated(
+    seconds["greedy"], greedy, memos["greedy"] = tree_counts_repeated(
         lambda: [greedy_spanning_tree(g, v0) for g, v0 in starts], quick)
-    seconds["best_greedy"], best, memos["best_greedy"] = cold_trees_repeated(
+    seconds["best_greedy"], best, memos["best_greedy"] = tree_counts_repeated(
         lambda: [pair for g in hosts for pair in best_greedy_tree(g)], quick)
-    seconds["best_greedy n=24"], large, memos["best_greedy n=24"] = cold_trees_repeated(
+    seconds["best_greedy n=24"], large, memos["best_greedy n=24"] = tree_counts_repeated(
         lambda: [best_greedy_tree(g) for g in large_hosts], quick)
-    seconds["all_spanning_trees"], trees, memos["all_spanning_trees"] = cold_trees_repeated(
+    seconds["all_spanning_trees"], trees, memos["all_spanning_trees"] = tree_counts_repeated(
         lambda: [t for g in small for t in all_spanning_trees(g)], quick)
     fresh = []
 
     def rebuild():  # new tree objects, so no repeat reads a certificate cached on the last
         fresh[:] = [t for g in small for t in all_spanning_trees(g)]
 
-    seconds["tree_certificate"], certs, memos["tree_certificate"] = cold_trees_repeated(
+    seconds["tree_certificate"], certs, memos["tree_certificate"] = tree_counts_repeated(
         lambda: [tree_certificate(t) for t in fresh], quick, rebuild)
     lines = [f"{gt.tree.edges()} {gt.sequence} {gt.step_sizes()} {bt.tree.edges()} {product}\n"
              for gt, (bt, product) in zip(greedy, best)]
@@ -383,15 +373,13 @@ def bench_trees(quick):
 
 def bench_theorem1(quick):
     nmax = 4 if quick else 6
-    runs = {f"n<={nmax}": lambda: theorem1_suite(nmax=nmax)}
+    corpora = {f"n<={nmax}": [g for n in range(1, nmax + 1) for g in connected_graphs(n)]}
     if not quick:
-        sample = connected_graphs(7)[::8]
-        runs["n=7/8"] = lambda: theorem1_suite(external=sample)
-    for n in range(1, nmax + 1):
-        connected_graphs(n)  # built and cached outside the timing
+        corpora["n=7/8"] = connected_graphs(7)[::8]
     seconds, checks, violations, memos = {}, {}, {}, {}
-    for name, run in runs.items():
-        seconds[name], res, memos[name] = cold_trees_repeated(run, quick, aut_order.cache_clear)
+    for name, graphs in corpora.items():  # built outside the timing
+        seconds[name], res, memos[name] = tree_counts_repeated(
+            lambda: theorem1_suite(external=graphs), quick)
         checks[name], violations[name] = res.checked, len(res.violations)
     return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations,
             "tree_memos": memos}
@@ -499,10 +487,6 @@ def bench_serialise(quick):
     def new_copies():
         copies[:] = [Graph(g.n, g.rows) for g in graphs]
 
-    def cold():
-        for cache in (aut_order, bounds._power_value, bounds._log2):
-            cache.cache_clear()
-
     seconds = {}
     seconds["parse_graph6"], parsed, _ = repeated(
         lambda: [parse_graph6(s) for s in lines], quick)
@@ -510,9 +494,9 @@ def bench_serialise(quick):
         lambda: [write_graph6(g) for g in copies], quick, new_copies)
     seconds["report_json"], texts, _ = repeated(
         lambda: [json.dumps(report_to_dict(r)) for r in reports], quick)
-    seconds["report_line"], line_texts, memos = cold_trees_repeated(
+    seconds["report_line"], line_texts, memos = tree_counts_repeated(
         lambda: [json.dumps(report_to_dict(compose_report(parse_graph6(s), opts)))
-                 for s in lines], quick, cold)
+                 for s in lines], quick)
     if parsed != graphs or written != lines:
         raise SystemExit("graph6 lines do not round-trip")
     if line_texts != texts:

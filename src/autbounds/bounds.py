@@ -17,8 +17,8 @@ value returns the very same mpf.  The edge-excess term, excess * (7/8 +
 log2(6)/24), is summed in place at the end of a log-only sum, so no constant
 is cached apart from the precision it needs.  ``_power_value`` is keyed on
 the (base, exponent) pairs and the edge excess, and gives every number a row
-carries, the aut order's log2 for gaps and soundness included.  eq2, eq4,
-eq6 and eq7 pass 2e/n, e/(n-1) and the other ratios of small integers as
+carries, the aut order's log2 for gaps and soundness included.  eq2, eq4-eq7
+pass 2e/n, e/(n-1) and the other ratios of small integers as
 (numerator, denominator) pairs, so a memo hit builds no Fraction.  A row
 that may be log-only passes one factor per term of its formula: its log2 is
 a sum over the factors, and a split sum could round to another float.  The
@@ -196,7 +196,7 @@ def eval_eq5(g: Graph, class_asserted: bool) -> BoundValue:
     if g.n < 2:
         return _gated("eq5_special_class", "degenerate on a single vertex", ctx)
     return _power_product("eq5_special_class",
-                          ((3, 1), (2, Fraction(g.n - 2, 2)), (g.d_avg, g.n),
+                          ((3, 1), (2, Fraction(g.n - 2, 2)), ((2 * g.e, g.n), g.n),
                            (g.delta_max, -1)), ctx)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import factorial, isqrt
 
@@ -137,11 +136,6 @@ class Graph:
         return min(self.degrees)
 
     @_lazy
-    def d_avg(self) -> Fraction:
-        """Average degree 2e/n as an exact rational."""
-        return Fraction(2 * self.e, self.n)
-
-    @_lazy
     def graph6(self) -> str:
         """write_graph6(self), encoded on first use and kept on the graph; a
         graph parse_graph6 decoded from the shortest form holds its line."""
@@ -163,13 +157,7 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Image of the graph under the permutation v -> perm[v]."""
-        rows = [0] * self.n
-        for v, row in enumerate(self.rows):
-            img = 0
-            for w in bits(row):
-                img |= 1 << perm[w]
-            rows[perm[v]] = img
-        return Graph(self.n, tuple(rows))
+        return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
 
 
 def is_connected(g: Graph) -> bool:
@@ -484,13 +472,8 @@ def grid_graph(a: int, b: int) -> Graph:
 
 def random_graph(n: int, rng) -> Graph:
     """G(n, 1/2): each pair u < v, in order, is an edge when rng.random() < 0.5."""
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.5:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.5])
 
 
 def connected_gnm(n: int, m: int, rng) -> Graph:

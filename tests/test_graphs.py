@@ -32,7 +32,6 @@ from autbounds.graphs import (
     star_graph,
     write_graph6,
 )
-from fractions import Fraction
 
 from helpers import graphs
 
@@ -220,18 +219,16 @@ def test_degree_stats_k4():
     g = complete_graph(4)
     assert g.degrees == (3, 3, 3, 3)
     assert g.delta_max == g.delta_min == 3
-    assert g.d_avg == 3 and isinstance(g.d_avg, Fraction)
 
 
 def test_degree_stats_star():
     g = star_graph(3)
     assert g.delta_max == 3 and g.delta_min == 1
-    assert g.d_avg == Fraction(6, 4)
 
 
 def test_degree_stats_c5():
     g = cycle_graph(5)
-    assert g.delta_max == g.delta_min == 2 and g.d_avg == 2
+    assert g.delta_max == g.delta_min == 2
 
 
 def test_bits_matches_its_definition():
@@ -503,7 +500,7 @@ def test_lazy_facts_under_racing_threads():
         return [cycle_graph(n) for n in range(3, 40)] + [petersen_graph(), star_graph(9)]
 
     def facts(gs):
-        return [(g.e, g.degrees, g.delta_max, g.delta_min, g.d_avg) for g in gs]
+        return [(g.e, g.degrees, g.delta_max, g.delta_min) for g in gs]
 
     expected, shared, seen = facts(fresh()), fresh(), []
     interval = sys.getswitchinterval()
@@ -519,7 +516,7 @@ def test_lazy_facts_under_racing_threads():
     finally:
         sys.setswitchinterval(interval)
     assert seen == [expected] * 6 and facts(shared) == expected
-    assert all({"e", "degrees", "delta_max", "delta_min", "d_avg"} <= vars(g).keys()
+    assert all({"e", "degrees", "delta_max", "delta_min"} <= vars(g).keys()
                for g in shared)
 
 

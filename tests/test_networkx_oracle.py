@@ -1,14 +1,23 @@
 """networkx as a third oracle past n = 8, sharing no code or method with
 autbounds: its VF2++ matcher lists every automorphism that aut_order's
-generators must generate, and its spanning-tree count checks the Laplacian
-count.  networkx is a test dependency only; without it this module skips."""
+generators must generate, its spanning-tree count checks the Laplacian
+count, and its maximum clique search checks the star-free parameter.
+networkx is a test dependency only; without it this module skips."""
 
 import random
 
 import pytest
 
 from autbounds.automorphisms import aut_order
-from autbounds.graphs import SYMMETRIC_FAMILIES, Graph, connected_gnm, random_graph
+from autbounds.graphs import (
+    SYMMETRIC_FAMILIES,
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    connected_gnm,
+    random_graph,
+)
+from autbounds.structure import star_free_parameter
 from autbounds.trees import spanning_tree_count
 
 nx = pytest.importorskip("networkx")
@@ -49,7 +58,7 @@ def check_aut(g: Graph):
     assert generated(res.generators, g.n) == auts
 
 
-@pytest.mark.parametrize("n", range(9, 17))
+@pytest.mark.parametrize("n", range(9, 21))
 def test_aut_order_matches_vf2pp_on_random_graphs(n):
     rng = random.Random(n)
     for _ in range(20):
@@ -76,3 +85,18 @@ def test_spanning_tree_count_matches_networkx(corpus7):
     graphs += [connected_gnm(n, 2 * n, rng) for n in range(9, 21)]
     for g in graphs:
         assert spanning_tree_count(g) == round(nx.number_of_spanning_trees(as_networkx(g)))
+
+
+def test_star_free_parameter_matches_networkx_cliques():
+    """m_min is one more than the largest independent set in an open
+    neighbourhood, a clique of its complement, and at least 2."""
+    rng = random.Random(19)
+    graphs = [connected_gnm(n, k * n, rng) for n in range(9, 21) for k in (1, 2, 3)
+              for _ in range(3)]
+    graphs += [complete_bipartite_graph(1, 19), complete_bipartite_graph(2, 18),
+               complete_graph(20)]
+    for g in graphs:
+        G = as_networkx(g)
+        largest = max(nx.max_weight_clique(nx.complement(G.subgraph(G[v])), weight=None)[1]
+                      for v in G)
+        assert star_free_parameter(g).m_min == max(2, 1 + largest), g

@@ -1,15 +1,22 @@
 """Smoke tests: the scripts under scripts/ still run against the package's
 public names."""
 
+import importlib
 import importlib.util
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import autbounds
+from autbounds.bounds import ReportOptions, compose_report
+from autbounds.corpus import connected_graphs
+from autbounds.graphs import petersen_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,6 +85,27 @@ def test_bench_timing_rule(monkeypatch, durations, quick, calls, best):
     assert (seconds, made) == (best, calls)
     assert events == ["reset", "run"] * calls  # reset() runs before every call
     assert result == 2 * calls  # the last call's result
+
+
+def test_bench_cold_clears_every_package_cache():
+    """cold() empties every lru_cache found on a module of the package, so
+    no timed call starts warm; a cache missing from bench.CACHES fails here."""
+    bench = load_bench()
+    caches = {}
+    for info in pkgutil.iter_modules(autbounds.__path__):
+        module = importlib.import_module(f"autbounds.{info.name}")
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    assert {"automorphisms.aut_order", "corpus.all_graphs", "corpus.connected_graphs",
+            "trees._interned_tree", "bounds._power_value", "bounds._log2"} <= {
+        name.removeprefix("autbounds.") for name in caches}
+    connected_graphs(4)
+    compose_report(petersen_graph(), ReportOptions(corollary_mode="both"))
+    assert all(cache.cache_info().currsize for cache in caches.values())
+    bench.cold()
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(
+        caches, 0)
 
 
 def test_bench_aut_quick(tmp_path):
