@@ -75,10 +75,11 @@ Layers:
 
 Every group is timed by one rule: its number is the best of at least 3
 calls, with more calls until 1 s has been timed, and at most 1,000 calls.
-Every call starts cold: cold() first clears the package's six lru_caches
-(aut_order, the two corpus caches, the intern table of trees and both
-bound memos), as in a fresh process.  mpmath's own caches, such as its
-constants at each precision used, are not cleared.
+Every call starts cold: cold() first clears the package's seven lru_caches
+(aut_order, the two corpus caches, the intern table of trees, both bound
+memos and the copy census's tree classes), as in a fresh process.  mpmath's
+own caches, such as its constants at each precision used, are not cleared,
+nor is the census's list of class representatives (at most 48).
 --quick is a smoke run on smaller inputs that makes exactly 3 calls per
 group.  The record is written to BENCH_<label>.json with the Python version,
 os.cpu_count(), the git sha of the checkout that holds the imported
@@ -113,7 +114,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import autbounds
-from autbounds import automorphisms, bounds, corpus
+from autbounds import automorphisms, bounds, corpus, embeddings
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import ReportOptions, compose_report
 from autbounds.cli import report_to_dict
@@ -149,7 +150,8 @@ MAX_REPEATS = 1000
 # Every lru_cache of the package, as (module, name).  cold() looks each up at
 # call time, so a cache that goes raises AttributeError, not a warm timing.
 CACHES = ((automorphisms, "aut_order"), (corpus, "all_graphs"), (corpus, "connected_graphs"),
-          (autbounds.trees, "_interned_tree"), (bounds, "_power_value"), (bounds, "_log2"))
+          (autbounds.trees, "_interned_tree"), (bounds, "_power_value"), (bounds, "_log2"),
+          (embeddings, "_tree_class"))
 
 
 def families(quick):
@@ -205,7 +207,10 @@ def power_value_keys(quick):
 
 
 def cold():
-    """Clear every cache in CACHES, as in a fresh process."""
+    """Clear every cache in CACHES, as in a fresh process.  The copy
+    census's class list (at most 48 entries, one test per tree shape)
+    survives, as mpmath's caches do: a tree that _tree_class meets again is
+    classified again, into the same id."""
     for module, name in CACHES:
         getattr(module, name).cache_clear()
 

@@ -8,7 +8,10 @@ bitmask candidate sets, the last vertex counted by popcount; sibling leaves
 once the rest is, as k! times the ways to split the free vertices among them.
 Subgraph copies come from one pass over the host's (n-1)-edge subsets: each
 is matched by degree multiset, dropped by a flood fill if it has a cycle,
-and put to an edge-by-edge isomorphism test against every tree asked about.
+and counted under its tree class.  ``_tree_class`` classifies each labeled
+tree once per process, by an edge-by-edge isomorphism test against the
+first member of each known class with its degrees, never by the tree
+certificates the census is checked against.
 aut_f comes from the naive permutation oracle.
 ``count_embeddings`` checks the identity for every tree and raises
 CountingIdentityError if it fails, so a bug in one route trips at once.
@@ -16,7 +19,10 @@ CountingIdentityError if it fails, so a bug in one route trips at once.
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -168,17 +174,42 @@ def _isomorphism_test(f: Graph):
     return isomorphic
 
 
+# sorted degrees -> [(class id, isomorphism test of the class's first
+# member)]: at most one entry per isomorphism class of trees on
+# n <= EMBED_VERTEX_LIMIT vertices (48), never trimmed, so an id is never
+# reused and a tree dropped from _tree_class's cache comes back to its id.
+_class_tests: dict[tuple[int, ...], list] = {}
+_class_lock = threading.Lock()
+
+
+@lru_cache(maxsize=32768)
+def _tree_class(rows: tuple[int, ...]) -> int:
+    """The class id of the labeled tree with these bit rows; isomorphic
+    trees, and only they, share an id.  32768 entries hold every labeled
+    tree on n <= 7 vertices (18,249)."""
+    degs = [row.bit_count() for row in rows]
+    # One lock over the scan and the append, so racing threads cannot open
+    # two classes for one shape; it also guards each test's shared state.
+    with _class_lock:
+        members = _class_tests.setdefault(tuple(sorted(degs)), [])
+        for cid, isomorphic in members:
+            if isomorphic(rows, degs):
+                return cid
+        cid = sum(map(len, _class_tests.values()))
+        members.append((cid, _isomorphism_test(Graph(len(rows), rows))))
+        return cid
+
+
 def count_subgraph_copies(trees: list[SpanningTree], g: Graph) -> list[int]:
     """Number of edge subsets of g isomorphic to each of the trees, from one
-    pass over g's (n-1)-edge subsets.  A subset is tested against every tree
-    with its degree multiset, so isomorphic trees each get the full count."""
+    pass over g's (n-1)-edge subsets.  A subset with the degree multiset of
+    some tree is counted under its class, and every tree in that class gets
+    the class's count, so isomorphic trees each get the full count."""
     for t in trees:
         _check_pair(t, g)
     n = g.n
-    tests: dict[tuple[int, ...], list] = {}   # sorted degrees -> [(index, test)]
-    for i, t in enumerate(trees):
-        tests.setdefault(tuple(sorted(t.degrees)), []).append((i, _isomorphism_test(t)))
-    copies = [0] * len(trees)
+    wanted = {tuple(sorted(t.degrees)) for t in trees}
+    counts: Counter[int] = Counter()
     for subset in combinations(g.edges(), n - 1):
         degs = [0] * n
         rows = [0] * n
@@ -187,14 +218,11 @@ def count_subgraph_copies(trees: list[SpanningTree], g: Graph) -> list[int]:
             degs[v] += 1
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        matching = tests.get(tuple(sorted(degs)))
-        # n - 1 edges span a tree iff they connect all n vertices; a subset
-        # with a cycle could only fail every isomorphism test, at its cost.
-        if matching and rows_connected(rows):
-            for i, isomorphic in matching:
-                if isomorphic(rows, degs):
-                    copies[i] += 1
-    return copies
+        # n - 1 edges span a tree iff they connect all n vertices; only
+        # trees enter the class table.
+        if tuple(sorted(degs)) in wanted and rows_connected(rows):
+            counts[_tree_class(tuple(rows))] += 1
+    return [counts[_tree_class(t.rows)] for t in trees]
 
 
 def count_embeddings(trees: list[SpanningTree], g: Graph) -> list[EmbeddingCount]:

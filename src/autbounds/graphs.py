@@ -476,16 +476,24 @@ def random_graph(n: int, rng) -> Graph:
                                 if rng.random() < 0.5])
 
 
+# connected_gnm(20, 20), the least likely draw in the repository, connects with
+# p ~ 0.016, so it misses this many draws in a row with p ~ e^-160.
+CONNECT_DRAWS = 10_000
+
+
 def connected_gnm(n: int, m: int, rng) -> Graph:
     """m edges drawn uniformly with rng, redrawn until the graph is connected;
-    a ValueError, before any draw, if no such graph exists."""
+    a ValueError, before any draw, if no such graph exists, and a
+    RuntimeError after CONNECT_DRAWS disconnected draws."""
     if not n - 1 <= m <= n * (n - 1) // 2:
         raise ValueError(f"no connected graph on {n} vertices has {m} edges")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    while True:
+    for _ in range(CONNECT_DRAWS):
         g = Graph.from_edges(n, rng.sample(pairs, m))
         if is_connected(g):
             return g
+    raise RuntimeError(
+        f"connected_gnm({n}, {m}): no connected graph in {CONNECT_DRAWS} draws")
 
 
 # name -> (builder, classical |Aut|) for vertex-transitive graphs: each has

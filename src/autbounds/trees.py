@@ -125,11 +125,14 @@ def greedy_spanning_tree(g: Graph, v0: int) -> GreedyTree:
     if not is_connected(g):
         raise ValueError("greedy spanning tree needs a connected host graph")
     rows = g.rows
+    spent = 0   # covered vertices with no neighbour outside: covered only grows
 
     def lowest_eligible(covered: int) -> int | None:
-        for v in bits(covered):
+        nonlocal spent
+        for v in bits(covered & ~spent):
             if rows[v] & ~covered:
                 return v
+            spent |= 1 << v
         return None
 
     return _grow(g, v0, lowest_eligible)

@@ -186,7 +186,9 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
 
     Trees are enumerated twice (subset+acyclicity here, subset+isomorphism in
     the copy census), reconciled per class and checked against the Laplacian
-    determinant.  Each check runs once per class, on its first member:
+    determinant.  The census classifies each labeled tree once per process,
+    by the edge-by-edge test against its class representatives, never by
+    the certificate.  Each check runs once per class, on its first member:
     isomorphic trees share aut(T) and degrees, so the ceiling too, and the
     census catches a certificate that merges non-isomorphic trees.
     """

@@ -5,7 +5,7 @@ package's algorithms: orbits, labeled copies and path covers come from
 enumerating all n! permutations, Hamiltonian paths are counted by
 inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
-check is judged pair by pair against the definition of an isomorphism.  Four
+check is judged pair by pair against the definition of an isomorphism.  Six
 oracles are kept copies rather than brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter and counts each splitter
 vertex by vertex, which the faster
@@ -17,7 +17,12 @@ search and in whether it finds one between two graphs;
 augmentation, which ``corpus.all_graphs`` must match graph for graph; and
 ``report_to_dict_reference`` is the JSON report builder that went through a
 helper per row and an isinstance check per context value, which
-``cli.report_to_dict`` must match dict for dict.  The
+``cli.report_to_dict`` must match dict for dict; ``census_reference`` is the
+copy census that tests every tree subset against every requested tree,
+which ``embeddings.count_subgraph_copies`` must match count for count; and
+``greedy_reference`` is the greedy tree builder that scans every covered
+vertex for the lowest eligible leaf, which ``trees.greedy_spanning_tree``
+must match tree for tree.  The
 graph families themselves, and their known automorphism group orders, come
 from ``autbounds.graphs``; the helpers here only pick from them.
 """
@@ -26,14 +31,16 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
 from autbounds.automorphisms import _first_path, _individualized, _is_mapping, _refine, _search
 from autbounds.corpus import _least_masks
-from autbounds.graphs import SYMMETRIC_FAMILIES, Graph, bits, connected_gnm, grid_graph
-from autbounds.trees import SpanningTree
+from autbounds.embeddings import _isomorphism_test
+from autbounds.graphs import (
+    SYMMETRIC_FAMILIES, Graph, bits, connected_gnm, grid_graph, rows_connected)
+from autbounds.trees import SpanningTree, _grow
 
 
 def is_automorphism(g: Graph, p) -> bool:
@@ -159,6 +166,46 @@ def report_to_dict_reference(report):
         "bounds": [bound_to_dict(bv, report.gaps.get(bv.bound_id)) for bv in report.bounds],
         "notes": report.notes,
     }
+
+
+def census_reference(trees, g: Graph):
+    """embeddings.count_subgraph_copies as it was before the class table:
+    each tree subset of g is tested edge by edge against every requested
+    tree with its degree multiset.  Same contract, same counts."""
+    n = g.n
+    tests = {}   # sorted degrees -> [(index, test)]
+    for i, t in enumerate(trees):
+        tests.setdefault(tuple(sorted(t.degrees)), []).append((i, _isomorphism_test(t)))
+    copies = [0] * len(trees)
+    for subset in combinations(g.edges(), n - 1):
+        degs = [0] * n
+        rows = [0] * n
+        for u, v in subset:
+            degs[u] += 1
+            degs[v] += 1
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        matching = tests.get(tuple(sorted(degs)))
+        if matching and rows_connected(rows):
+            for i, isomorphic in matching:
+                if isomorphic(rows, degs):
+                    copies[i] += 1
+    return copies
+
+
+def greedy_reference(g: Graph, v0: int):
+    """trees.greedy_spanning_tree as it was before it skipped spent
+    vertices: each step scans every covered vertex from 0 for the lowest
+    one with a neighbour outside.  Same GreedyTree."""
+    rows = g.rows
+
+    def lowest_eligible(covered):
+        for v in bits(covered):
+            if rows[v] & ~covered:
+                return v
+        return None
+
+    return _grow(g, v0, lowest_eligible)
 
 
 def naive_automorphisms(g: Graph):

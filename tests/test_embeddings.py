@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autbounds import embeddings
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.embeddings import (
     count_embeddings,
@@ -23,6 +26,7 @@ from autbounds.trees import SpanningTree, all_spanning_trees, tree_certificate
 from helpers import (
     as_tree,
     brute_labeled_embeddings,
+    census_reference,
     connected_graphs_st,
     random_spanning_tree,
 )
@@ -98,6 +102,101 @@ def test_census_counts_every_tree_in_full():
     assert count_subgraph_copies([p4, star, other_p4, p4], k4) == [12, 4, 12, 12]
     assert count_subgraph_copies([], k4) == []
     assert [ec.labeled for ec in count_embeddings([star, p4], k4)] == [24, 24]
+
+
+# The census counts each tree subset under its class in embeddings'
+# _tree_class table; helpers.census_reference tests every subset against
+# every requested tree, as the census did before the table.
+
+def class_reps(g):
+    return list({tree_certificate(t): t for t in all_spanning_trees(g)}.values())
+
+
+def test_census_matches_reference_on_corpus(corpus6):
+    for graphs in corpus6.values():
+        for g in graphs:
+            reps = class_reps(g)
+            assert count_subgraph_copies(reps, g) == census_reference(reps, g), g
+
+
+def test_census_matches_reference_on_seeded_hosts():
+    rng = random.Random(7)
+    hosts = [connected_gnm(7, m, rng) for m in (6, 8, 10, 13, 16)]
+    hosts += [connected_gnm(8, m, rng) for m in (7, 9, 10, 11)]
+    relabeled = 0   # trees isomorphic to an earlier one in their list, not equal to it
+    for g in hosts:
+        # every class at n = 7, seeded draws at n = 8 (past all_spanning_trees'
+        # cap); then more draws, isomorphic to earlier trees or equal to them,
+        # and two repeats
+        trees = class_reps(g) if g.n == 7 else []
+        trees += [random_spanning_tree(g, rng) for _ in range(8)]
+        trees += trees[-2:]
+        assert count_subgraph_copies(trees, g) == census_reference(trees, g), g
+        relabeled += len({t.rows for t in trees}) - len({tree_certificate(t) for t in trees})
+    assert relabeled > 0
+
+
+def test_census_credits_isomorphic_and_repeated_trees():
+    k5 = complete_graph(5)
+    p5 = as_tree(path_graph(5))
+    relabeled = SpanningTree.from_edges(5, [(3, 1), (1, 4), (4, 0), (0, 2)])
+    spider = SpanningTree.from_edges(5, [(0, 1), (1, 2), (0, 3), (0, 4)])
+    trees = [p5, spider, relabeled, p5, spider]
+    # 60 labeled paths and 60 labeled spiders, one copy of each per tree
+    assert count_subgraph_copies(trees, k5) == census_reference(trees, k5) == [60, 60, 60, 60, 60]
+
+
+@pytest.fixture
+def empty_class_table(monkeypatch):
+    """A fresh class table for the test, and a cleared cache on both sides,
+    so no cached id outlives the table it names."""
+    monkeypatch.setattr(embeddings, "_class_tests", {})
+    embeddings._tree_class.cache_clear()
+    yield embeddings._class_tests
+    embeddings._tree_class.cache_clear()
+
+
+def test_class_table_holds_one_entry_per_class(empty_class_table):
+    g = complete_graph(6)
+    reps = class_reps(g)
+    assert count_subgraph_copies(reps, g) == census_reference(reps, g)
+    ids = [cid for members in empty_class_table.values() for cid, _ in members]
+    assert sorted(ids) == list(range(len(reps))) == list(range(6))
+    # a cleared cache classifies every tree into its old id again
+    before = [embeddings._tree_class(t.rows) for t in all_spanning_trees(g)]
+    embeddings._tree_class.cache_clear()
+    assert [embeddings._tree_class(t.rows) for t in all_spanning_trees(g)] == before
+    assert sum(map(len, empty_class_table.values())) == 6
+
+
+def test_racing_threads_open_one_class_per_shape(empty_class_table):
+    # Eight threads count on K6 from an empty table, switching often: every
+    # thread gets the reference counts and each of K6's six tree classes
+    # is opened once.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    g = complete_graph(6)
+    reps = class_reps(g)
+    expected = census_reference(reps, g)
+    start = threading.Barrier(8)
+    results = []
+
+    def count():
+        start.wait(timeout=60)
+        results.append(count_subgraph_copies(reps, g))
+
+    try:
+        threads = [threading.Thread(target=count) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 8
+    ids = sorted(cid for members in empty_class_table.values() for cid, _ in members)
+    assert ids == list(range(6))
 
 
 @given(connected_graphs_st(max_n=6), st.data())

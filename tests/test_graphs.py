@@ -10,6 +10,7 @@ from hypothesis import given
 
 from autbounds.corpus import all_graphs
 from autbounds.graphs import (
+    CONNECT_DRAWS,
     SYMMETRIC_FAMILIES,
     Graph,
     GraphParseError,
@@ -292,6 +293,15 @@ def test_connected_gnm_refuses_impossible_edge_counts(n, m):
     with pytest.raises(ValueError, match=f"no connected graph on {n} vertices has {m} edges"):
         connected_gnm(n, m, rng)
     assert rng.getstate() == state
+
+
+def test_connected_gnm_stops_after_its_draw_cap(monkeypatch):
+    # A connectivity test that never holds ends in an error naming the
+    # draw, not in an endless redraw.
+    monkeypatch.setattr("autbounds.graphs.is_connected", lambda g: False)
+    with pytest.raises(RuntimeError, match=r"connected_gnm\(9, 12\): no connected graph in "
+                       f"{CONNECT_DRAWS} draws"):
+        connected_gnm(9, 12, random.Random(0))
 
 
 def test_connected_gnm_extreme_edge_counts():

@@ -55,6 +55,25 @@ def test_naive_oracle_is_independent_of_the_search():
         {"_refine", "_search", "_first_path", "_individualized", "_target_cell", "aut_order"})
 
 
+def test_copy_census_is_independent_of_the_certificates():
+    # theorem1_suite groups trees by tree_certificate and checks the groups
+    # against the copy census, so the census must classify trees by its own
+    # isomorphism test, never by the certificate code.
+    tree = ast.parse((SRC / "embeddings.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, names = set(), ["count_subgraph_copies"], set()
+    while todo:   # the census and every module function it reaches
+        name = todo.pop()
+        reached.add(name)
+        found = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        names |= found
+        todo += [f for f in found if f in functions and f not in reached]
+    assert {"_tree_class", "_isomorphism_test"} <= reached
+    assert names.isdisjoint({"tree_certificate", "certificate_aut", "_centroid_code"})
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert attrs.isdisjoint({"tree_certificate", "certificate_aut", "_centroid_code"})
+
+
 def test_greedy_checker_is_independent_of_the_builder():
     # greedy_sweep trusts verify_greedy_tree to check the builder, so it must
     # not reach the builder's code.

@@ -9,6 +9,7 @@ from autbounds import trees
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.corpus import all_graphs
 from autbounds.graphs import (
+    SYMMETRIC_FAMILIES,
     Graph,
     SizeLimitError,
     complete_bipartite_graph,
@@ -34,7 +35,7 @@ from autbounds.trees import (
 )
 from autbounds.verify import greedy_sweep, theorem1_suite
 
-from helpers import as_tree, connected_graphs_st, random_trees
+from helpers import as_tree, connected_graphs_st, greedy_reference, random_trees
 
 
 def test_spanning_tree_validation():
@@ -87,6 +88,16 @@ def test_greedy_invariants_small_sweep(corpus6):
                 gt = greedy_spanning_tree(g, v0)
                 verify_greedy_tree(g, gt)
                 assert 1 + g.degree(v0) + sum(gt.step_sizes()) == g.n
+
+
+def test_greedy_skips_spent_vertices_to_the_same_tree(corpus7):
+    # greedy_spanning_tree scans only covered vertices that may still have a
+    # neighbour outside; the reference scans every covered vertex from 0.
+    hosts = [g for graphs in corpus7.values() for g in graphs]
+    hosts += [g for build, _ in SYMMETRIC_FAMILIES.values() if is_connected(g := build())]
+    for g in hosts:
+        for v0 in range(g.n):
+            assert greedy_spanning_tree(g, v0) == greedy_reference(g, v0), (write_graph6(g), v0)
 
 
 # Each case corrupts one field of the greedy record on C5 from vertex 0, whose
