@@ -42,7 +42,8 @@ Layers:
               over every 8th connected n = 7 graph, each corpus built
               outside the timing and passed as external=; also records the
               checks and violations of each group, and the intern table's
-              hits and misses and the trees coded per repeat.
+              hits and misses, the trees coded and the naive-oracle calls
+              (count_embeddings' aut_f) per repeat.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -64,20 +65,22 @@ Layers:
               graph with n <= 7, 100 seeded connected G(8, m) for each m in
               8, 14, 20, and the SYMMETRIC_FAMILIES rows with n <= 64, and
               cli.report_to_dict plus json.dumps on their
-              compose_report(corollary_mode="both") reports, which are built
-              outside the timing.  write_graph6 runs on new Graph(n, rows)
-              copies built before each repeat, so it times the encoder, not
-              the line a graph keeps once encoded or parsed.  The
-              report_line group times what a batch over these lines costs:
-              parse_graph6, compose_report and
+              compose_report(corollary_mode="both") reports, whose building
+              is timed apart, as compose_report_best_s, so the cost of the
+              reports shows apart from the JSON encoder.  write_graph6 runs
+              on new Graph(n, rows) copies built before each repeat, so it
+              times the encoder, not the line a graph keeps once encoded or
+              parsed.  The report_line group times what a batch over these
+              lines costs: parse_graph6, compose_report and
               json.dumps(cli.report_to_dict(...)) on each line; records
               each repeat's intern misses.
 
 Every group is timed by one rule: its number is the best of at least 3
 calls, with more calls until 1 s has been timed, and at most 1,000 calls.
-Every call starts cold: cold() first clears the package's seven lru_caches
+Every call starts cold: cold() first clears the package's nine lru_caches
 (aut_order, the two corpus caches, the intern table of trees, both bound
-memos and the copy census's tree classes), as in a fresh process.  mpmath's
+memos, the copy census's tree classes, the labeled counter's search plans
+and the naive tree automorphism counts), as in a fresh process.  mpmath's
 own caches, such as its constants at each precision used, are not cleared,
 nor is the census's list of class representatives (at most 48).
 --quick is a smoke run on smaller inputs that makes exactly 3 calls per
@@ -151,7 +154,7 @@ MAX_REPEATS = 1000
 # call time, so a cache that goes raises AttributeError, not a warm timing.
 CACHES = ((automorphisms, "aut_order"), (corpus, "all_graphs"), (corpus, "connected_graphs"),
           (autbounds.trees, "_interned_tree"), (bounds, "_power_value"), (bounds, "_log2"),
-          (embeddings, "_tree_class"))
+          (embeddings, "_tree_class"), (embeddings, "_labeled_plan"), (embeddings, "_tree_aut"))
 
 
 def families(quick):
@@ -381,13 +384,21 @@ def bench_theorem1(quick):
     corpora = {f"n<={nmax}": [g for n in range(1, nmax + 1) for g in connected_graphs(n)]}
     if not quick:
         corpora["n=7/8"] = connected_graphs(7)[::8]
-    seconds, checks, violations, memos = {}, {}, {}, {}
+    seconds, checks, violations, memos, naive = {}, {}, {}, {}, {}
     for name, graphs in corpora.items():  # built outside the timing
-        seconds[name], res, memos[name] = tree_counts_repeated(
-            lambda: theorem1_suite(external=graphs), quick)
+        naive[name] = []
+
+        def run():
+            calls.clear()
+            res = theorem1_suite(external=graphs)
+            naive[name].append(len(calls))
+            return res
+
+        with spy(embeddings, "aut_order_naive") as calls:
+            seconds[name], res, memos[name] = tree_counts_repeated(run, quick)
         checks[name], violations[name] = res.checked, len(res.violations)
     return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations,
-            "tree_memos": memos}
+            "tree_memos": memos, "naive_calls": naive}
 
 
 def pathcover_groups(quick):
@@ -486,12 +497,12 @@ def bench_serialise(quick):
     graphs = serialise_graphs(quick)
     lines = [write_graph6(g) for g in graphs]
     opts = ReportOptions(corollary_mode="both")
-    reports = [compose_report(g, opts) for g in graphs]
     copies = []
 
     def new_copies():
         copies[:] = [Graph(g.n, g.rows) for g in graphs]
 
+    report_s, reports, _ = repeated(lambda: [compose_report(g, opts) for g in graphs], quick)
     seconds = {}
     seconds["parse_graph6"], parsed, _ = repeated(
         lambda: [parse_graph6(s) for s in lines], quick)
@@ -507,6 +518,7 @@ def bench_serialise(quick):
     if line_texts != texts:
         raise SystemExit("a report line differs from its report's JSON")
     return {"serialise_best_s": seconds,
+            "compose_report_best_s": {"reports": report_s},
             "graphs": len(graphs),
             "report_line_intern_misses": memos["intern"]["misses"],
             "graph6_sha256": hashlib.sha256("".join(s + "\n" for s in lines).encode()).hexdigest(),

@@ -28,15 +28,24 @@ in 150,905 calls for the 12,113 graphs with n <= 8.
 
 Inapplicable bounds are gated, never raised: each carries a machine-readable
 reason so a report over an awkward graph still renders every row.
+
+A row is a ``BoundValue``, a NamedTuple: immutable, and cheaper to build
+than a frozen dataclass.  A report builds exactly one per row.  thm3
+minimises over (value, context) pairs and builds the winning row only, and
+the corollary builds each mode's row under its final id, through the
+builder ``eval_corollary`` shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from threading import RLock
+from types import MappingProxyType
+from typing import NamedTuple
 
 import mpmath
 
@@ -65,16 +74,17 @@ LOG2_COMPARISON_SLACK = 1e-9
 _PRECISION_LOCK = RLock()
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """One evaluated bound: exact rational when representable, log2 always."""
+class BoundValue(NamedTuple):
+    """One evaluated bound: exact rational when representable, log2 always.
+    A tuple, so it is immutable and compares equal to a plain tuple of the
+    same fields; the default context is one shared read-only empty mapping."""
 
     bound_id: str
     applicable: bool
     reason: str | None
     exact_value: Fraction | None
     log2_value: float | None
-    context: dict = field(default_factory=dict)
+    context: Mapping = MappingProxyType({})
 
 
 @lru_cache(maxsize=1024)
@@ -151,7 +161,7 @@ def eval_eq2(g: Graph, t: SpanningTree) -> BoundValue:
     Gated below n = 3: on the single-edge tree the degree product collapses
     to 1 while the swap automorphism exists, so the estimate is false there.
     """
-    ctx = {"tree_edges": tuple(t.edges()), "delta_t": t.delta_max}
+    ctx = {"tree_edges": t.edge_tuple, "delta_t": t.delta_max}
     if not t.spans(g):
         raise ValueError("tree does not span the host graph")
     if g.n < 3:
@@ -240,15 +250,19 @@ def eval_thm3(g: Graph, gt: GreedyTree, n1: int | None = None) -> BoundValue:
 
     With n1 absent the orbit length is replaced by n (the always-available
     form)."""
+    value, ctx = _thm3_value(g, gt, n1)
+    return _power_product("thm3_orbit" if n1 is not None else "thm3_plain", ((value, 1),), ctx)
+
+
+def _thm3_value(g: Graph, gt: GreedyTree, n1: int | None) -> tuple[int, dict]:
+    """eval_thm3's value and context, its row not yet built."""
     v0 = gt.root
     factor = n1 if n1 is not None else g.n
     value = factor * factorial(g.degree(v0))
-    for k in gt.step_sizes():
+    steps = gt.step_sizes()
+    for k in steps:
         value *= factorial(k)
-    ctx = {"v0": v0, "n1": factor, "sequence": gt.sequence,
-           "step_sizes": gt.step_sizes()}
-    bound_id = "thm3_orbit" if n1 is not None else "thm3_plain"
-    return _power_product(bound_id, ((value, 1),), ctx)
+    return value, {"v0": v0, "n1": factor, "sequence": gt.sequence, "step_sizes": steps}
 
 
 # The corollary's alpha as printed, and as corrected; a report may ask for both.
@@ -263,13 +277,18 @@ def eval_corollary(g: Graph, mode: str = "corrected") -> BoundValue:
     remainder that actually satisfies 0 <= alpha < delta - 1."""
     if mode not in COROLLARY_MODES:
         raise ValueError(f"unknown corollary mode {mode!r}")
+    return _corollary_row(g, mode, "corollary")
+
+
+def _corollary_row(g: Graph, mode: str, bound_id: str) -> BoundValue:
+    """eval_corollary's row for a known mode, built under bound_id."""
     n, delta = g.n, g.delta_max
     if delta < 2:
-        return _gated("corollary", "requires max degree >= 2", {"mode": mode})
+        return _gated(bound_id, "requires max degree >= 2", {"mode": mode})
     r = (n - delta - 1) // (delta - 1)
     alpha = n - r * (delta - 1) if mode == "verbatim" else n - delta - 1 - r * (delta - 1)
     value = n * factorial(alpha) * factorial(delta) * factorial(delta - 1) ** r
-    return _power_product("corollary", ((value, 1),), {"mode": mode, "r": r, "alpha": alpha})
+    return _power_product(bound_id, ((value, 1),), {"mode": mode, "r": r, "alpha": alpha})
 
 
 def eval_thm1_tree(g: Graph, t: SpanningTree) -> BoundValue:
@@ -278,7 +297,7 @@ def eval_thm1_tree(g: Graph, t: SpanningTree) -> BoundValue:
     degree-product estimates for copies and tree automorphisms."""
     if not t.spans(g):
         raise ValueError("tree does not span the host graph")
-    ctx = {"tree_edges": tuple(t.edges())}
+    ctx = {"tree_edges": t.edge_tuple}
     if g.n <= EMBED_VERTEX_LIMIT:
         ctx["route"] = "exact_embeddings"
         value = count_labeled_embeddings(t, g)
@@ -348,17 +367,19 @@ def _rows(r: _Inputs, bound_id: str, evaluate) -> list[BoundValue]:
 
 
 def _thm3(r: _Inputs, with_orbit: bool) -> BoundValue:
-    """eval_thm3 minimised over the candidate trees (the first minimum wins)."""
+    """eval_thm3 minimised over the candidate trees (the first minimum wins),
+    its context marked with the exhaustive option; one row is built."""
     g = r.host
     if with_orbit and r.aut_res is None:
         raise _Gate("orbit size needs the exact automorphism oracle")
     best = None
     for gt in r.thm3_trees:
-        bv = eval_thm3(g, gt, len(r.aut_res.orbit_of(gt.root)) if with_orbit else None)
-        if best is None or bv.exact_value < best.exact_value:
-            best = bv
-    return BoundValue(best.bound_id, True, None, best.exact_value, best.log2_value,
-                      {**best.context, "exhaustive": r.options.exhaustive_start})
+        pair = _thm3_value(g, gt, len(r.aut_res.orbit_of(gt.root)) if with_orbit else None)
+        if best is None or pair[0] < best[0]:
+            best = pair
+    value, ctx = best
+    ctx["exhaustive"] = r.options.exhaustive_start
+    return _power_product("thm3_orbit" if with_orbit else "thm3_plain", ((value, 1),), ctx)
 
 
 def _corollary(r: _Inputs) -> BoundValue | list[BoundValue]:
@@ -366,10 +387,9 @@ def _corollary(r: _Inputs) -> BoundValue | list[BoundValue]:
     mode = r.options.corollary_mode
     if mode != "both":
         return eval_corollary(r.host, mode)
-    return [BoundValue(f"corollary_{m}", bv.applicable, bv.reason, bv.exact_value,
-                       bv.log2_value, bv.context)
-            for m in COROLLARY_MODES
-            for bv in _rows(r, "corollary", lambda r, m=m: eval_corollary(r.host, m))]
+    return [bv for m in COROLLARY_MODES
+            for bv in _rows(r, f"corollary_{m}",
+                            lambda r, m=m: _corollary_row(r.host, m, f"corollary_{m}"))]
 
 
 # id -> (CLI alias or None, evaluator); the order is the report's row order.

@@ -54,6 +54,12 @@ class SpanningTree(Graph):
         return self.n == g.n and all(not r & ~h for r, h in zip(self.rows, g.rows))
 
     @_lazy
+    def edge_tuple(self) -> tuple[tuple[int, int], ...]:
+        """The edges as a tuple, listed once per tree for the rows that
+        carry them."""
+        return tuple(self.edges())
+
+    @_lazy
     def certificate_aut(self) -> tuple[tuple, int]:
         """(tree_certificate, tree_aut_exact), coded once per tree."""
         return _centroid_code(self.rows)

@@ -5,7 +5,7 @@ package's algorithms: orbits, labeled copies and path covers come from
 enumerating all n! permutations, Hamiltonian paths are counted by
 inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
-check is judged pair by pair against the definition of an isomorphism.  Six
+check is judged pair by pair against the definition of an isomorphism.  Seven
 oracles are kept copies rather than brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter and counts each splitter
 vertex by vertex, which the faster
@@ -22,7 +22,9 @@ copy census that tests every tree subset against every requested tree,
 which ``embeddings.count_subgraph_copies`` must match count for count; and
 ``greedy_reference`` is the greedy tree builder that scans every covered
 vertex for the lowest eligible leaf, which ``trees.greedy_spanning_tree``
-must match tree for tree.  The
+must match tree for tree; and ``labeled_reference`` is the labeled-copy
+counter that builds its search plan on every call, which
+``embeddings.count_labeled_embeddings`` must match count for count.  The
 graph families themselves, and their known automorphism group orders, come
 from ``autbounds.graphs``; the helpers here only pick from them.
 """
@@ -32,14 +34,15 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 from hypothesis import strategies as st
 
 from autbounds.automorphisms import _first_path, _individualized, _is_mapping, _refine, _search
 from autbounds.corpus import _least_masks
-from autbounds.embeddings import _isomorphism_test
+from autbounds.embeddings import _isomorphism_test, _sibling_tail
 from autbounds.graphs import (
-    SYMMETRIC_FAMILIES, Graph, bits, connected_gnm, grid_graph, rows_connected)
+    SYMMETRIC_FAMILIES, Graph, _walk, bits, connected_gnm, grid_graph, rows_connected)
 from autbounds.trees import SpanningTree, _grow
 
 
@@ -191,6 +194,46 @@ def census_reference(trees, g: Graph):
                 if isomorphic(rows, degs):
                     copies[i] += 1
     return copies
+
+
+def labeled_reference(f: SpanningTree, g: Graph) -> int:
+    """embeddings.count_labeled_embeddings as it was before its plan cache:
+    the sibling groups, their k! factor and the walk order are found anew
+    on each call.  Same contract, same counts."""
+    n = f.n
+    f_rows = f.rows
+    leaves = 0
+    for v, row in enumerate(f_rows):
+        if not row & (row - 1):
+            leaves |= 1 << v
+    groups = []
+    grouped = 0
+    factor = 1
+    for p, row in enumerate(f_rows):
+        sib = row & leaves
+        if sib & (sib - 1):
+            groups.append((p, sib.bit_count()))
+            grouped |= sib
+            factor *= factorial(sib.bit_count())
+    order, parent = _walk(f_rows, grouped)
+    up = [parent[v] for v in order]
+    image = [0] * n
+    g_rows = g.rows
+    last = len(order) - 1
+    tail = _sibling_tail(order[last], groups, image, g_rows) if groups else None
+
+    def place(i, free):
+        cand = free & g_rows[image[up[i]]] if i else free
+        if i == last:
+            return cand.bit_count() if tail is None else tail(free, cand)
+        v = order[i]
+        count = 0
+        for w in bits(cand):
+            image[v] = w
+            count += place(i + 1, free ^ (1 << w))
+        return count
+
+    return factor * place(0, (1 << n) - 1)
 
 
 def greedy_reference(g: Graph, v0: int):

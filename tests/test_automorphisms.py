@@ -165,9 +165,17 @@ def test_count_embeddings_calls_naive_once_per_tree_class(monkeypatch):
     classes = {}
     for t in all_spanning_trees(g):
         classes.setdefault(tree_certificate(t), t)
+    # the naive counts are memoised per process: start from empty caches
+    embeddings._tree_aut.cache_clear()
+    embeddings._labeled_plan.cache_clear()
     counts = embeddings.count_embeddings(list(classes.values()), g)
     assert len(counts) == len(classes) > 1
-    assert calls == list(classes.values())
+    assert [c.rows for c in calls] == [t.rows for t in classes.values()]
+    # the same trees again, on this host or another: no naive call
+    calls.clear()
+    assert embeddings.count_embeddings(list(classes.values()), g) == counts
+    embeddings.count_embeddings(list(classes.values()), complete_graph(6))
+    assert calls == []
 
 
 def test_exhaustive_cross_validation_small(corpus6):

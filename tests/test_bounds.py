@@ -12,6 +12,7 @@ from autbounds import bounds
 from autbounds.automorphisms import aut_order, aut_order_naive
 from autbounds.bounds import (
     BOUND_IDS,
+    COROLLARY_MODES,
     LOG2_COMPARISON_SLACK,
     WORKING_PRECISION_BITS,
     _log2,
@@ -31,17 +32,19 @@ from autbounds.bounds import (
     eval_thm1_tree,
     eval_thm3,
 )
+from autbounds.corpus import all_graphs
 from autbounds.graphs import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     grid_graph,
+    is_connected,
     path_graph,
     petersen_graph,
     star_graph,
 )
-from autbounds.trees import SpanningTree, greedy_spanning_tree
+from autbounds.trees import SpanningTree, best_greedy_tree, greedy_spanning_tree
 
 from helpers import connected_graphs_st
 
@@ -423,6 +426,76 @@ def test_report_exhaustive_start():
     k23 = complete_bipartite_graph(2, 3)
     rep = compose_report(k23, ReportOptions(exhaustive_start=True))
     assert rep.bound("thm3_orbit").exact_value == 12 == rep.aut_exact
+
+
+# A report builds each row once, under its final id and context.  The thm3
+# rows must equal eval_thm3's on the winning tree with "exhaustive" added,
+# and the corollary rows eval_corollary's under the report's id, as the
+# report built them by copying before.
+
+def expected_thm3(g, exhaustive, with_orbit):
+    trees = [gt for gt, _ in best_greedy_tree(g)] if exhaustive else [greedy_spanning_tree(g, 0)]
+    aut = aut_order(g)
+    best = None
+    for gt in trees:
+        bv = eval_thm3(g, gt, len(aut.orbit_of(gt.root)) if with_orbit else None)
+        if best is None or bv.exact_value < best.exact_value:
+            best = bv
+    return BoundValue(best.bound_id, True, None, best.exact_value, best.log2_value,
+                      {**best.context, "exhaustive": exhaustive})
+
+
+def expected_corollary(g, mode):
+    if mode != "both":
+        return [eval_corollary(g, mode)]
+    return [BoundValue(f"corollary_{m}", bv.applicable, bv.reason, bv.exact_value,
+                       bv.log2_value, bv.context)
+            for m in COROLLARY_MODES for bv in [eval_corollary(g, m)]]
+
+
+@pytest.mark.parametrize("mode", [*COROLLARY_MODES, "both"])
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["greedy0", "exhaustive"])
+def test_report_rows_equal_the_evaluators(exhaustive, mode):
+    opts = ReportOptions(bounds=("thm3_orbit", "thm3_plain", "corollary"),
+                         exhaustive_start=exhaustive, corollary_mode=mode)
+    ids = [f"corollary_{m}" for m in COROLLARY_MODES] if mode == "both" else ["corollary"]
+    checked = {True: 0, False: 0}
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            connected = is_connected(g)
+            checked[connected] += 1
+            if connected:
+                expected = [expected_thm3(g, exhaustive, True),
+                            expected_thm3(g, exhaustive, False), *expected_corollary(g, mode)]
+            else:
+                expected = [BoundValue(bid, False, "graph is disconnected", None, None, {})
+                            for bid in ("thm3_orbit", "thm3_plain", *ids)]
+            rows = compose_report(g, opts).bounds
+            assert rows == expected, g
+            # field for field, the context's key order (the JSON's) included
+            for row, want in zip(rows, expected):
+                assert type(row) is BoundValue
+                assert list(row.context.items()) == list(want.context.items()), g
+    assert checked == {True: 996, False: 1252 - 996}
+
+
+def test_bound_value_contract():
+    bv = BoundValue("eq1_nashwilliams", True, None, Fraction(24), 4.5, {"delta": 3})
+    # kept: immutable, and the repr the frozen dataclass had
+    with pytest.raises(AttributeError):
+        bv.exact_value = Fraction(1)
+    assert repr(bv) == ("BoundValue(bound_id='eq1_nashwilliams', applicable=True, "
+                        "reason=None, exact_value=Fraction(24, 1), log2_value=4.5, "
+                        "context={'delta': 3})")
+    # the default context is one read-only empty mapping, never a dict to share
+    a = BoundValue("eq5_special_class", False, "why", None, None)
+    b = BoundValue("eq6_starfree", False, "why", None, None)
+    assert a.context == {} and a.context is b.context
+    with pytest.raises(TypeError):
+        a.context["m"] = 3
+    # changed: a row is a tuple, so it equals a plain tuple and iterates
+    assert bv == ("eq1_nashwilliams", True, None, Fraction(24), 4.5, {"delta": 3})
+    assert list(bv) == ["eq1_nashwilliams", True, None, Fraction(24), 4.5, {"delta": 3}]
 
 
 def test_log2_matches_exact_value():

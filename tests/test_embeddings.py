@@ -21,13 +21,19 @@ from autbounds.graphs import (
     path_graph,
     star_graph,
 )
-from autbounds.trees import SpanningTree, all_spanning_trees, tree_certificate
+from autbounds.trees import (
+    SpanningTree,
+    all_spanning_trees,
+    greedy_spanning_tree,
+    tree_certificate,
+)
 
 from helpers import (
     as_tree,
     brute_labeled_embeddings,
     census_reference,
     connected_graphs_st,
+    labeled_reference,
     random_spanning_tree,
 )
 
@@ -197,6 +203,54 @@ def test_racing_threads_open_one_class_per_shape(empty_class_table):
     assert results == [expected] * 8
     ids = sorted(cid for members in empty_class_table.values() for cid, _ in members)
     assert ids == list(range(6))
+
+
+# count_labeled_embeddings takes its search plan from _labeled_plan and
+# count_embeddings takes aut_f from _tree_aut, both cached on the tree's bit
+# rows; helpers.labeled_reference builds the plan on every call, and the
+# naive oracle runs uncached.
+
+def cached_routes_match(pairs):
+    """Each cached route against its uncached one, on (tree, host) pairs;
+    then once more from empty caches."""
+    naive = {t.rows: aut_order_naive(t) for t, _ in pairs}
+    for _ in range(2):
+        embeddings._labeled_plan.cache_clear()
+        embeddings._tree_aut.cache_clear()
+        for t, g in pairs:
+            assert count_labeled_embeddings(t, g) == labeled_reference(t, g), (t, g)
+            assert embeddings._tree_aut(t.rows) == naive[t.rows], t
+
+
+def test_cached_routes_match_on_greedy_trees(corpus7):
+    # the greedy tree from every start of every connected host with n <= 7
+    cached_routes_match([(greedy_spanning_tree(g, v0).tree, g)
+                         for graphs in corpus7.values() for g in graphs for v0 in range(g.n)])
+
+
+def test_cached_routes_match_on_tree_classes(corpus6):
+    cached_routes_match([(t, g) for graphs in corpus6.values() for g in graphs
+                         for t in class_reps(g)])
+
+
+def test_cached_routes_match_on_seeded_hosts():
+    rng = random.Random(11)
+    pairs = []
+    for m in (7, 9, 12, 16, 20, 24, 28):
+        g = connected_gnm(8, m, rng)
+        pairs += [(greedy_spanning_tree(g, v0).tree, g) for v0 in range(8)]
+        pairs += [(random_spanning_tree(g, rng), g) for _ in range(12)]
+    cached_routes_match(pairs)
+
+
+def test_trees_with_equal_degrees_keep_their_own_aut():
+    # degrees 3, 3, 2, 1, 1, 1, 1 both: the degree-2 vertex between the two
+    # centres (aut 8), or on a branch of one of them (aut 2)
+    between = SpanningTree.from_edges(7, [(0, 2), (2, 1), (0, 3), (0, 4), (1, 5), (1, 6)])
+    hanging = SpanningTree.from_edges(7, [(0, 1), (0, 3), (0, 4), (1, 5), (1, 2), (2, 6)])
+    counts = count_embeddings([between, hanging], complete_graph(7))
+    assert [(ec.labeled, ec.copies, ec.aut_f) for ec in counts] == [(5040, 630, 8),
+                                                                   (5040, 2520, 2)]
 
 
 @given(connected_graphs_st(max_n=6), st.data())

@@ -16,7 +16,7 @@ import pytest
 import autbounds
 from autbounds.bounds import ReportOptions, compose_report
 from autbounds.corpus import connected_graphs
-from autbounds.embeddings import count_subgraph_copies
+from autbounds.embeddings import count_embeddings
 from autbounds.graphs import complete_graph, petersen_graph
 from autbounds.trees import SpanningTree
 
@@ -101,11 +101,13 @@ def test_bench_cold_clears_every_package_cache():
                 caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
     assert {"automorphisms.aut_order", "corpus.all_graphs", "corpus.connected_graphs",
             "trees._interned_tree", "bounds._power_value", "bounds._log2",
-            "embeddings._tree_class"} <= {name.removeprefix("autbounds.") for name in caches}
+            "embeddings._tree_class", "embeddings._labeled_plan",
+            "embeddings._tree_aut"} <= {name.removeprefix("autbounds.") for name in caches}
     connected_graphs(4)
     compose_report(petersen_graph(), ReportOptions(corollary_mode="both"))
-    # compose_report never reaches the copy census
-    count_subgraph_copies([SpanningTree.from_edges(3, [(0, 1), (1, 2)])], complete_graph(3))
+    # compose_report on Petersen reaches neither the copy census, the
+    # labeled counter's plans nor the naive tree counts
+    count_embeddings([SpanningTree.from_edges(3, [(0, 1), (1, 2)])], complete_graph(3))
     assert all(cache.cache_info().currsize for cache in caches.values())
     bench.cold()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(
