@@ -11,6 +11,9 @@ Layers:
   embeddings  count_labeled_embeddings of the greedy spanning tree (from
               vertex 0) in every connected graph with n <= 7, plus 40 seeded
               connected G(8, m) for each m in 8, 14, 20, 24, 27: 1,196 pairs.
+              The trees are built outside the timing, and rebuilt before
+              each repeat, one per bit rows as in the intern table, so no
+              repeat reads a search plan cached on the last.
   log2        bounds._power_value over the keys, in call order, that
               compose_report(corollary_mode="both") passes it on the
               connected n <= 7 corpus: every number a report carries.
@@ -43,7 +46,7 @@ Layers:
               outside the timing and passed as external=; also records the
               checks and violations of each group, and the intern table's
               hits and misses, the trees coded and the naive-oracle calls
-              (count_embeddings' aut_f) per repeat.
+              (SpanningTree.naive_aut, count_embeddings' aut_f) per repeat.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -77,12 +80,12 @@ Layers:
 
 Every group is timed by one rule: its number is the best of at least 3
 calls, with more calls until 1 s has been timed, and at most 1,000 calls.
-Every call starts cold: cold() first clears the package's nine lru_caches
-(aut_order, the two corpus caches, the intern table of trees, both bound
-memos, the copy census's tree classes, the labeled counter's search plans
-and the naive tree automorphism counts), as in a fresh process.  mpmath's
-own caches, such as its constants at each precision used, are not cleared,
-nor is the census's list of class representatives (at most 48).
+Every call starts cold: cold() first clears the package's seven lru_caches
+(aut_order, the two corpus caches, the intern table of trees, which takes
+the values cached on each tree with it, both bound memos and the copy
+census's tree classes), as in a fresh process.  mpmath's own caches, such as
+its constants at each precision used, are not cleared, nor is the census's
+list of class representatives (at most 48).
 --quick is a smoke run on smaller inputs that makes exactly 3 calls per
 group.  The record is written to BENCH_<label>.json with the Python version,
 os.cpu_count(), the git sha of the checkout that holds the imported
@@ -136,6 +139,7 @@ from autbounds.graphs import (
 )
 from autbounds.structure import path_cover_number, star_free_parameter
 from autbounds.trees import (
+    SpanningTree,
     all_spanning_trees,
     best_greedy_tree,
     greedy_spanning_tree,
@@ -154,7 +158,7 @@ MAX_REPEATS = 1000
 # call time, so a cache that goes raises AttributeError, not a warm timing.
 CACHES = ((automorphisms, "aut_order"), (corpus, "all_graphs"), (corpus, "connected_graphs"),
           (autbounds.trees, "_interned_tree"), (bounds, "_power_value"), (bounds, "_log2"),
-          (embeddings, "_tree_class"), (embeddings, "_labeled_plan"), (embeddings, "_tree_aut"))
+          (embeddings, "_tree_class"))
 
 
 def families(quick):
@@ -213,7 +217,9 @@ def cold():
     """Clear every cache in CACHES, as in a fresh process.  The copy
     census's class list (at most 48 entries, one test per tree shape)
     survives, as mpmath's caches do: a tree that _tree_class meets again is
-    classified again, into the same id."""
+    classified again, into the same id.  A tree the caller still holds keeps
+    the values cached on it, so a layer that holds trees across repeats
+    rebuilds them in repeated()'s reset."""
     for module, name in CACHES:
         getattr(module, name).cache_clear()
 
@@ -287,8 +293,14 @@ def bench_aut(quick):
 
 
 def bench_embeddings(quick):
-    seconds, counts = time_groups(embedding_groups(quick),
-                                  lambda pair: count_labeled_embeddings(*pair), quick)
+    seconds, counts, fresh = {}, {}, []
+    for name, pairs in embedding_groups(quick).items():
+        def rebuild():  # new trees, so no repeat reads a plan cached on the last
+            copies = {t.rows: SpanningTree(t.n, t.rows) for t, _ in pairs}
+            fresh[:] = [(copies[t.rows], g) for t, g in pairs]
+
+        seconds[name], counts[name], _ = repeated(
+            lambda: [count_labeled_embeddings(t, g) for t, g in fresh], quick, rebuild)
     return {"count_labeled_embeddings_best_s": seconds,
             "pairs": {name: len(c) for name, c in counts.items()},
             "counts_sha256": digest(counts)}
@@ -394,7 +406,7 @@ def bench_theorem1(quick):
             naive[name].append(len(calls))
             return res
 
-        with spy(embeddings, "aut_order_naive") as calls:
+        with spy(autbounds.trees, "aut_order_naive") as calls:
             seconds[name], res, memos[name] = tree_counts_repeated(run, quick)
         checks[name], violations[name] = res.checked, len(res.violations)
     return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations,

@@ -15,10 +15,12 @@ certificates the census is checked against.
 aut_f comes from the naive permutation oracle.
 ``count_embeddings`` checks the identity for every tree and raises
 CountingIdentityError if it fails, so a bug in one route trips at once.
-What depends on the tree alone is worked out once per process, in caches
-keyed on its bit rows: the labeled counter's search plan (``_labeled_plan``)
-and the naive count of its automorphisms (``_tree_aut``).  The identity is
-still checked for every host and tree.
+What depends on the tree alone, the labeled counter's search plan and the
+naive aut_f, is kept on the tree (``SpanningTree.labeled_plan`` and
+``naive_aut``), so an interned tree works it out once per process; the
+identity is still checked for every host and tree.  ``_tree_class`` is this
+module's one cache, keyed on bit rows because the census classifies edge
+subsets that are never interned.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 
-from .graphs import Graph, SizeLimitError, _walk, bits, rows_connected
-from .automorphisms import aut_order_naive
+from .graphs import Graph, SizeLimitError, bits, rows_connected
 from .trees import SpanningTree
 
 EMBED_VERTEX_LIMIT = 8
@@ -58,39 +59,11 @@ def _check_pair(f: SpanningTree, g: Graph):
             f"embedding counts are brute force; n={g.n} exceeds {EMBED_VERTEX_LIMIT}")
 
 
-@lru_cache(maxsize=8192)
-def _labeled_plan(rows: tuple[int, ...]) -> tuple:
-    """(factor, groups, order, up): the labeled counter's search plan for the
-    tree with these bit rows, built once per process.  8192 entries hold
-    the trees a verify or batch run counts, as the intern table's do."""
-    # Sibling leaves are not searched: the k >= 2 leaves of the tree on one
-    # neighbour p.
-    leaves = 0
-    for v, row in enumerate(rows):
-        if not row & (row - 1):
-            leaves |= 1 << v
-    groups = []        # (p, k) per sibling group
-    grouped = 0
-    factor = 1         # the k! orders inside each group
-    for p, row in enumerate(rows):
-        sib = row & leaves
-        if sib & (sib - 1):
-            groups.append((p, sib.bit_count()))
-            grouped |= sib
-            factor *= factorial(sib.bit_count())
-    # One walk from the lowest vertex outside the groups (leaves, so the rest
-    # of the tree stays connected) places each other vertex after its parent
-    # up[i], its one earlier neighbour in the tree: a second would close a
-    # cycle.
-    order, parent = _walk(rows, grouped)
-    return factor, tuple(groups), tuple(order), tuple(parent[v] for v in order)
-
-
 def count_labeled_embeddings(f: SpanningTree, g: Graph) -> int:
     """Number of bijections on the shared vertex set sending every edge of the
     tree f to an edge of g (non-edges of f are unconstrained)."""
     _check_pair(f, g)
-    factor, groups, order, up = _labeled_plan(f.rows)
+    factor, groups, order, up = f.labeled_plan
     image = [0] * f.n
     g_rows = g.rows
     last = len(order) - 1
@@ -234,20 +207,13 @@ def count_subgraph_copies(trees: list[SpanningTree], g: Graph) -> list[int]:
     return [counts[_tree_class(t.rows)] for t in trees]
 
 
-@lru_cache(maxsize=8192)
-def _tree_aut(rows: tuple[int, ...]) -> int:
-    """aut_order_naive of the tree with these bit rows, counted once per
-    process: the identity below is still checked for every host."""
-    return aut_order_naive(Graph(len(rows), rows))
-
-
 def count_embeddings(trees: list[SpanningTree], g: Graph) -> list[EmbeddingCount]:
     """Labeled copies, subgraph copies, and aut(t) of each tree, each computed
     by an independent route; their identity is verified before returning."""
     counts = []
     for t, copies in zip(trees, count_subgraph_copies(trees, g)):
         labeled = count_labeled_embeddings(t, g)
-        aut_f = _tree_aut(t.rows)
+        aut_f = t.naive_aut
         if labeled != copies * aut_f:
             raise CountingIdentityError(
                 f"counting identity violated: labeled={labeled}, copies={copies}, aut={aut_f}")

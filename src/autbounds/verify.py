@@ -191,9 +191,9 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
     the certificate.  Each check runs once per class, on its first member:
     isomorphic trees share aut(T) and degrees, so the ceiling too, and the
     census catches a certificate that merges non-isomorphic trees.  The
-    naive aut(T) and the labeled counter's plan are found once per labeled
-    tree per process, so a tree met again on another host reuses them; the
-    identity itself is checked on every (host, class) pair.
+    naive aut(T) and the labeled counter's plan are cached on each interned
+    tree, beside its certificate, so a tree met again on another host reuses
+    them; the identity itself is checked on every (host, class) pair.
     """
     res = SuiteResult("theorem1-embeddings", 0)
     for g in _corpus(nmax, external):

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from autbounds import automorphisms, corpus, embeddings, verify
+from autbounds import automorphisms, corpus, embeddings, trees, verify
 from autbounds.automorphisms import (
     _first_path,
     _individualized,
@@ -33,7 +33,7 @@ from autbounds.graphs import (
     rook_graph,
     shrikhande_graph,
 )
-from autbounds.trees import all_spanning_trees, tree_certificate
+from autbounds.trees import SpanningTree, all_spanning_trees, tree_certificate
 
 from helpers import (
     aut_families,
@@ -137,8 +137,8 @@ def test_naive_equals_literal_walk_8(name):
 
 
 def spy_naive(monkeypatch):
-    """Wrap aut_order_naive where its callers, embeddings and verify, bind
-    it; returns the list that collects each call's graph."""
+    """Wrap aut_order_naive where its callers, trees (SpanningTree.naive_aut)
+    and verify, bind it; returns the list that collects each call's graph."""
     calls = []
     real = automorphisms.aut_order_naive
 
@@ -146,7 +146,7 @@ def spy_naive(monkeypatch):
         calls.append(g)
         return real(g)
 
-    for module in (embeddings, verify):
+    for module in (trees, verify):
         monkeypatch.setattr(module, "aut_order_naive", spy)
     return calls
 
@@ -164,17 +164,16 @@ def test_count_embeddings_calls_naive_once_per_tree_class(monkeypatch):
     g = complete_bipartite_graph(3, 3)
     classes = {}
     for t in all_spanning_trees(g):
-        classes.setdefault(tree_certificate(t), t)
-    # the naive counts are memoised per process: start from empty caches
-    embeddings._tree_aut.cache_clear()
-    embeddings._labeled_plan.cache_clear()
-    counts = embeddings.count_embeddings(list(classes.values()), g)
-    assert len(counts) == len(classes) > 1
-    assert [c.rows for c in calls] == [t.rows for t in classes.values()]
+        # a new copy of each interned tree, which may hold its naive count
+        classes.setdefault(tree_certificate(t), SpanningTree(t.n, t.rows))
+    reps = list(classes.values())
+    counts = embeddings.count_embeddings(reps, g)
+    assert len(counts) == len(reps) > 1
+    assert len(calls) == len(reps) and all(c is t for c, t in zip(calls, reps))
     # the same trees again, on this host or another: no naive call
     calls.clear()
-    assert embeddings.count_embeddings(list(classes.values()), g) == counts
-    embeddings.count_embeddings(list(classes.values()), complete_graph(6))
+    assert embeddings.count_embeddings(reps, g) == counts
+    embeddings.count_embeddings(reps, complete_graph(6))
     assert calls == []
 
 

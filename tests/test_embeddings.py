@@ -205,21 +205,21 @@ def test_racing_threads_open_one_class_per_shape(empty_class_table):
     assert ids == list(range(6))
 
 
-# count_labeled_embeddings takes its search plan from _labeled_plan and
-# count_embeddings takes aut_f from _tree_aut, both cached on the tree's bit
-# rows; helpers.labeled_reference builds the plan on every call, and the
+# count_labeled_embeddings takes its search plan from SpanningTree.labeled_plan
+# and count_embeddings takes aut_f from SpanningTree.naive_aut, both cached on
+# the tree; helpers.labeled_reference builds the plan on every call, and the
 # naive oracle runs uncached.
 
 def cached_routes_match(pairs):
-    """Each cached route against its uncached one, on (tree, host) pairs;
-    then once more from empty caches."""
+    """Each cached route against its uncached one, on (tree, host) pairs: on
+    the tree as given, which may hold its values already, and on a new copy
+    of it that works them out anew."""
     naive = {t.rows: aut_order_naive(t) for t, _ in pairs}
-    for _ in range(2):
-        embeddings._labeled_plan.cache_clear()
-        embeddings._tree_aut.cache_clear()
-        for t, g in pairs:
-            assert count_labeled_embeddings(t, g) == labeled_reference(t, g), (t, g)
-            assert embeddings._tree_aut(t.rows) == naive[t.rows], t
+    fresh = {t.rows: SpanningTree(t.n, t.rows) for t, _ in pairs}
+    for t, g in pairs:
+        for tree in (t, fresh[t.rows]):
+            assert count_labeled_embeddings(tree, g) == labeled_reference(tree, g), (t, g)
+            assert tree.naive_aut == naive[t.rows], t
 
 
 def test_cached_routes_match_on_greedy_trees(corpus7):

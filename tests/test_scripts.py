@@ -99,14 +99,13 @@ def test_bench_cold_clears_every_package_cache():
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
-    assert {"automorphisms.aut_order", "corpus.all_graphs", "corpus.connected_graphs",
-            "trees._interned_tree", "bounds._power_value", "bounds._log2",
-            "embeddings._tree_class", "embeddings._labeled_plan",
-            "embeddings._tree_aut"} <= {name.removeprefix("autbounds.") for name in caches}
+    names = {"autbounds." + name for name in (
+        "automorphisms.aut_order", "corpus.all_graphs", "corpus.connected_graphs",
+        "trees._interned_tree", "bounds._power_value", "bounds._log2", "embeddings._tree_class")}
+    assert set(caches) == names == {f"{m.__name__}.{name}" for m, name in bench.CACHES}
     connected_graphs(4)
     compose_report(petersen_graph(), ReportOptions(corollary_mode="both"))
-    # compose_report on Petersen reaches neither the copy census, the
-    # labeled counter's plans nor the naive tree counts
+    # compose_report on Petersen never reaches the copy census
     count_embeddings([SpanningTree.from_edges(3, [(0, 1), (1, 2)])], complete_graph(3))
     assert all(cache.cache_info().currsize for cache in caches.values())
     bench.cold()

@@ -74,6 +74,29 @@ def test_copy_census_is_independent_of_the_certificates():
     assert attrs.isdisjoint({"tree_certificate", "certificate_aut", "_centroid_code"})
 
 
+def test_naive_tree_aut_runs_the_naive_oracle():
+    # theorem1 checks count_embeddings' aut_f, SpanningTree.naive_aut, against
+    # tree_aut_exact of the same tree, so naive_aut must run the naive oracle
+    # and never reach the centroid code: else it compares that count with
+    # itself.
+    tree = ast.parse((SRC / "trees.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "SpanningTree"]
+    functions |= {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, names = set(), ["naive_aut"], set()
+    while todo:   # naive_aut and every function or tree member it reaches
+        name = todo.pop()
+        reached.add(name)
+        found = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        found |= {node.attr for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Attribute)}
+        names |= found
+        todo += [f for f in found if f in functions and f not in reached]
+    assert "aut_order_naive" in names
+    assert names.isdisjoint({"certificate_aut", "_centroid_code", "tree_aut_exact"})
+
+
 def test_greedy_checker_is_independent_of_the_builder():
     # greedy_sweep trusts verify_greedy_tree to check the builder, so it must
     # not reach the builder's code.
