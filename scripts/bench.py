@@ -40,13 +40,18 @@ Layers:
               every tree it returned, timed apart on new tree objects built
               before each repeat.  Each repeat records the hits and misses
               of the intern table (the one SpanningTree per bit rows) and
-              the trees it coded.
+              the trees it coded.  The table of K_n's spanning trees that
+              all_spanning_trees reads, for n <= 6, is also timed on its
+              own; every timed all_spanning_trees repeat builds it too.
   theorem1    verify.theorem1_suite over the connected n <= 6 corpus and
               over every 8th connected n = 7 graph, each corpus built
               outside the timing and passed as external=; also records the
               checks and violations of each group, and the intern table's
               hits and misses, the trees coded and the naive-oracle calls
-              (SpanningTree.naive_aut, count_embeddings' aut_f) per repeat.
+              (SpanningTree.naive_aut, count_embeddings' aut_f) per repeat,
+              and, timed on its own, the build of the tables of K_n's
+              spanning trees for each group's vertex counts, which every
+              timed repeat also makes.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -80,12 +85,13 @@ Layers:
 
 Every group is timed by one rule: its number is the best of at least 3
 calls, with more calls until 1 s has been timed, and at most 1,000 calls.
-Every call starts cold: cold() first clears the package's seven lru_caches
+Every call starts cold: cold() first clears the package's eight lru_caches
 (aut_order, the two corpus caches, the intern table of trees, which takes
-the values cached on each tree with it, both bound memos and the copy
-census's tree classes), as in a fresh process.  mpmath's own caches, such as
-its constants at each precision used, are not cleared, nor is the census's
-list of class representatives (at most 48).
+the values cached on each tree with it, the table of K_n's spanning trees,
+both bound memos and the copy census's tree classes), as in a fresh
+process.  mpmath's own caches, such as its constants at each precision
+used, are not cleared, nor is the census's list of class representatives
+(at most 48).
 --quick is a smoke run on smaller inputs that makes exactly 3 calls per
 group.  The record is written to BENCH_<label>.json with the Python version,
 os.cpu_count(), the git sha of the checkout that holds the imported
@@ -157,8 +163,8 @@ MAX_REPEATS = 1000
 # Every lru_cache of the package, as (module, name).  cold() looks each up at
 # call time, so a cache that goes raises AttributeError, not a warm timing.
 CACHES = ((automorphisms, "aut_order"), (corpus, "all_graphs"), (corpus, "connected_graphs"),
-          (autbounds.trees, "_interned_tree"), (bounds, "_power_value"), (bounds, "_log2"),
-          (embeddings, "_tree_class"))
+          (autbounds.trees, "_interned_tree"), (autbounds.trees, "_complete_trees"),
+          (bounds, "_power_value"), (bounds, "_log2"), (embeddings, "_tree_class"))
 
 
 def families(quick):
@@ -268,6 +274,12 @@ def tree_counts_repeated(run, quick, reset=lambda: None):
         return (*repeated(counted, quick, reset)[:2], counts)
 
 
+def table_seconds(ns, quick):
+    """Best seconds to build trees._complete_trees(n), the table of K_n's
+    spanning trees, for every n in ns, from cold."""
+    return repeated(lambda: [autbounds.trees._complete_trees(n) for n in ns], quick)[0]
+
+
 def digest(values):
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
@@ -359,7 +371,8 @@ def bench_corpus(quick):
 def bench_trees(quick):
     hosts = connected_corpus(quick)
     large_hosts = [grid_graph(4, 6), connected_gnm(24, 60, random.Random(24))]
-    small = [g for g in hosts if g.n <= (5 if quick else 6)]
+    small_n = 5 if quick else 6
+    small = [g for g in hosts if g.n <= small_n]
     starts = [(g, v0) for g in hosts for v0 in range(g.n)]
     seconds, memos = {}, {}
     seconds["greedy"], greedy, memos["greedy"] = tree_counts_repeated(
@@ -383,6 +396,8 @@ def bench_trees(quick):
               f"{tree_aut_upper(t) if t.n >= 2 else None}\n" for t, cert in zip(trees, certs)]
     large_lines = [f"{bt.tree.edges()} {product}\n" for bt, product in (r[0] for r in large)]
     return {"trees_best_s": seconds,
+            "complete_trees_best_s": {f"n<={small_n}": table_seconds(
+                range(1, small_n + 1), quick)},
             "starts": len(starts),
             "spanning_trees": len(trees),
             "tree_memos": memos,
@@ -409,7 +424,10 @@ def bench_theorem1(quick):
         with spy(autbounds.trees, "aut_order_naive") as calls:
             seconds[name], res, memos[name] = tree_counts_repeated(run, quick)
         checks[name], violations[name] = res.checked, len(res.violations)
-    return {"theorem1_suite_best_s": seconds, "checks": checks, "violations": violations,
+    tables = {name: table_seconds(sorted({g.n for g in graphs}), quick)
+              for name, graphs in corpora.items()}
+    return {"theorem1_suite_best_s": seconds, "complete_trees_best_s": tables,
+            "checks": checks, "violations": violations,
             "tree_memos": memos, "naive_calls": naive}
 
 

@@ -6,12 +6,13 @@ Two genuinely independent routes feed the identity
 bitmask candidate sets, the last vertex counted by popcount; sibling leaves
 (k >= 2 leaves of the tree on one neighbour) are never placed, but counted
 once the rest is, as k! times the ways to split the free vertices among them.
-Subgraph copies come from one pass over the host's (n-1)-edge subsets: each
-is matched by degree multiset, dropped by a flood fill if it has a cycle,
-and counted under its tree class.  ``_tree_class`` classifies each labeled
-tree once per process, by an edge-by-edge isomorphism test against the
-first member of each known class with its degrees, never by the tree
-certificates the census is checked against.
+Subgraph copies come from the host's spanning trees as bit rows
+(``trees.spanning_tree_rows``, the package's one listing of them): each is
+matched by degree multiset and counted under its tree class.
+``_tree_class`` classifies each labeled tree once per process, by an
+edge-by-edge isomorphism test against the first member of each known class
+with its degrees, never by the tree certificates the census is checked
+against; the listing never builds the interned trees that carry them.
 aut_f comes from the naive permutation oracle.
 ``count_embeddings`` checks the identity for every tree and raises
 CountingIdentityError if it fails, so a bug in one route trips at once.
@@ -19,8 +20,8 @@ What depends on the tree alone, the labeled counter's search plan and the
 naive aut_f, is kept on the tree (``SpanningTree.labeled_plan`` and
 ``naive_aut``), so an interned tree works it out once per process; the
 identity is still checked for every host and tree.  ``_tree_class`` is this
-module's one cache, keyed on bit rows because the census classifies edge
-subsets that are never interned.
+module's one cache, keyed on bit rows because the census classifies listed
+trees that are never interned.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
-from .graphs import Graph, SizeLimitError, bits, rows_connected
-from .trees import SpanningTree
+from .graphs import Graph, SizeLimitError, bits
+from .trees import SpanningTree, spanning_tree_rows
 
 EMBED_VERTEX_LIMIT = 8
 
@@ -54,6 +54,10 @@ def _check_pair(f: SpanningTree, g: Graph):
         raise TypeError(f"copies are counted for spanning trees, not {type(f).__name__}")
     if f.n != g.n:
         raise ValueError(f"spanning subgraph must share the vertex count ({f.n} != {g.n})")
+    _check_host(g)
+
+
+def _check_host(g: Graph):
     if g.n > EMBED_VERTEX_LIMIT:
         raise SizeLimitError(
             f"embedding counts are brute force; n={g.n} exceeds {EMBED_VERTEX_LIMIT}")
@@ -183,27 +187,21 @@ def _tree_class(rows: tuple[int, ...]) -> int:
 
 
 def count_subgraph_copies(trees: list[SpanningTree], g: Graph) -> list[int]:
-    """Number of edge subsets of g isomorphic to each of the trees, from one
-    pass over g's (n-1)-edge subsets.  A subset with the degree multiset of
-    some tree is counted under its class, and every tree in that class gets
-    the class's count, so isomorphic trees each get the full count."""
+    """Number of edge subsets of g isomorphic to each of the trees, over g's
+    spanning trees from trees.spanning_tree_rows.  A tree of g with the
+    degree multiset of some requested tree is counted under its class, and
+    every tree in that class gets the class's count, so isomorphic trees
+    each get the full count."""
     for t in trees:
         _check_pair(t, g)
-    n = g.n
+    if not trees:
+        _check_host(g)
+        return []
     wanted = {tuple(sorted(t.degrees)) for t in trees}
     counts: Counter[int] = Counter()
-    for subset in combinations(g.edges(), n - 1):
-        degs = [0] * n
-        rows = [0] * n
-        for u, v in subset:
-            degs[u] += 1
-            degs[v] += 1
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        # n - 1 edges span a tree iff they connect all n vertices; only
-        # trees enter the class table.
-        if tuple(sorted(degs)) in wanted and rows_connected(rows):
-            counts[_tree_class(tuple(rows))] += 1
+    for rows in spanning_tree_rows(g):
+        if tuple(sorted(map(int.bit_count, rows))) in wanted:
+            counts[_tree_class(rows)] += 1
     return [counts[_tree_class(t.rows)] for t in trees]
 
 

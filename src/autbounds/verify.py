@@ -184,16 +184,20 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
       copy count, and (for trees with an internal vertex) the degree-product
       estimate dominates the true tree automorphism count.
 
-    Trees are enumerated twice (subset+acyclicity here, subset+isomorphism in
-    the copy census), reconciled per class and checked against the Laplacian
-    determinant.  The census classifies each labeled tree once per process,
-    by the edge-by-edge test against its class representatives, never by
-    the certificate.  Each check runs once per class, on its first member:
-    isomorphic trees share aut(T) and degrees, so the ceiling too, and the
-    census catches a certificate that merges non-isomorphic trees.  The
-    naive aut(T) and the labeled counter's plan are cached on each interned
-    tree, beside its certificate, so a tree met again on another host reuses
-    them; the identity itself is checked on every (host, class) pair.
+    Trees are listed once per process, as the table of K_n's spanning trees
+    that trees.spanning_tree_rows filters by the host's edges.  The interned
+    trees here and the copy census's bit rows both come from it; their count
+    is checked against the Laplacian determinant, and each class's count by
+    labeled = copies * aut(T).  The census classifies each labeled tree once
+    per process, by the edge-by-edge test against its class representatives,
+    never by the certificate, so the grouping by certificate is reconciled
+    per class with an independent classification.  Each check runs once per
+    class, on its first member: isomorphic trees share aut(T) and degrees, so
+    the ceiling too, and the census catches a certificate that merges
+    non-isomorphic trees.  The naive aut(T) and the labeled counter's plan
+    are cached on each interned tree, beside its certificate, so a tree met
+    again on another host reuses them; the identity itself is checked on
+    every (host, class) pair.
     """
     res = SuiteResult("theorem1-embeddings", 0)
     for g in _corpus(nmax, external):

@@ -5,7 +5,7 @@ package's algorithms: orbits, labeled copies and path covers come from
 enumerating all n! permutations, Hamiltonian paths are counted by
 inclusion-exclusion over walks, random graphs are drawn bit by bit, and
 random spanning trees come from Kruskal's rule on shuffled edges.  A leaf
-check is judged pair by pair against the definition of an isomorphism.  Seven
+check is judged pair by pair against the definition of an isomorphism.  Eight
 oracles are kept copies rather than brute force: ``refine_reference`` is the
 refinement that scans every cell for every splitter and counts each splitter
 vertex by vertex, which the faster
@@ -19,7 +19,10 @@ augmentation, which ``corpus.all_graphs`` must match graph for graph; and
 helper per row and an isinstance check per context value, which
 ``cli.report_to_dict`` must match dict for dict; ``census_reference`` is the
 copy census that tests every tree subset against every requested tree,
-which ``embeddings.count_subgraph_copies`` must match count for count; and
+which ``embeddings.count_subgraph_copies`` must match count for count;
+``spanning_rows_reference`` is the pass over a host's own (n-1)-edge subsets
+that listed its spanning trees before the table of K_n's trees, which
+``trees.spanning_tree_rows`` must match tree for tree and in order;
 ``greedy_reference`` is the greedy tree builder that scans every covered
 vertex for the lowest eligible leaf, which ``trees.greedy_spanning_tree``
 must match tree for tree; and ``labeled_reference`` is the labeled-copy
@@ -194,6 +197,21 @@ def census_reference(trees, g: Graph):
                 if isomorphic(rows, degs):
                     copies[i] += 1
     return copies
+
+
+def spanning_rows_reference(g: Graph):
+    """trees.spanning_tree_rows as it was before the table of K_n's trees:
+    the bit rows of every (n-1)-edge subset of g that connects, in
+    combinations order.  Same contract, same rows in the same order."""
+    found = []
+    for subset in combinations(g.edges(), g.n - 1):
+        rows = [0] * g.n
+        for u, v in subset:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        if rows_connected(rows):
+            found.append(tuple(rows))
+    return found
 
 
 def labeled_reference(f: SpanningTree, g: Graph) -> int:

@@ -99,6 +99,16 @@ def test_non_tree_rejected(f):
         count_embeddings([f], c4)
 
 
+def test_census_of_no_trees_lists_no_host_trees(monkeypatch):
+    # an empty request is answered after the host's size check alone
+    def no_listing(g):
+        raise AssertionError("spanning trees listed for an empty request")
+
+    monkeypatch.setattr(embeddings, "spanning_tree_rows", no_listing)
+    assert count_subgraph_copies([], complete_graph(8)) == []
+    assert count_embeddings([], complete_graph(8)) == []
+
+
 def test_census_counts_every_tree_in_full():
     # One pass serves every tree: isomorphic trees, and the same tree twice,
     # each get the whole count; trees with other degrees get their own.

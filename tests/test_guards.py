@@ -4,9 +4,12 @@ and exact message."""
 import pytest
 
 from autbounds.bounds import ReportOptions, compose_report, eval_eq3, eval_thm1_tree
+from autbounds.embeddings import count_embeddings, count_subgraph_copies
 from autbounds.graphs import (
     Graph,
+    SizeLimitError,
     complete_bipartite_graph,
+    complete_graph,
     path_graph,
     star_graph,
 )
@@ -46,6 +49,13 @@ GUARDS = {
                                  "greedy spanning tree needs a connected host graph"),
     "spanning-trees-disconnected": (lambda: all_spanning_trees(TWO_EDGES), ValueError,
                                     "spanning trees need a connected host graph"),
+    # no tree to check, but the host is still too large to enumerate
+    "census-no-trees-large-host": (lambda: count_subgraph_copies([], complete_graph(9)),
+                                   SizeLimitError,
+                                   "embedding counts are brute force; n=9 exceeds 8"),
+    "embeddings-no-trees-large-host": (lambda: count_embeddings([], complete_graph(10)),
+                                       SizeLimitError,
+                                       "embedding counts are brute force; n=10 exceeds 8"),
 }
 
 

@@ -101,7 +101,8 @@ def test_bench_cold_clears_every_package_cache():
                 caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
     names = {"autbounds." + name for name in (
         "automorphisms.aut_order", "corpus.all_graphs", "corpus.connected_graphs",
-        "trees._interned_tree", "bounds._power_value", "bounds._log2", "embeddings._tree_class")}
+        "trees._interned_tree", "trees._complete_trees", "bounds._power_value", "bounds._log2",
+        "embeddings._tree_class")}
     assert set(caches) == names == {f"{m.__name__}.{name}" for m, name in bench.CACHES}
     connected_graphs(4)
     compose_report(petersen_graph(), ReportOptions(corollary_mode="both"))
@@ -174,6 +175,9 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
         assert record["power_value"]["calls"] > record["power_value"]["distinct"]
         assert record["log2"]["calls"] < record["power_value"]["calls"]
     if layer in ("trees", "theorem1"):
+        # the table of K_n's trees is timed on its own, per group
+        assert sorted(record["complete_trees_best_s"]) == (
+            ["n<=5"] if layer == "trees" else groups)
         # every repeat starts from a cold intern table and new tree objects,
         # so each repeat counts the same hits, misses and codings; a warm
         # table or a tree with values cached on it would change later repeats

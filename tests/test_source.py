@@ -55,37 +55,18 @@ def test_naive_oracle_is_independent_of_the_search():
         {"_refine", "_search", "_first_path", "_individualized", "_target_cell", "aut_order"})
 
 
-def test_copy_census_is_independent_of_the_certificates():
-    # theorem1_suite groups trees by tree_certificate and checks the groups
-    # against the copy census, so the census must classify trees by its own
-    # isomorphism test, never by the certificate code.
-    tree = ast.parse((SRC / "embeddings.py").read_text(encoding="utf-8"))
+def reach(path, start, members_of=None):
+    """(functions reached, names and attributes used) from the module
+    function ``start`` in ``path``, following every call to a module
+    function, and to a member of the class ``members_of`` if one is named."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo, names = set(), ["count_subgraph_copies"], set()
-    while todo:   # the census and every module function it reaches
-        name = todo.pop()
-        reached.add(name)
-        found = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
-        names |= found
-        todo += [f for f in found if f in functions and f not in reached]
-    assert {"_tree_class", "_isomorphism_test"} <= reached
-    assert names.isdisjoint({"tree_certificate", "certificate_aut", "_centroid_code"})
-    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert attrs.isdisjoint({"tree_certificate", "certificate_aut", "_centroid_code"})
-
-
-def test_naive_tree_aut_runs_the_naive_oracle():
-    # theorem1 checks count_embeddings' aut_f, SpanningTree.naive_aut, against
-    # tree_aut_exact of the same tree, so naive_aut must run the naive oracle
-    # and never reach the centroid code: else it compares that count with
-    # itself.
-    tree = ast.parse((SRC / "trees.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    (cls,) = [node for node in tree.body
-              if isinstance(node, ast.ClassDef) and node.name == "SpanningTree"]
-    functions |= {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
-    reached, todo, names = set(), ["naive_aut"], set()
-    while todo:   # naive_aut and every function or tree member it reaches
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == members_of:
+            functions |= {node.name: node for node in cls.body
+                          if isinstance(node, ast.FunctionDef)}
+    reached, todo, names = set(), [start], set()
+    while todo:
         name = todo.pop()
         reached.add(name)
         found = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
@@ -93,6 +74,33 @@ def test_naive_tree_aut_runs_the_naive_oracle():
                   if isinstance(node, ast.Attribute)}
         names |= found
         todo += [f for f in found if f in functions and f not in reached]
+    return reached, names
+
+
+def test_copy_census_is_independent_of_the_certificates():
+    # theorem1_suite groups trees by tree_certificate and checks the groups
+    # against the copy census, so the census must classify trees by its own
+    # isomorphism test, never by the certificate code, and list the host's
+    # trees without the interned trees that carry their certificates.
+    certificate = {"tree_certificate", "certificate_aut", "_centroid_code"}
+    reached, names = reach(SRC / "embeddings.py", "count_subgraph_copies")
+    assert {"_tree_class", "_isomorphism_test"} <= reached
+    assert "spanning_tree_rows" in names
+    module = ast.parse((SRC / "embeddings.py").read_text(encoding="utf-8"))
+    attrs = {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute)}
+    assert (names | attrs).isdisjoint(certificate)
+    # the shared listing, followed into trees.py
+    listed, listing_names = reach(SRC / "trees.py", "spanning_tree_rows")
+    assert {"_complete_trees", "_tree_rows", "_edge_mask"} <= listed
+    assert listing_names.isdisjoint(certificate | {"SpanningTree", "_interned_tree"})
+
+
+def test_naive_tree_aut_runs_the_naive_oracle():
+    # theorem1 checks count_embeddings' aut_f, SpanningTree.naive_aut, against
+    # tree_aut_exact of the same tree, so naive_aut must run the naive oracle
+    # and never reach the centroid code: else it compares that count with
+    # itself.
+    _, names = reach(SRC / "trees.py", "naive_aut", members_of="SpanningTree")
     assert "aut_order_naive" in names
     assert names.isdisjoint({"certificate_aut", "_centroid_code", "tree_aut_exact"})
 

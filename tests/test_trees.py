@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
@@ -14,6 +15,7 @@ from autbounds.graphs import (
     SizeLimitError,
     complete_bipartite_graph,
     complete_graph,
+    connected_gnm,
     cycle_graph,
     is_connected,
     path_graph,
@@ -28,6 +30,7 @@ from autbounds.trees import (
     embedding_upper_fs,
     greedy_spanning_tree,
     spanning_tree_count,
+    spanning_tree_rows,
     tree_aut_exact,
     tree_aut_upper,
     tree_certificate,
@@ -35,7 +38,8 @@ from autbounds.trees import (
 )
 from autbounds.verify import greedy_sweep, theorem1_suite
 
-from helpers import as_tree, connected_graphs_st, greedy_reference, random_trees
+from helpers import (
+    as_tree, connected_graphs_st, greedy_reference, random_trees, spanning_rows_reference)
 
 
 def test_spanning_tree_validation():
@@ -326,6 +330,35 @@ def test_all_spanning_trees_counts():
 def test_all_spanning_trees_refusal():
     with pytest.raises(SizeLimitError):
         all_spanning_trees(complete_graph(8))
+
+
+def assert_rows_match_reference(graphs):
+    for g in graphs:
+        rows = spanning_tree_rows(g)
+        assert rows == spanning_rows_reference(g), write_graph6(g)
+        assert len(rows) == spanning_tree_count(g), write_graph6(g)
+
+
+def test_spanning_tree_rows_match_reference():
+    # every graph on n <= 6 vertices, in order; a disconnected one has none
+    assert_rows_match_reference([g for n in range(1, 7) for g in all_graphs(n)])
+
+
+@pytest.mark.parametrize("step", [8, pytest.param(1, marks=pytest.mark.slow)],
+                         ids=["every-8th", "all"])
+def test_spanning_tree_rows_match_reference_n7(corpus7, step):
+    assert_rows_match_reference(corpus7[7][::step])
+
+
+def test_spanning_tree_rows_n8_run_the_subset_pass(monkeypatch):
+    # n = 8 is past the table: the copy census's hosts run the pass on g
+    def no_table(n):
+        raise AssertionError(f"K{n}'s table built for an n = 8 host")
+
+    monkeypatch.setattr(trees, "_complete_trees", no_table)
+    rng = random.Random(8)
+    assert_rows_match_reference([connected_gnm(8, m, rng) for m in (7, 10, 14)
+                                 for _ in range(2)])
 
 
 def test_matrix_tree_agrees_with_enumeration():
