@@ -49,9 +49,10 @@ Layers:
               checks and violations of each group, and the intern table's
               hits and misses, the trees coded and the naive-oracle calls
               (SpanningTree.naive_aut, count_embeddings' aut_f) per repeat,
-              and, timed on its own, the build of the tables of K_n's
-              spanning trees for each group's vertex counts, which every
-              timed repeat also makes.
+              and, each timed on its own, the build of the tables of K_n's
+              spanning trees for each group's vertex counts and the build
+              of the copy census's class tables over them (with K_n's
+              tables already built), which every timed repeat also makes.
   pathcover   structure.path_cover_number on every connected graph with
               n <= 7, on the random graphs of perfbench's analyze-hard
               workload for seeds 0-3 (all have p = 1), on seeded sparse
@@ -88,10 +89,9 @@ calls, with more calls until 1 s has been timed, and at most 1,000 calls.
 Every call starts cold: cold() first clears the package's eight lru_caches
 (aut_order, the two corpus caches, the intern table of trees, which takes
 the values cached on each tree with it, the table of K_n's spanning trees,
-both bound memos and the copy census's tree classes), as in a fresh
+both bound memos and the copy census's class tables), as in a fresh
 process.  mpmath's own caches, such as its constants at each precision
-used, are not cleared, nor is the census's list of class representatives
-(at most 48).
+used, are not cleared.
 --quick is a smoke run on smaller inputs that makes exactly 3 calls per
 group.  The record is written to BENCH_<label>.json with the Python version,
 os.cpu_count(), the git sha of the checkout that holds the imported
@@ -164,7 +164,7 @@ MAX_REPEATS = 1000
 # call time, so a cache that goes raises AttributeError, not a warm timing.
 CACHES = ((automorphisms, "aut_order"), (corpus, "all_graphs"), (corpus, "connected_graphs"),
           (autbounds.trees, "_interned_tree"), (autbounds.trees, "_complete_trees"),
-          (bounds, "_power_value"), (bounds, "_log2"), (embeddings, "_tree_class"))
+          (bounds, "_power_value"), (bounds, "_log2"), (embeddings, "_tree_classes"))
 
 
 def families(quick):
@@ -220,12 +220,9 @@ def power_value_keys(quick):
 
 
 def cold():
-    """Clear every cache in CACHES, as in a fresh process.  The copy
-    census's class list (at most 48 entries, one test per tree shape)
-    survives, as mpmath's caches do: a tree that _tree_class meets again is
-    classified again, into the same id.  A tree the caller still holds keeps
-    the values cached on it, so a layer that holds trees across repeats
-    rebuilds them in repeated()'s reset."""
+    """Clear every cache in CACHES, as in a fresh process.  A tree the
+    caller still holds keeps the values cached on it, so a layer that holds
+    trees across repeats rebuilds them in repeated()'s reset."""
     for module, name in CACHES:
         getattr(module, name).cache_clear()
 
@@ -278,6 +275,14 @@ def table_seconds(ns, quick):
     """Best seconds to build trees._complete_trees(n), the table of K_n's
     spanning trees, for every n in ns, from cold."""
     return repeated(lambda: [autbounds.trees._complete_trees(n) for n in ns], quick)[0]
+
+
+def class_table_seconds(ns, quick):
+    """Best seconds to build embeddings._tree_classes(n), the copy census's
+    class table, for every n in ns, from cold but with the tables of K_n's
+    trees that it classifies built before the timing."""
+    return repeated(lambda: [embeddings._tree_classes(n) for n in ns], quick,
+                    lambda: [autbounds.trees._complete_trees(n) for n in ns])[0]
 
 
 def digest(values):
@@ -424,9 +429,10 @@ def bench_theorem1(quick):
         with spy(autbounds.trees, "aut_order_naive") as calls:
             seconds[name], res, memos[name] = tree_counts_repeated(run, quick)
         checks[name], violations[name] = res.checked, len(res.violations)
-    tables = {name: table_seconds(sorted({g.n for g in graphs}), quick)
-              for name, graphs in corpora.items()}
-    return {"theorem1_suite_best_s": seconds, "complete_trees_best_s": tables,
+    ns = {name: sorted({g.n for g in graphs}) for name, graphs in corpora.items()}
+    return {"theorem1_suite_best_s": seconds,
+            "complete_trees_best_s": {name: table_seconds(ns[name], quick) for name in ns},
+            "census_classes_best_s": {name: class_table_seconds(ns[name], quick) for name in ns},
             "checks": checks, "violations": violations,
             "tree_memos": memos, "naive_calls": naive}
 

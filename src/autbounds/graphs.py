@@ -157,6 +157,8 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """Image of the graph under the permutation v -> perm[v]."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of range({self.n})")
         return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
 
 

@@ -18,10 +18,11 @@ with a neighbour outside, in index order.  No state names the start vertex,
 so one memo per host answers every start.  Tree codes are rooted at the
 centroid, reached from vertex 0 through child subtrees over half the tree.
 
-A host's spanning trees are the trees of K_n whose edges it has, so up to
-ENUM_VERTEX_LIMIT vertices they are read from one table of K_n's n^(n-2)
-trees per n, listed once per process by the subset pass; all_spanning_trees
-and the copy census both take them from spanning_tree_rows.
+A host's spanning trees are the trees of K_n whose edges it has, so they
+are read from one table of K_n's n^(n-2) trees per n, listed once per
+process by the subset pass; all_spanning_trees and the copy census both take
+them from spanning_tree_rows, which refuses hosts past ENUM_VERTEX_LIMIT
+vertices.
 
 The builders take each SpanningTree from an intern table keyed on its bit
 rows, the package's one cache of trees.  Each tree caches its certificate,
@@ -37,12 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .automorphisms import aut_order_naive
 from .graphs import Graph, SizeLimitError, _lazy, _walk, bits, is_connected, rows_connected
 
-ENUM_VERTEX_LIMIT = 7  # all_spanning_trees refuses larger hosts; the largest K_n table
+ENUM_VERTEX_LIMIT = 7  # the largest K_n table; spanning_tree_rows refuses larger hosts
 
 
 class SpanningTree(Graph):
@@ -337,12 +338,12 @@ def embedding_upper_fs(g: Graph) -> Fraction:
     return Fraction(prod(g.degrees), g.delta_max)
 
 
-def _tree_rows(n: int, edges) -> list[tuple[int, ...]]:
-    """The bit rows of every (n-1)-subset of edges that connects the n
+def _tree_rows(n: int) -> list[tuple[int, ...]]:
+    """The bit rows of every (n-1)-subset of K_n's edges that connects the n
     vertices, in combinations order: n - 1 edges that connect hold no cycle.
     The package's one enumeration of spanning trees."""
     found = []
-    for subset in combinations(edges, n - 1):
+    for subset in combinations(combinations(range(n), 2), n - 1):
         rows = [0] * n
         for u, v in subset:
             rows[u] |= 1 << v
@@ -369,17 +370,18 @@ def _complete_trees(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(edge mask, bit rows) of each of the n^(n-2) spanning trees of K_n
     (Cayley's formula), in combinations order, built once per process: K7's
     16,807 trees take about 0.1 s and 3.4 MB on a 2-vCPU Linux VM."""
-    return tuple((_edge_mask(rows), rows) for rows in _tree_rows(n, combinations(range(n), 2)))
+    return tuple((_edge_mask(rows), rows) for rows in _tree_rows(n))
 
 
 def spanning_tree_rows(g: Graph) -> list[tuple[int, ...]]:
     """The bit rows of every spanning tree of g, in the order of
-    combinations(g.edges(), n - 1); none if g is disconnected.  Up to
-    ENUM_VERTEX_LIMIT vertices they are the trees of K_n whose edges g has,
-    one mask test each; a larger host (n = 8, which only the copy census
-    takes) runs the subset pass on its own edges."""
+    combinations(g.edges(), n - 1); none if g is disconnected.  They are the
+    trees of K_n whose edges g has, one mask test each, so hosts past
+    ENUM_VERTEX_LIMIT, the largest table, are refused."""
     if g.n > ENUM_VERTEX_LIMIT:
-        return _tree_rows(g.n, g.edges())
+        raise SizeLimitError(
+            f"spanning-tree enumeration refused for n={g.n} > {ENUM_VERTEX_LIMIT}: "
+            f"K_{g.n} has {g.n ** (g.n - 2)} spanning trees")
     outside = ~_edge_mask(g.rows)
     return [rows for mask, rows in _complete_trees(g.n) if not mask & outside]
 
@@ -388,17 +390,11 @@ def all_spanning_trees(g: Graph) -> list[SpanningTree]:
     """Every spanning tree exactly once, from spanning_tree_rows, each taken
     from the intern table, so SpanningTree's checks run once per labeled
     tree, not on every host.  The Laplacian count spanning_tree_count stays
-    its independent oracle.
-
-    Hosts with more than 7 vertices are refused, since the tree count
-    explodes.
+    its independent oracle.  Hosts past ENUM_VERTEX_LIMIT (7) vertices are
+    refused, as spanning_tree_rows refuses them.
     """
     if not is_connected(g):
         raise ValueError("spanning trees need a connected host graph")
-    if g.n > ENUM_VERTEX_LIMIT:
-        raise SizeLimitError(
-            f"subset enumeration over {comb(g.e, g.n - 1)} candidates refused for "
-            f"n={g.n} > {ENUM_VERTEX_LIMIT}")
     return [_interned_tree(rows) for rows in spanning_tree_rows(g)]
 
 

@@ -188,16 +188,16 @@ def theorem1_suite(nmax: int = 6, external: list[Graph] | None = None) -> SuiteR
     that trees.spanning_tree_rows filters by the host's edges.  The interned
     trees here and the copy census's bit rows both come from it; their count
     is checked against the Laplacian determinant, and each class's count by
-    labeled = copies * aut(T).  The census classifies each labeled tree once
-    per process, by the edge-by-edge test against its class representatives,
-    never by the certificate, so the grouping by certificate is reconciled
-    per class with an independent classification.  Each check runs once per
-    class, on its first member: isomorphic trees share aut(T) and degrees, so
-    the ceiling too, and the census catches a certificate that merges
-    non-isomorphic trees.  The naive aut(T) and the labeled counter's plan
-    are cached on each interned tree, beside its certificate, so a tree met
-    again on another host reuses them; the identity itself is checked on
-    every (host, class) pair.
+    labeled = copies * aut(T).  The census reads each labeled tree's class
+    from one table per n, built once per process by the edge-by-edge test
+    against its class representatives, never by the certificate, so the
+    grouping by certificate is reconciled per class with an independent
+    classification.  Each check runs once per class, on its first member:
+    isomorphic trees share aut(T) and degrees, so the ceiling too, and the
+    census catches a certificate that merges non-isomorphic trees.  The
+    naive aut(T) and the labeled counter's plan are cached on each interned
+    tree, beside its certificate, so a tree met again on another host reuses
+    them; the identity itself is checked on every (host, class) pair.
     """
     res = SuiteResult("theorem1-embeddings", 0)
     for g in _corpus(nmax, external):

@@ -23,6 +23,7 @@ from autbounds.graphs import (
 )
 from autbounds.trees import (
     SpanningTree,
+    _complete_trees,
     all_spanning_trees,
     greedy_spanning_tree,
     tree_certificate,
@@ -105,8 +106,8 @@ def test_census_of_no_trees_lists_no_host_trees(monkeypatch):
         raise AssertionError("spanning trees listed for an empty request")
 
     monkeypatch.setattr(embeddings, "spanning_tree_rows", no_listing)
-    assert count_subgraph_copies([], complete_graph(8)) == []
-    assert count_embeddings([], complete_graph(8)) == []
+    assert count_subgraph_copies([], complete_graph(7)) == []
+    assert count_embeddings([], complete_graph(7)) == []
 
 
 def test_census_counts_every_tree_in_full():
@@ -120,8 +121,8 @@ def test_census_counts_every_tree_in_full():
     assert [ec.labeled for ec in count_embeddings([star, p4], k4)] == [24, 24]
 
 
-# The census counts each tree subset under its class in embeddings'
-# _tree_class table; helpers.census_reference tests every subset against
+# The census counts each of the host's trees under its class in embeddings'
+# _tree_classes(n) table; helpers.census_reference tests every subset against
 # every requested tree, as the census did before the table.
 
 def class_reps(g):
@@ -138,13 +139,13 @@ def test_census_matches_reference_on_corpus(corpus6):
 def test_census_matches_reference_on_seeded_hosts():
     rng = random.Random(7)
     hosts = [connected_gnm(7, m, rng) for m in (6, 8, 10, 13, 16)]
-    hosts += [connected_gnm(8, m, rng) for m in (7, 9, 10, 11)]
+    hosts += [connected_gnm(7, m, rng) for m in (7, 9, 11, 12)]
     relabeled = 0   # trees isomorphic to an earlier one in their list, not equal to it
-    for g in hosts:
-        # every class at n = 7, seeded draws at n = 8 (past all_spanning_trees'
-        # cap); then more draws, isomorphic to earlier trees or equal to them,
-        # and two repeats
-        trees = class_reps(g) if g.n == 7 else []
+    for i, g in enumerate(hosts):
+        # every class on the first five hosts, seeded draws alone on the
+        # rest; then more draws, isomorphic to earlier trees or equal to
+        # them, and two repeats
+        trees = class_reps(g) if i < 5 else []
         trees += [random_spanning_tree(g, rng) for _ in range(8)]
         trees += trees[-2:]
         assert count_subgraph_copies(trees, g) == census_reference(trees, g), g
@@ -162,35 +163,31 @@ def test_census_credits_isomorphic_and_repeated_trees():
     assert count_subgraph_copies(trees, k5) == census_reference(trees, k5) == [60, 60, 60, 60, 60]
 
 
-@pytest.fixture
-def empty_class_table(monkeypatch):
-    """A fresh class table for the test, and a cleared cache on both sides,
-    so no cached id outlives the table it names."""
-    monkeypatch.setattr(embeddings, "_class_tests", {})
-    embeddings._tree_class.cache_clear()
-    yield embeddings._class_tests
-    embeddings._tree_class.cache_clear()
+# Unlabeled trees on n = 1..7 vertices (OEIS A000055).
+TREE_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
 
 
-def test_class_table_holds_one_entry_per_class(empty_class_table):
-    g = complete_graph(6)
-    reps = class_reps(g)
-    assert count_subgraph_copies(reps, g) == census_reference(reps, g)
-    ids = [cid for members in empty_class_table.values() for cid, _ in members]
-    assert sorted(ids) == list(range(len(reps))) == list(range(6))
-    # a cleared cache classifies every tree into its old id again
-    before = [embeddings._tree_class(t.rows) for t in all_spanning_trees(g)]
-    embeddings._tree_class.cache_clear()
-    assert [embeddings._tree_class(t.rows) for t in all_spanning_trees(g)] == before
-    assert sum(map(len, empty_class_table.values())) == 6
+def test_class_table_holds_one_entry_per_class():
+    tables = {n: embeddings._tree_classes(n) for n in TREE_CLASSES}
+    for n, count in TREE_CLASSES.items():
+        classes = tables[n]
+        assert list(classes) == [rows for _, rows in _complete_trees(n)]
+        # ids are numbered as first seen in table order
+        assert list(dict.fromkeys(classes.values())) == list(range(count)), n
+        # isomorphic trees, and only they, share an id: ids and certificates
+        # pair one to one
+        pairs = {(tree_certificate(SpanningTree(n, rows)), cid) for rows, cid in classes.items()}
+        assert len(pairs) == len({cert for cert, _ in pairs}) == count, n
+    # a cleared cache builds every table again, equal to the last
+    embeddings._tree_classes.cache_clear()
+    assert {n: embeddings._tree_classes(n) for n in TREE_CLASSES} == tables
 
 
-def test_racing_threads_open_one_class_per_shape(empty_class_table):
-    # Eight threads count on K6 from an empty table, switching often: every
-    # thread gets the reference counts and each of K6's six tree classes
-    # is opened once.
+def test_racing_threads_open_one_class_per_shape():
+    # Eight threads count on K6 from a cleared table cache, switching often:
+    # every thread gets the reference counts, and the table holds K6's six
+    # tree classes.
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     g = complete_graph(6)
     reps = class_reps(g)
     expected = census_reference(reps, g)
@@ -201,6 +198,8 @@ def test_racing_threads_open_one_class_per_shape(empty_class_table):
         start.wait(timeout=60)
         results.append(count_subgraph_copies(reps, g))
 
+    embeddings._tree_classes.cache_clear()
+    sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=count) for _ in range(8)]
         for th in threads:
@@ -211,8 +210,7 @@ def test_racing_threads_open_one_class_per_shape(empty_class_table):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [expected] * 8
-    ids = sorted(cid for members in empty_class_table.values() for cid, _ in members)
-    assert ids == list(range(6))
+    assert sorted(set(embeddings._tree_classes(6).values())) == list(range(6))
 
 
 # count_labeled_embeddings takes its search plan from SpanningTree.labeled_plan

@@ -18,10 +18,12 @@ from autbounds.trees import (
     all_spanning_trees,
     best_greedy_tree,
     greedy_spanning_tree,
+    spanning_tree_rows,
 )
 
 TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])  # disconnected
 P4 = SpanningTree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+P8 = SpanningTree.from_edges(8, [(v, v + 1) for v in range(7)])
 
 GUARDS = {
     "eq3-p0": (lambda: eval_eq3(path_graph(3), 0),
@@ -52,10 +54,26 @@ GUARDS = {
     # no tree to check, but the host is still too large to enumerate
     "census-no-trees-large-host": (lambda: count_subgraph_copies([], complete_graph(9)),
                                    SizeLimitError,
-                                   "embedding counts are brute force; n=9 exceeds 8"),
-    "embeddings-no-trees-large-host": (lambda: count_embeddings([], complete_graph(10)),
-                                       SizeLimitError,
-                                       "embedding counts are brute force; n=10 exceeds 8"),
+                                   "the copy census lists K_n's spanning trees; n=9 exceeds 7"),
+    "embeddings-no-trees-large-host": (
+        lambda: count_embeddings([], complete_graph(10)),
+        SizeLimitError, "the copy census lists K_n's spanning trees; n=10 exceeds 7"),
+    # the labeled counter takes n = 8, the census only what K_n's tables hold
+    "census-n8": (lambda: count_subgraph_copies([P8], complete_graph(8)),
+                  SizeLimitError, "the copy census lists K_n's spanning trees; n=8 exceeds 7"),
+    "embeddings-n8": (lambda: count_embeddings([P8], complete_graph(8)),
+                      SizeLimitError, "the copy census lists K_n's spanning trees; n=8 exceeds 7"),
+    "spanning-rows-K8": (lambda: spanning_tree_rows(complete_graph(8)), SizeLimitError,
+                         "spanning-tree enumeration refused for n=8 > 7: "
+                         "K_8 has 262144 spanning trees"),
+    "spanning-rows-K12": (lambda: spanning_tree_rows(complete_graph(12)), SizeLimitError,
+                          "spanning-tree enumeration refused for n=12 > 7: "
+                          "K_12 has 61917364224 spanning trees"),
+    "relabel-repeated-vertex": (
+        lambda: Graph.from_edges(3, [(0, 2), (1, 2)]).relabel([1, 1, 0]),
+        ValueError, "relabel needs a permutation of range(3)"),
+    "relabel-too-long": (lambda: path_graph(3).relabel([0, 1, 2, 5]),
+                         ValueError, "relabel needs a permutation of range(3)"),
 }
 
 

@@ -102,7 +102,7 @@ def test_bench_cold_clears_every_package_cache():
     names = {"autbounds." + name for name in (
         "automorphisms.aut_order", "corpus.all_graphs", "corpus.connected_graphs",
         "trees._interned_tree", "trees._complete_trees", "bounds._power_value", "bounds._log2",
-        "embeddings._tree_class")}
+        "embeddings._tree_classes")}
     assert set(caches) == names == {f"{m.__name__}.{name}" for m, name in bench.CACHES}
     connected_graphs(4)
     compose_report(petersen_graph(), ReportOptions(corollary_mode="both"))
@@ -200,6 +200,8 @@ def test_bench_layers_quick(tmp_path, layer, key, groups):
         assert record["best_greedy_n24_sha256"] == (
             "0a0dadb5d630f37f8b6cc5baf921af9b89ace3d3c22af066688d90c86ffa93b7")
     if layer == "theorem1":
+        # the copy census's class table is timed on its own, per group, too
+        assert sorted(record["census_classes_best_s"]) == groups
         memos = record["tree_memos"]["n<=4"]
         assert memos["intern"]["misses"] == memos["codings"] == [1 + 1 + 3 + 16] * 3
         # one check per spanning-tree class: 1, 1 and 2 at n = 1..3, 9 at n = 4

@@ -350,15 +350,15 @@ def test_spanning_tree_rows_match_reference_n7(corpus7, step):
     assert_rows_match_reference(corpus7[7][::step])
 
 
-def test_spanning_tree_rows_n8_run_the_subset_pass(monkeypatch):
-    # n = 8 is past the table: the copy census's hosts run the pass on g
+def test_spanning_tree_rows_refusal(monkeypatch):
+    # n = 8 is past the largest table: refused before any table is built
     def no_table(n):
         raise AssertionError(f"K{n}'s table built for an n = 8 host")
 
     monkeypatch.setattr(trees, "_complete_trees", no_table)
-    rng = random.Random(8)
-    assert_rows_match_reference([connected_gnm(8, m, rng) for m in (7, 10, 14)
-                                 for _ in range(2)])
+    for g in (complete_graph(8), connected_gnm(8, 7, random.Random(8))):
+        with pytest.raises(SizeLimitError):
+            spanning_tree_rows(g)
 
 
 def test_matrix_tree_agrees_with_enumeration():
